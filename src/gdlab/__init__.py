@@ -4,16 +4,13 @@ on exactly-interpolating linear problems."""
 from .problem import (
     Dataset,
     DegenerateHessianError,
-    RangeProjector,
     SpectralSummary,
     dataset_from_json,
     dataset_from_rows,
     dataset_to_json,
     gen_dataset,
     hessian,
-    hessian_apply,
     load_dataset,
-    range_projector,
     save_dataset,
     spectral_summary,
 )
@@ -49,7 +46,6 @@ from .distributed import (
     GraphConnectError,
     OperatorSpectrum,
     consensus_metrics,
-    default_eta,
     dgd_operator_spectrum,
     graph_from_json,
     graph_to_json,

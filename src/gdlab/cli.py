@@ -43,15 +43,11 @@ from .distributed import (
     stable_eta,
 )
 from .io import atomic_write_text, csv_text, dumps
-from .problem import (
-    dataset_to_json,
-    gen_dataset,
-    hessian,
-    load_dataset,
-    spectral_summary,
-)
+from .problem import dataset_to_json, gen_dataset, load_dataset
 from .solvers import (
+    STATUS_CONVERGED,
     STATUS_DIVERGED,
+    STATUS_MAX_ITERS,
     SolverConfig,
     default_fit_window,
     estimate_rate,
@@ -62,6 +58,10 @@ from .theory import cost_model, g_eigen, gm_am_factor, optimal_rate, orthogonal_
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_DIVERGED = 2
+
+_STATUS_WORST_FIRST = (STATUS_DIVERGED, STATUS_MAX_ITERS, STATUS_CONVERGED)
+_SOLVER_COLUMNS = ("t", "err_sq_range", "loss", "batch_size")
+_DGD_COLUMNS = ("t", "mean_err_sq_range", "edge_spread", "global_spread", "penalized_loss")
 
 
 class CliError(ValueError):
@@ -173,17 +173,6 @@ def _load_config_file(path):
     return doc
 
 
-def _resolve(args, file_cfg: dict, preset: dict, key: str, default=None):
-    v = getattr(args, key, None)
-    if v is None:
-        v = file_cfg.get(key)
-    if v is None:
-        v = preset.get(key)
-    if v is None:
-        v = default
-    return v
-
-
 class _Resolver:
     """Precedence: command line > config file > preset > hard default."""
 
@@ -207,7 +196,9 @@ class _Resolver:
         return default if v is None else v
 
     def get(self, key, default=None, record=True):
-        v = _resolve(self.args, self.file_cfg, self.preset, key, default)
+        v = self._raw(key, self.preset.get(key))
+        if v is None:
+            v = default
         if record:
             self.resolved[key] = v
         return v
@@ -216,10 +207,10 @@ class _Resolver:
         path = self._raw("dataset")  # never a preset value: presets hold generation specs
         self.resolved["dataset"] = path
         seed = self.get("data_seed", None, record=False)
-        if path:
-            ds = load_dataset(path)
-        elif self.preset_name and "dataset" in self.preset and self._raw("n") is None:
-            ds = presets_mod.build_dataset(self.preset_name)
+        if path or (self.preset_name and "dataset" in self.preset and self._raw("n") is None):
+            if seed is not None:
+                raise CliError("--data-seed applies only to a dataset generated from --n/--d/--kind")
+            ds = load_dataset(path) if path else presets_mod.build_dataset(self.preset_name)
         else:
             n = self.get("n")
             d = self.get("d")
@@ -275,49 +266,13 @@ def _write(out, name, text, files):
     files.append(name)
 
 
-def _solver_trace_doc(tr):
-    return {
-        "t": [int(v) for v in tr.t],
-        "err_sq_range": tr.err_sq_range,
-        "loss": tr.loss,
-        "batch_size": [int(v) for v in tr.batch_size],
-        "status": tr.status,
-    }
-
-
-def _write_solver_trace(out, name, tr, fmt, files):
+def _write_table(out, name, columns, fmt, files, status=None):
+    """Named columns as name.csv, or as name.json followed by the run status."""
     if fmt == "json":
-        _write(out, name + ".json", dumps(_solver_trace_doc(tr)) + "\n", files)
-    else:
-        rows = zip((int(v) for v in tr.t), tr.err_sq_range, tr.loss,
-                   (int(v) for v in tr.batch_size))
-        _write(out, name + ".csv", csv_text(["t", "err_sq_range", "loss", "batch_size"], rows), files)
-
-
-def _write_mean_curve(out, curve, fmt, files):
-    if fmt == "json":
-        _write(out, "mean.json", dumps({"t": list(range(len(curve))), "mean_err_sq_range": curve}) + "\n", files)
-    else:
-        rows = zip(range(len(curve)), curve)
-        _write(out, "mean.csv", csv_text(["t", "mean_err_sq_range"], rows), files)
-
-
-def _write_dgd_trace(out, name, tr, fmt, files):
-    if fmt == "json":
-        doc = {
-            "t": [int(v) for v in tr.t],
-            "mean_err_sq_range": tr.mean_err_sq_range,
-            "edge_spread": tr.edge_spread,
-            "global_spread": tr.global_spread,
-            "penalized_loss": tr.penalized_loss,
-            "status": tr.status,
-        }
+        doc = dict(columns) if status is None else {**columns, "status": status}
         _write(out, name + ".json", dumps(doc) + "\n", files)
     else:
-        rows = zip((int(v) for v in tr.t), tr.mean_err_sq_range, tr.edge_spread,
-                   tr.global_spread, tr.penalized_loss)
-        header = ["t", "mean_err_sq_range", "edge_spread", "global_spread", "penalized_loss"]
-        _write(out, name + ".csv", csv_text(header, rows), files)
+        _write(out, name + ".csv", csv_text(list(columns), zip(*columns.values())), files)
 
 
 def _spectral_doc(ss):
@@ -333,10 +288,28 @@ def _spectral_doc(ss):
     }
 
 
+def _listed_files(path) -> set:
+    """Plain file names an existing summary lists; none if it is absent or unreadable."""
+    try:
+        with open(path) as fh:
+            names = json.load(fh)["files"]
+        return {v for v in names if isinstance(v, str) and v == os.path.basename(v)}
+    except (OSError, ValueError, KeyError, TypeError):
+        return set()
+
+
 def _write_summary(out, doc, files):
+    """Write summary.json listing `files`, then remove what an earlier summary
+    in `out` listed and this command did not write, so the directory holds
+    exactly the listed files."""
+    path = os.path.join(out, "summary.json")
+    stale = _listed_files(path) - set(files) - {"summary.json"}
     doc = dict(doc)
     doc["files"] = sorted(files)
-    atomic_write_text(os.path.join(out, "summary.json"), dumps(doc) + "\n")
+    atomic_write_text(path, dumps(doc) + "\n")
+    for name in stale:
+        if os.path.isfile(os.path.join(out, name)):
+            os.remove(os.path.join(out, name))
 
 
 # ---------------------------------------------------------------- commands
@@ -344,11 +317,10 @@ def _write_summary(out, doc, files):
 def _cmd_gen(res: _Resolver) -> int:
     out = _outdir(res)
     ds = res.dataset()
-    ss = spectral_summary(hessian(ds))
     files: list[str] = []
     _write(out, "dataset.json", dataset_to_json(ds) + "\n", files)
     _write_summary(out, {"command": "gen", "config": res.resolved,
-                         "spectral": _spectral_doc(ss)}, files)
+                         "spectral": _spectral_doc(ds.spectral)}, files)
     return EXIT_OK
 
 
@@ -363,7 +335,7 @@ def _cmd_theory(res: _Resolver) -> int:
     c_norms = 1.0
     if lambda1 is None or lambdan is None:
         ds = res.dataset()
-        ss = spectral_summary(hessian(ds))
+        ss = ds.spectral
         spectral = _spectral_doc(ss)
         lambda1, lambdan, n, d = ss.lambda_max, ss.lambda_min_nz, ds.n, ds.d
         norms = ds.row_norms_sq()
@@ -405,12 +377,18 @@ def _fit_curve(curve, tail=False):
         return None, None
 
 
+def _w0(res, shape):
+    """Random initial state from --w0-seed, or None for the zero start."""
+    w0_seed = res.get("w0_seed")
+    return None if w0_seed is None else np.random.default_rng(int(w0_seed)).standard_normal(shape)
+
+
 def _cmd_run_solver(res: _Resolver, solver: str) -> int:
     out = _outdir(res)
     fmt = res.get("fmt", "csv")
     master_seed = int(res.get("seed", 0))
     ds = res.dataset()
-    ss = spectral_summary(hessian(ds))
+    ss = ds.spectral
     n = ds.n
     if solver == "gd":
         sampler = "full"
@@ -430,21 +408,19 @@ def _cmd_run_solver(res: _Resolver, solver: str) -> int:
     res.resolved["sampler"] = sampler
     iters = int(res.get("iters", 200))
     stop_tol = float(res.get("stop_tol", 0.0))
-    w0_seed = res.get("w0_seed")
-    w0 = None
-    if w0_seed is not None:
-        w0 = np.random.default_rng(int(w0_seed)).standard_normal(ds.d)
     cfg = SolverConfig(eta=eta, m=m, sampler=sampler, max_iters=iters,
-                       stop_tol=stop_tol, seed=master_seed, w0=w0)
+                       stop_tol=stop_tol, seed=master_seed, w0=_w0(res, ds.d))
     ens = run_ensemble(ds, cfg, runs=runs, seed=master_seed)
 
     files: list[str] = []
     _write(out, "dataset.json", dataset_to_json(ds) + "\n", files)
     width = max(3, len(str(runs - 1)))
     for k, tr in enumerate(ens.traces):
-        _write_solver_trace(out, f"run_{k:0{width}d}", tr, fmt, files)
+        columns = {c: getattr(tr, c) for c in _SOLVER_COLUMNS}
+        _write_table(out, f"run_{k:0{width}d}", columns, fmt, files, tr.status)
     if runs > 1:
-        _write_mean_curve(out, ens.mean_curve, fmt, files)
+        curve = ens.mean_curve
+        _write_table(out, "mean", {"t": np.arange(len(curve)), "mean_err_sq_range": curve}, fmt, files)
     fit, window = _fit_curve(ens.mean_curve)
     statuses: dict[str, int] = {}
     for tr in ens.traces:
@@ -478,19 +454,45 @@ def _cmd_run_solver(res: _Resolver, solver: str) -> int:
     return EXIT_OK
 
 
-def _dgd_spectrum_doc(ds, g, eta, mu_iter):
+def _dgd_point(ds, g, mu, eta, run=None):
+    """One DGD configuration: eta (the stable step for penalty weight mu
+    unless given) and the round coupling mu_iter = eta * mu, the dense
+    operator spectrum (or why it was skipped), the stability bound and
+    rate_lower = 1 - eta lambda_min_nz(H).
+
+    With run(eta, mu_iter) -> DgdTrace it also runs DGD and adds the band
+    check: the fitted error-norm rate lies in [rate_lower - 0.02, 1), and both
+    rate bounds contract (rate_lower < 1, and rate_spectral < 1 when the
+    spectrum was computed); a band at or above 1 shows no convergence.
+    Returns (eta, mu_iter, doc, trace, fit, fit window).
+    """
+    eta = stable_eta(ds, g, mu) if eta is None else float(eta)
+    mu_iter = eta * mu
+    if not (0 < eta < math.inf and 0 <= mu_iter < math.inf):
+        raise CliError(f"need finite eta > 0 and mu >= 0: eta={eta}, mu={mu}")
+    bound, bound_ok = stability_bound(ds, g, eta, mu_iter)
     try:
         sp = dgd_operator_spectrum(ds, g, eta, mu_iter)
+        doc = {"skipped": False, "sigma_min": sp.sigma_min, "sigma_max": sp.sigma_max,
+               "rate_lower": sp.rate_lower, "rate_spectral": sp.rate_spectral,
+               "stable": sp.stable}
     except ValueError as exc:
-        return {"skipped": True, "reason": str(exc)}, None
-    return {
-        "skipped": False,
-        "sigma_min": sp.sigma_min,
-        "sigma_max": sp.sigma_max,
-        "rate_lower": sp.rate_lower,
-        "rate_spectral": sp.rate_spectral,
-        "stable": sp.stable,
-    }, sp
+        doc = {"skipped": True, "reason": str(exc)}
+    doc.update(stability_bound=bound, stable_by_bound=bound_ok,
+               rate_lower=1.0 - eta * ds.spectral.lambda_min_nz)
+    if run is None:
+        return eta, mu_iter, doc, None, None, None
+    trace = run(eta, mu_iter)
+    fit, window = _fit_curve(trace.mean_err_sq_range, tail=True)
+    r_hat = math.sqrt(fit.rate) if fit else None
+    rate_lower, rate_spectral = doc["rate_lower"], doc.get("rate_spectral")
+    contracting = rate_lower < 1.0 and (rate_spectral is None or rate_spectral < 1.0)
+    band = contracting and r_hat is not None and rate_lower - 0.02 <= r_hat < 1.0
+    doc["band_check"] = "pass" if band else "fail"
+    doc["spectral_match"] = None
+    if rate_spectral is not None and r_hat is not None and rate_spectral > 0:
+        doc["spectral_match"] = abs(r_hat - rate_spectral) <= 0.01 * rate_spectral
+    return eta, mu_iter, doc, trace, fit, window
 
 
 def _cmd_run_dgd(res: _Resolver) -> int:
@@ -498,54 +500,31 @@ def _cmd_run_dgd(res: _Resolver) -> int:
     fmt = res.get("fmt", "csv")
     ds = res.dataset()
     g = res.graph(ds)
-    ss = spectral_summary(hessian(ds))
     mu = float(res.get("mu", 1.0))
-    eta = res.get("eta")
-    eta = stable_eta(ds, g, mu) if eta is None else float(eta)
-    mu_iter = eta * mu
-    res.resolved["eta"] = eta
-    res.resolved["mu"] = mu
-    res.resolved["mu_iter"] = mu_iter
-    iters = int(res.get("iters", 10_000))
-    stop_tol = float(res.get("stop_tol", 1e-16))
-    w0_seed = res.get("w0_seed")
-    W0 = None
-    if w0_seed is not None:
-        W0 = np.random.default_rng(int(w0_seed)).standard_normal((ds.n, ds.d))
 
-    bound, bound_ok = stability_bound(ds, g, eta, mu_iter)
-    trace = run_dgd(ds, g, eta, mu_iter, max_iters=iters, stop_tol=stop_tol, W0=W0)
-    spec_doc, sp = _dgd_spectrum_doc(ds, g, eta, mu_iter)
-    fit, window = _fit_curve(trace.mean_err_sq_range, tail=True)
-    r_hat = math.sqrt(fit.rate) if fit else None
-    rate_lower = 1.0 - eta * ss.lambda_min_nz
-    band_check = r_hat is not None and rate_lower - 0.02 <= r_hat < 1.0
-    spectral_match = None
-    if sp is not None and r_hat is not None and sp.rate_spectral > 0:
-        spectral_match = abs(r_hat - sp.rate_spectral) <= 0.01 * sp.rate_spectral
+    def run(eta, mu_iter):
+        # resolved step first, then the run options: summary.json keeps this order
+        res.resolved.update(eta=eta, mu=mu, mu_iter=mu_iter)
+        return run_dgd(ds, g, eta, mu_iter, max_iters=int(res.get("iters", 10_000)),
+                       stop_tol=float(res.get("stop_tol", 1e-16)), W0=_w0(res, (ds.n, ds.d)))
 
+    eta, mu_iter, dgd_doc, trace, fit, window = _dgd_point(ds, g, mu, res.get("eta"), run)
     files: list[str] = []
     _write(out, "dataset.json", dataset_to_json(ds) + "\n", files)
     _write(out, "graph.json", graph_to_json(g) + "\n", files)
-    _write_dgd_trace(out, "trace", trace, fmt, files)
+    columns = {c: getattr(trace, c) for c in _DGD_COLUMNS}
+    _write_table(out, "trace", columns, fmt, files, trace.status)
     err0 = trace.mean_err_sq_range[0]
     sp0 = trace.global_spread[0]
     doc = {
         "command": "run-dgd",
         "config": res.resolved,
-        "spectral": _spectral_doc(ss),
-        "dgd": {
-            **spec_doc,
-            "stability_bound": bound,
-            "stable_by_bound": bound_ok,
-            "rate_lower": rate_lower,
-            "band_check": "pass" if band_check else "fail",
-            "spectral_match": spectral_match,
-        },
+        "spectral": _spectral_doc(ds.spectral),
+        "dgd": dgd_doc,
         "empirical": {
             "status": trace.status,
             "iterations": int(trace.t[-1]),
-            "r_hat_norm": r_hat,
+            "r_hat_norm": math.sqrt(fit.rate) if fit else None,
             "g_hat": fit.rate if fit else None,
             "fit_residual": fit.residual if fit else None,
             "fit_window": list(window) if window else None,
@@ -556,7 +535,7 @@ def _cmd_run_dgd(res: _Resolver) -> int:
     _write_summary(out, doc, files)
     if trace.status == STATUS_DIVERGED:
         return EXIT_DIVERGED
-    if not band_check:
+    if dgd_doc["band_check"] != "pass":
         return EXIT_INVALID
     return EXIT_OK
 
@@ -583,7 +562,7 @@ def _cmd_sweep(res: _Resolver) -> int:
     master_seed = int(res.get("seed", 0))
     epsilon = float(res.get("epsilon", 0.01))
     ds = res.dataset()
-    ss = spectral_summary(hessian(ds))
+    ss = ds.spectral
     n, d = ds.n, ds.d
     norms = ds.row_norms_sq()
     c_norms = gm_am_factor(float(norms.min()), float(norms.max()))
@@ -598,7 +577,6 @@ def _cmd_sweep(res: _Resolver) -> int:
     files: list[str] = []
     _write(out, "dataset.json", dataset_to_json(ds) + "\n", files)
     rows = []
-    any_diverged = False
 
     if param in ("m", "eta"):
         fixed_m = float(res.get("m", max(1.0, n / 4))) if param == "eta" else None
@@ -608,58 +586,50 @@ def _cmd_sweep(res: _Resolver) -> int:
                                max_iters=iters, stop_tol=stop_tol, seed=master_seed)
             ens = run_ensemble(ds, cfg, runs=runs, seed=master_seed)
             fit, window = _fit_curve(ens.mean_curve)
-            diverged = any(tr.status == STATUS_DIVERGED for tr in ens.traces)
-            return (fit.rate if fit else None), diverged
+            status = min((tr.status for tr in ens.traces), key=_STATUS_WORST_FIRST.index)
+            return (fit.rate if fit else None), status
 
         if param == "m":
             header = ["m", "eta_opt", "g_opt", "branch", "t_eps", "total_cost",
-                      "cost_scaling", "g_hat_measured"]
+                      "cost_scaling", "g_hat_measured", "status"]
             for v in values:
                 pred = optimal_rate(v, n, ss.lambda_max, ss.lambda_min_nz)
                 cm = cost_model(v, n, d, epsilon, pred.g_opt, c_norms)
-                measured = None
+                measured = status = None
                 if runs > 0:
-                    measured, div = measure(pred.eta_opt, v)
-                    any_diverged |= div
+                    measured, status = measure(pred.eta_opt, v)
                 rows.append([v, pred.eta_opt, pred.g_opt, pred.branch,
-                             cm.t_eps, cm.total_cost, cm.cost_scaling, measured])
+                             cm.t_eps, cm.total_cost, cm.cost_scaling, measured, status])
         else:
-            header = ["eta", "m", "g_pred", "g_hat_measured"]
+            header = ["eta", "m", "g_pred", "g_hat_measured", "status"]
             for v in values:
                 g_pred = max(g_eigen(fixed_m, n, v, ss.lambda_max),
                              g_eigen(fixed_m, n, v, ss.lambda_min_nz))
-                measured = None
+                measured = status = None
                 if runs > 0:
-                    measured, div = measure(v, fixed_m)
-                    any_diverged |= div
-                rows.append([v, fixed_m, g_pred, measured])
+                    measured, status = measure(v, fixed_m)
+                rows.append([v, fixed_m, g_pred, measured, status])
             res.resolved["m"] = fixed_m
     else:  # mu sweep
         g = res.graph(ds)
         _write(out, "graph.json", graph_to_json(g) + "\n", files)
-        w0_seed = res.get("w0_seed")
-        W0 = None
-        if w0_seed is not None:
-            W0 = np.random.default_rng(int(w0_seed)).standard_normal((n, d))
+        W0 = _w0(res, (n, d))
         header = ["mu", "eta", "mu_iter", "sigma_min", "sigma_max", "rate_lower",
-                  "rate_spectral", "stable", "r_hat_norm", "band_check"]
+                  "rate_spectral", "stable", "r_hat_norm", "band_check", "status"]
         eta_flag = res.get("eta")
-        for i, v in enumerate(values):
-            eta = stable_eta(ds, g, v) if eta_flag is None else float(eta_flag)
-            mu_iter = eta * v
-            spec_doc, sp = _dgd_spectrum_doc(ds, g, eta, mu_iter)
-            trace = run_dgd(ds, g, eta, mu_iter, max_iters=iters, stop_tol=stop_tol, W0=W0)
-            any_diverged |= trace.status == STATUS_DIVERGED
-            _write_dgd_trace(out, f"trace_{i:03d}", trace, fmt, files)
-            fit, _ = _fit_curve(trace.mean_err_sq_range, tail=True)
-            r_hat = math.sqrt(fit.rate) if fit else None
-            rate_lower = 1.0 - eta * ss.lambda_min_nz
-            band = r_hat is not None and rate_lower - 0.02 <= r_hat < 1.0
-            rows.append([v, eta, mu_iter,
-                         spec_doc.get("sigma_min"), spec_doc.get("sigma_max"),
-                         rate_lower, spec_doc.get("rate_spectral"),
-                         spec_doc.get("stable"), r_hat, "pass" if band else "fail"])
 
+        def run(eta, mu_iter):
+            return run_dgd(ds, g, eta, mu_iter, max_iters=iters, stop_tol=stop_tol, W0=W0)
+
+        for i, v in enumerate(values):
+            eta, mu_iter, dgd, trace, fit, _ = _dgd_point(ds, g, v, eta_flag, run)
+            columns = {c: getattr(trace, c) for c in _DGD_COLUMNS}
+            _write_table(out, f"trace_{i:03d}", columns, fmt, files, trace.status)
+            rows.append([v, eta, mu_iter, dgd.get("sigma_min"), dgd.get("sigma_max"),
+                         dgd["rate_lower"], dgd.get("rate_spectral"), dgd.get("stable"),
+                         math.sqrt(fit.rate) if fit else None, dgd["band_check"], trace.status])
+
+    any_diverged = any(row[-1] == STATUS_DIVERGED for row in rows)
     _write(out, "sweep.csv", csv_text(header, rows), files)
     doc = {
         "command": f"sweep-{param}",
@@ -675,25 +645,17 @@ def _cmd_spectrum(res: _Resolver) -> int:
     out = _outdir(res)
     ds = res.dataset()
     g = res.graph(ds)
-    ss = spectral_summary(hessian(ds))
     mu = float(res.get("mu", 1.0))
-    eta = res.get("eta")
-    eta = stable_eta(ds, g, mu) if eta is None else float(eta)
-    mu_iter = eta * mu
-    res.resolved["eta"] = eta
-    res.resolved["mu"] = mu
-    res.resolved["mu_iter"] = mu_iter
-    bound, bound_ok = stability_bound(ds, g, eta, mu_iter)
-    spec_doc, _sp = _dgd_spectrum_doc(ds, g, eta, mu_iter)
+    eta, mu_iter, dgd_doc, *_ = _dgd_point(ds, g, mu, res.get("eta"))
+    res.resolved.update(eta=eta, mu=mu, mu_iter=mu_iter)
     files: list[str] = []
     _write(out, "dataset.json", dataset_to_json(ds) + "\n", files)
     _write(out, "graph.json", graph_to_json(g) + "\n", files)
     doc = {
         "command": "spectrum",
         "config": res.resolved,
-        "spectral": _spectral_doc(ss),
-        "dgd": {**spec_doc, "stability_bound": bound, "stable_by_bound": bound_ok,
-                "rate_lower": 1.0 - eta * ss.lambda_min_nz},
+        "spectral": _spectral_doc(ds.spectral),
+        "dgd": dgd_doc,
     }
     _write_summary(out, doc, files)
     return EXIT_OK
@@ -712,10 +674,7 @@ def main(argv=None) -> int:
             "spectrum": _cmd_spectrum,
         }[args.command]
         return handler(res)
-    except CliError as exc:
-        print(f"gdlab: error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # CliError included
         print(f"gdlab: error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -15,6 +15,7 @@ so stability and rates are read off Q's spectrum.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -22,15 +23,11 @@ from itertools import combinations
 import numpy as np
 
 from .io import atomic_write_text, dumps
-from .problem import Dataset, RangeProjector, hessian, range_projector, row_inner, spectral_summary
+from .problem import Dataset, row_inner
+from .solvers import _drive
 
-DIVERGENCE_FACTOR = 1e12
 DENSE_GUARD = 4096
 ER_MAX_ATTEMPTS = 1000
-
-STATUS_CONVERGED = "converged"
-STATUS_MAX_ITERS = "max-iters"
-STATUS_DIVERGED = "diverged"
 
 
 class GraphConnectError(RuntimeError):
@@ -56,13 +53,6 @@ class CommGraph:
 
     def max_degree(self) -> int:
         return int(self.degrees().max())
-
-    def neighbors(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
 
 
 def is_connected(n: int, edges) -> bool:
@@ -191,15 +181,17 @@ def _global_spread(W: np.ndarray) -> float:
     return float(np.sqrt(max(float(d2.max()), 0.0)))
 
 
-def consensus_metrics(W: np.ndarray, ds: Dataset, rp: RangeProjector,
-                      g: CommGraph) -> ConsensusMetrics:
-    """Mean range-projected error, max edge/global parameter spread, per-node errors."""
-    if W.shape != (ds.n, ds.d) or g.n != ds.n:
+def consensus_metrics(W: np.ndarray, ds: Dataset, B: np.ndarray) -> ConsensusMetrics:
+    """Mean range-projected error, max edge/global parameter spread, per-node errors.
+
+    B is the graph's incidence matrix, built once per run by the caller.
+    """
+    if W.shape != (ds.n, ds.d) or B.shape[1] != ds.n:
         raise ValueError("state, dataset and graph dimensions are inconsistent")
-    comp = rp.coords(W - ds.w_star)
+    comp = ds.spectral.coords(W - ds.w_star)
     node_err = np.sum(comp * comp, axis=1)
-    diffs = incidence(g) @ W
-    edge_spread = float(np.linalg.norm(diffs, axis=1).max()) if len(g.edges) else 0.0
+    diffs = B @ W
+    edge_spread = float(np.linalg.norm(diffs, axis=1).max()) if len(B) else 0.0
     return ConsensusMetrics(
         mean_err_sq_range=float(node_err.mean()),
         edge_spread=edge_spread,
@@ -235,59 +227,35 @@ def run_dgd(ds: Dataset, g: CommGraph, eta: float, mu: float,
     """Synchronous distributed GD rounds until stop_tol, divergence, or max_iters.
 
     stop_tol is relative to the initial mean projected error; zero runs the
-    full max_iters.  Divergence (error above 1e12 times initial) is recorded
-    as a status, not raised.
+    full max_iters.  Divergence (error above 1e12 times initial, or a
+    non-finite metric) is recorded as a status, not raised.
     """
     if ds.n != g.n:
         raise ValueError(f"one sample per node required: dataset n={ds.n}, graph n={g.n}")
-    if eta <= 0 or mu <= 0:
-        raise ValueError(f"eta and mu must be positive: eta={eta}, mu={mu}")
+    if not (0 < eta < math.inf and 0 < mu < math.inf):
+        raise ValueError(f"eta and mu must be positive and finite: eta={eta}, mu={mu}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1: {max_iters}")
     W = np.zeros((ds.n, ds.d)) if W0 is None else np.array(W0, dtype=float)
     if W.shape != (ds.n, ds.d):
         raise ValueError(f"W0 must have shape ({ds.n}, {ds.d})")
-    rp = range_projector(hessian(ds))
     B = incidence(g)
 
-    def penalized_loss(W):
+    def metrics(W):
+        met = consensus_metrics(W, ds, B)
         resid = row_inner(ds.X, W) - ds.y
         diffs = B @ W
-        return float(resid @ resid + mu * np.sum(diffs * diffs))
+        loss = float(resid @ resid + mu * np.sum(diffs * diffs))
+        return met.mean_err_sq_range, met.edge_spread, met.global_spread, loss
 
-    met = consensus_metrics(W, ds, rp, g)
-    err0 = met.mean_err_sq_range
-    errs = [err0]
-    edge_spreads = [met.edge_spread]
-    global_spreads = [met.global_spread]
-    losses = [penalized_loss(W)]
-    states = [W.copy()] if record_states else None
-    status = STATUS_MAX_ITERS
-    if stop_tol > 0 and err0 <= stop_tol * err0:
-        status = STATUS_CONVERGED
-    else:
-        for t in range(1, max_iters + 1):
-            W = dgd_step(ds, B, eta, mu, W)
-            met = consensus_metrics(W, ds, rp, g)
-            errs.append(met.mean_err_sq_range)
-            edge_spreads.append(met.edge_spread)
-            global_spreads.append(met.global_spread)
-            losses.append(penalized_loss(W))
-            if states is not None:
-                states.append(W.copy())
-            if stop_tol > 0 and met.mean_err_sq_range <= stop_tol * err0:
-                status = STATUS_CONVERGED
-                break
-            if met.mean_err_sq_range > DIVERGENCE_FACTOR * err0:
-                status = STATUS_DIVERGED
-                break
-
+    (errs, edge_spreads, global_spreads, losses), status, W, states = _drive(
+        W, lambda W: dgd_step(ds, B, eta, mu, W), metrics, max_iters, stop_tol, record_states)
     return DgdTrace(
         t=np.arange(len(errs)),
-        mean_err_sq_range=np.array(errs),
-        edge_spread=np.array(edge_spreads),
-        global_spread=np.array(global_spreads),
-        penalized_loss=np.array(losses),
+        mean_err_sq_range=errs,
+        edge_spread=edge_spreads,
+        global_spread=global_spreads,
+        penalized_loss=losses,
         status=status,
         W_final=W,
         states=np.array(states) if states is not None else None,
@@ -330,7 +298,7 @@ def dgd_operator_spectrum(ds: Dataset, g: CommGraph, eta: float, mu: float) -> O
     for i in range(n):
         Q[i * d:(i + 1) * d, i * d:(i + 1) * d] += eta * np.outer(ds.X[i], ds.X[i])
     evals = np.linalg.eigvalsh(Q)
-    ss = spectral_summary(hessian(ds))
+    ss = ds.spectral
     null_dim = d - ss.rank
     nonnull = evals[null_dim:]
     sigma_max = float(evals[-1])
@@ -354,11 +322,6 @@ def stability_bound(ds: Dataset, g: CommGraph, eta: float, mu: float) -> tuple[f
     """
     bound = eta * float(ds.row_norms_sq().max()) + 2.0 * mu * g.max_degree()
     return bound, bound < 2.0
-
-
-def default_eta(ds: Dataset) -> float:
-    """Step size making each node's local gradient block contractive on its own."""
-    return 0.5 / float(ds.row_norms_sq().max())
 
 
 def stable_eta(ds: Dataset, g: CommGraph, mu_loss: float) -> float:

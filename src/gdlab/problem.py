@@ -4,8 +4,8 @@ A dataset here is a linear regression instance with a planted parameter
 vector that fits every sample exactly, so the zero-loss point is known by
 construction and every solver can report its true distance to it.  The
 curvature operator H = (1/n) X^T X (the sample covariance) drives all rate
-predictions; its nonzero spectrum and range projector are computed once and
-shared by the solver and distributed modules.
+predictions; its nonzero spectrum and range basis come from one eigensolve,
+cached on the dataset and shared by the solver, distributed and CLI modules.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +43,8 @@ class Dataset:
 
     X is n x d with rows x_i, y_i = x_i . w_star at generation time, and
     `normalized` records that every row has unit Euclidean norm.  Instances
-    are immutable and safe to share across workers.
+    are immutable and safe to share across workers; `spectral` is therefore
+    computed on first use and cached.
     """
 
     X: np.ndarray
@@ -67,6 +69,11 @@ class Dataset:
 
     def row_norms_sq(self) -> np.ndarray:
         return np.sum(self.X * self.X, axis=1)
+
+    @cached_property
+    def spectral(self) -> SpectralSummary:
+        """Spectrum and range basis of H = (1/n) X^T X (one eigensolve per dataset)."""
+        return spectral_summary(hessian(self))
 
 
 def _plant(X: np.ndarray, rng: np.random.Generator, normalized: bool, kind: str, seed: int) -> Dataset:
@@ -142,14 +149,11 @@ def hessian(ds: Dataset) -> np.ndarray:
     return (H + H.T) / 2.0
 
 
-def hessian_apply(ds: Dataset, v: np.ndarray) -> np.ndarray:
-    """Matrix-free H v = (1/n) sum_i (x_i . v) x_i for solver inner loops."""
-    return ds.X.T @ (ds.X @ v) / ds.n
-
-
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Nonzero spectrum of H plus the derived parallelism quantities."""
+    """Nonzero spectrum of H, the derived parallelism quantities, and an
+    orthonormal basis of range(H); null components of vectors pass through
+    residual()."""
 
     eigenvalues: np.ndarray  # descending
     rank: int
@@ -159,6 +163,22 @@ class SpectralSummary:
     condition_number: float
     m_star: float  # trace / lambda_max, the batch size where parallel gains saturate
     tol: float
+    basis: np.ndarray  # d x rank, orthonormal eigenvectors in eigenvalue order
+
+    def __post_init__(self):
+        # shared through Dataset.spectral, so no caller may change it
+        self.eigenvalues.flags.writeable = False
+        self.basis.flags.writeable = False
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        return (v @ self.basis) @ self.basis.T
+
+    def residual(self, v: np.ndarray) -> np.ndarray:
+        return v - self.project(v)
+
+    def coords(self, v: np.ndarray) -> np.ndarray:
+        """Coefficients of v in the range basis (norm equals projected norm)."""
+        return v @ self.basis
 
 
 def spectral_summary(H: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> SpectralSummary:
@@ -168,7 +188,8 @@ def spectral_summary(H: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> SpectralSu
         raise ValueError(f"H must be square, got shape {H.shape}")
     if np.max(np.abs(H - H.T)) > 1e-10:
         raise ValueError("H is not symmetric within 1e-10")
-    evals = np.linalg.eigvalsh(H)[::-1].copy()
+    evals, vecs = np.linalg.eigh(H)
+    evals = evals[::-1].copy()
     lambda_max = float(evals[0])
     if lambda_max <= 0.0:
         raise DegenerateHessianError("curvature operator has no positive eigenvalue")
@@ -185,38 +206,8 @@ def spectral_summary(H: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> SpectralSu
         condition_number=lambda_max / lambda_min_nz,
         m_star=trace / lambda_max,
         tol=tol,
+        basis=vecs[:, ::-1][:, :rank].copy(),
     )
-
-
-@dataclass(frozen=True)
-class RangeProjector:
-    """Orthonormal basis of range(H); null components of vectors pass through residual()."""
-
-    basis: np.ndarray  # d x r, orthonormal columns
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        return (v @ self.basis) @ self.basis.T
-
-    def residual(self, v: np.ndarray) -> np.ndarray:
-        return v - self.project(v)
-
-    def coords(self, v: np.ndarray) -> np.ndarray:
-        """Coefficients of v in the range basis (norm equals projected norm)."""
-        return v @ self.basis
-
-
-def range_projector(H: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> RangeProjector:
-    """Eigenvectors of H with eigenvalue above tol * lambda_max, as a projector."""
-    H = np.asarray(H, dtype=float)
-    if np.max(np.abs(H - H.T)) > 1e-10:
-        raise ValueError("H is not symmetric within 1e-10")
-    evals, vecs = np.linalg.eigh(H)
-    lambda_max = float(evals[-1])
-    if lambda_max <= 0.0:
-        raise DegenerateHessianError("curvature operator has no positive eigenvalue")
-    mask = evals > tol * lambda_max
-    basis = vecs[:, ::-1][:, : int(np.count_nonzero(mask))].copy()
-    return RangeProjector(basis=basis)
 
 
 def dataset_to_json(ds: Dataset) -> str:

@@ -8,11 +8,12 @@ size.  Runs are bit-reproducible from (dataset, config).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .problem import Dataset, hessian, range_projector
+from .problem import Dataset
 
 DIVERGENCE_FACTOR = 1e12
 
@@ -45,8 +46,8 @@ class SolverConfig:
     record_iterates: bool = False
 
     def validate(self, n: int) -> None:
-        if self.eta < 0:
-            raise ValueError(f"learning rate must be nonnegative: eta={self.eta}")
+        if not 0 <= self.eta < math.inf:
+            raise ValueError(f"learning rate must be nonnegative and finite: eta={self.eta}")
         if not 0 < self.m <= n:
             raise ValueError(f"mean batch size must lie in (0, n]: m={self.m}")
         if self.max_iters < 1:
@@ -88,11 +89,53 @@ class EnsembleResult:
     traces: list[IterationTrace]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow ends the run as diverged
+def _drive(x, step, metrics, max_iters: int, stop_tol: float, keep_states: bool):
+    """The iteration loop of every solver: x <- step(x) until stop_tol,
+    divergence or max_iters.
+
+    metrics(x) returns the trace row of state x, its error first.  The run
+    converges once the error is at most stop_tol times the initial error
+    (stop_tol > 0), and diverges once the error is not within
+    DIVERGENCE_FACTOR of it (a NaN error included) or a row holds a
+    non-finite value; such a row is not recorded, so the run ends at the last
+    finite row.  Returns (one array per row entry, status, final state, the
+    recorded states or None).
+    """
+    row = metrics(x)
+    if not all(map(math.isfinite, row)):
+        raise ValueError("initial state has non-finite metrics")
+    err0 = row[0]
+    rows = [row]
+    states = [x] if keep_states else None
+    status = STATUS_MAX_ITERS
+    if stop_tol > 0 and err0 <= stop_tol * err0:
+        status = STATUS_CONVERGED
+    else:
+        for _ in range(max_iters):
+            x_next = step(x)
+            row = metrics(x_next)
+            if not all(map(math.isfinite, row)):
+                status = STATUS_DIVERGED
+                break
+            x = x_next
+            rows.append(row)
+            if states is not None:
+                states.append(x)
+            if stop_tol > 0 and row[0] <= stop_tol * err0:
+                status = STATUS_CONVERGED
+                break
+            if not row[0] <= DIVERGENCE_FACTOR * err0:
+                status = STATUS_DIVERGED
+                break
+    return [np.array(col) for col in zip(*rows)], status, x, states
+
+
 def _run(ds: Dataset, cfg: SolverConfig) -> IterationTrace:
     cfg.validate(ds.n)
     X, y = ds.X, ds.y
     n = ds.n
-    rp = range_projector(hessian(ds))
+    ss = ds.spectral
     w = np.zeros(ds.d) if cfg.w0 is None else np.array(cfg.w0, dtype=float)
     if w.shape != (ds.d,):
         raise ValueError(f"w0 must have shape ({ds.d},)")
@@ -100,60 +143,41 @@ def _run(ds: Dataset, cfg: SolverConfig) -> IterationTrace:
     p = cfg.m / n
     k_fixed = max(1, int(round(cfg.m)))
 
-    def metrics(w):
-        r = X @ w - y
-        comp = rp.coords(w - ds.w_star)
-        return float(comp @ comp), float(r @ r) / n, r
+    # a state is (w, residual X w - y, samples used by the update that made w)
+    def step(state):
+        w, r, _ = state
+        if cfg.sampler == SAMPLER_FULL:
+            grad = X.T @ r
+            w = w - (cfg.eta / n) * grad
+            batch = n
+        elif cfg.sampler == SAMPLER_BERNOULLI:
+            mask = (rng.random(n) < p).astype(float)
+            batch = int(mask.sum())
+            grad = X.T @ (mask * r)
+            w = w - (cfg.eta / cfg.m) * grad
+        else:  # fixed
+            idx = rng.choice(n, size=k_fixed, replace=False)
+            grad = X[idx].T @ r[idx]
+            w = w - (cfg.eta / cfg.m) * grad
+            batch = k_fixed
+        return w, X @ w - y, batch
 
-    err0, loss0, r = metrics(w)
-    errs = [err0]
-    losses = [loss0]
-    batches = [0]
-    iterates = [w.copy()] if cfg.record_iterates else None
-    status = STATUS_MAX_ITERS
-    if cfg.stop_tol > 0 and err0 <= cfg.stop_tol * err0:
-        status = STATUS_CONVERGED
-        t_end = 0
-    else:
-        t_end = 0
-        for t in range(1, cfg.max_iters + 1):
-            if cfg.sampler == SAMPLER_FULL:
-                grad = X.T @ r
-                w = w - (cfg.eta / n) * grad
-                batch = n
-            elif cfg.sampler == SAMPLER_BERNOULLI:
-                mask = (rng.random(n) < p).astype(float)
-                batch = int(mask.sum())
-                grad = X.T @ (mask * r)
-                w = w - (cfg.eta / cfg.m) * grad
-            else:  # fixed
-                idx = rng.choice(n, size=k_fixed, replace=False)
-                grad = X[idx].T @ r[idx]
-                w = w - (cfg.eta / cfg.m) * grad
-                batch = k_fixed
-            err, loss, r = metrics(w)
-            errs.append(err)
-            losses.append(loss)
-            batches.append(batch)
-            if iterates is not None:
-                iterates.append(w.copy())
-            t_end = t
-            if cfg.stop_tol > 0 and err <= cfg.stop_tol * err0:
-                status = STATUS_CONVERGED
-                break
-            if err > DIVERGENCE_FACTOR * err0:
-                status = STATUS_DIVERGED
-                break
+    def metrics(state):
+        w, r, batch = state
+        comp = ss.coords(w - ds.w_star)
+        return float(comp @ comp), float(r @ r) / n, batch
 
+    (errs, losses, batches), status, (w, _, _), states = _drive(
+        (w, X @ w - y, 0), step, metrics, cfg.max_iters, cfg.stop_tol, cfg.record_iterates)
     return IterationTrace(
         t=np.arange(len(errs)),
-        err_sq_range=np.array(errs),
-        loss=np.array(losses),
-        batch_size=np.array(batches),
+        err_sq_range=errs,
+        loss=losses,
+        batch_size=batches,
         status=status,
         config=cfg,
         w_final=w,
-        iterates=np.array(iterates) if iterates is not None else None,
+        iterates=np.array([s[0] for s in states]) if states is not None else None,
     )
 
 

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import Dataset, hessian
+from .problem import ROW_NORM_TOL, Dataset, hessian
 
 ORTHOGONALITY_TOL = 1e-10
-ROW_NORM_TOL = 1e-12
 _MC_CHUNK = 20_000
 
 

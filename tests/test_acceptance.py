@@ -19,7 +19,7 @@ from gdlab.distributed import (
     stable_eta,
 )
 from gdlab.presets import build_dataset
-from gdlab.problem import gen_dataset, hessian, range_projector, spectral_summary
+from gdlab.problem import gen_dataset, hessian, spectral_summary
 from gdlab.solvers import SolverConfig, default_fit_window, estimate_rate, run_gd, run_sgd
 from gdlab.theory import expected_mm, g_eigen, mc_expected_mm, optimal_rate
 
@@ -197,7 +197,7 @@ def test_criterion_6_spectral_verification():
 
 def test_criterion_7_null_space_invariance():
     ds = gen_dataset(4, 8, "gaussian", seed=60)
-    rp = range_projector(hessian(ds))
+    rp = ds.spectral
     rng = np.random.default_rng(61)
     u = rp.residual(rng.standard_normal(8))
     u /= np.linalg.norm(u)

@@ -235,3 +235,103 @@ class TestConfigAndErrors:
         assert cfg["m"] == 2.0
         assert cfg["eta"] is not None
         assert cfg["dataset_spec"]["seed"] == 80
+
+
+def listed_and_present(out):
+    s = read_summary(out)
+    return set(s["files"]), set(os.listdir(out)) - {"summary.json"}
+
+
+class TestChecksAndStatuses:
+    def test_band_check_requires_contraction(self, tmp_path):
+        # the stable step for mu = 1e300 is ~1e-301, so the rate bounds sit at 1
+        out = str(tmp_path)
+        rc = main(["run", "dgd", "--preset", "ring16", "--mu", "1e300", "--iters", "50",
+                   "--out", out])
+        assert rc == 1
+        dgd = read_summary(out)["dgd"]
+        assert dgd["rate_lower"] == 1.0
+        assert dgd["band_check"] == "fail"
+
+    def test_sweep_status_column(self, tmp_path):
+        out = str(tmp_path)
+        rc = main(["sweep", "mu", "--preset", "gaussian8", "--graph-kind", "ring",
+                   "--values", "0.5,5", "--iters", "4000", "--w0-seed", "2", "--out", out])
+        assert rc == 0
+        lines = open(os.path.join(out, "sweep.csv")).read().splitlines()
+        assert lines[0].endswith(",band_check,status")
+        assert [ln.rsplit(",", 1)[1] for ln in lines[1:]] == ["max-iters", "max-iters"]
+        assert [r["status"] for r in read_summary(out)["rows"]] == ["max-iters", "max-iters"]
+
+    def test_overflowing_step_is_diverged(self, tmp_path):
+        out = str(tmp_path)
+        rc = main(["run", "sgd", "--preset", "gaussian8", "--eta", "1e200", "--runs", "2",
+                   "--iters", "20", "--out", out])
+        assert rc == 2
+        assert read_summary(out)["empirical"]["statuses"] == {"diverged": 2}
+        listed, present = listed_and_present(out)
+        assert listed == present == {"dataset.json", "run_000.csv", "run_001.csv", "mean.csv"}
+
+    @pytest.mark.parametrize("eta", ["nan", "inf"])
+    def test_non_finite_eta_is_validation_failure(self, tmp_path, capsys, eta):
+        # rejected up front, before any file is written
+        rc = main(["run", "sgd", "--preset", "gaussian8", "--eta", eta, "--runs", "2",
+                   "--iters", "20", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "must be nonnegative and finite" in capsys.readouterr().err
+        assert os.listdir(str(tmp_path)) == []
+
+    def test_rerun_removes_stale_files(self, tmp_path):
+        out = str(tmp_path)
+        base = ["run", "sgd", "--preset", "gaussian8", "--iters", "5", "--out", out]
+        assert main(base + ["--runs", "3"]) == 0
+        assert os.path.exists(os.path.join(out, "run_002.csv"))
+        assert main(base + ["--runs", "2"]) == 0
+        listed, present = listed_and_present(out)
+        assert listed == present
+        assert "run_002.csv" not in present
+        assert main(base + ["--runs", "2", "--format", "json"]) == 0
+        listed, present = listed_and_present(out)
+        assert listed == present == {"dataset.json", "run_000.json", "run_001.json", "mean.json"}
+
+    def test_data_seed_with_preset_is_rejected(self, tmp_path):
+        rc = main(["gen", "--preset", "ring16", "--data-seed", "5", "--out", str(tmp_path)])
+        assert rc == 1
+        assert not os.path.exists(os.path.join(str(tmp_path), "dataset.json"))
+
+
+class TestOneCurvatureSolve:
+    """Every command solves H once, however many runs or sweep points it has."""
+
+    def count_solves(self, monkeypatch, argv, d):
+        import gdlab.problem
+
+        calls = {"spectral_summary": 0, "eigensolves_of_H": 0}
+        summary = gdlab.problem.spectral_summary
+
+        def counted_summary(*args, **kwargs):
+            calls["spectral_summary"] += 1
+            return summary(*args, **kwargs)
+
+        def counted(solver):
+            def wrapper(a, *args, **kwargs):
+                calls["eigensolves_of_H"] += np.shape(a) == (d, d)
+                return solver(a, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(gdlab.problem, "spectral_summary", counted_summary)
+        monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+        assert main(argv) == 0
+        return calls
+
+    def test_sgd_ensemble(self, tmp_path, monkeypatch):
+        calls = self.count_solves(monkeypatch, ["run", "sgd", "--preset", "gaussian8",
+                                                "--runs", "5", "--out", str(tmp_path)], d=8)
+        assert calls == {"spectral_summary": 1, "eigensolves_of_H": 1}
+
+    def test_mu_sweep(self, tmp_path, monkeypatch):
+        argv = ["sweep", "mu", "--preset", "gaussian8", "--graph-kind", "ring",
+                "--values", "0.5,5", "--out", str(tmp_path)]
+        calls = self.count_solves(monkeypatch, argv, d=8)
+        assert calls == {"spectral_summary": 1, "eigensolves_of_H": 1}

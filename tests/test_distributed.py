@@ -23,7 +23,6 @@ from gdlab.problem import (
     dataset_from_rows,
     gen_dataset,
     hessian,
-    range_projector,
     spectral_summary,
 )
 from gdlab.solvers import default_fit_window, estimate_rate
@@ -197,13 +196,34 @@ class TestRunDgd:
         with pytest.raises(ValueError, match="one sample per node"):
             run_dgd(ds, make_graph("ring", 5), 0.1, 0.1)
 
+    @pytest.mark.parametrize("eta,mu", [(float("nan"), 0.1), (float("inf"), 0.1),
+                                        (0.1, float("nan")), (0.1, float("inf"))])
+    def test_non_finite_eta_or_mu_rejected(self, eta, mu):
+        ds = gen_dataset(4, 4, "gaussian", seed=1)
+        with pytest.raises(ValueError, match="finite"):
+            run_dgd(ds, make_graph("ring", 4), eta, mu, max_iters=10)
+
+    def test_incidence_built_once_per_run(self, monkeypatch):
+        import gdlab.distributed
+
+        builds = []
+
+        def counted(g):
+            builds.append(g)
+            return incidence(g)
+
+        monkeypatch.setattr(gdlab.distributed, "incidence", counted)
+        ds = gen_dataset(5, 8, "gaussian", seed=40)
+        tr = run_dgd(ds, make_graph("ring", 5), eta=0.3, mu=0.1, max_iters=50)
+        assert len(tr.t) == 51
+        assert len(builds) == 1
+
 
 class TestConsensusMetrics:
     def test_consensus_at_fit_point_is_zero(self):
         ds = gen_dataset(4, 6, "gaussian", seed=50)
         g = make_graph("ring", 4)
-        rp = range_projector(hessian(ds))
-        met = consensus_metrics(np.tile(ds.w_star, (4, 1)), ds, rp, g)
+        met = consensus_metrics(np.tile(ds.w_star, (4, 1)), ds, incidence(g))
         assert met.mean_err_sq_range == 0.0
         assert met.edge_spread == 0.0
         assert met.global_spread == 0.0
@@ -211,20 +231,19 @@ class TestConsensusMetrics:
     def test_two_nodes_offset_along_unit_direction(self):
         ds = gen_dataset(2, 4, "gaussian", seed=51)
         g = make_graph("path", 2)
-        rp = range_projector(hessian(ds))
         u = np.array([1.0, 0.0, 0.0, 0.0])
         delta = 0.3
         W = np.vstack([ds.w_star + delta * u, ds.w_star - delta * u])
-        met = consensus_metrics(W, ds, rp, g)
+        met = consensus_metrics(W, ds, incidence(g))
         assert met.global_spread == pytest.approx(2 * delta, rel=1e-12)
 
     def test_global_spread_dominates_edge_spread(self):
         ds = gen_dataset(6, 5, "gaussian", seed=52)
         g = make_graph("ring", 6)
-        rp = range_projector(hessian(ds))
+        B = incidence(g)
         rng = np.random.default_rng(53)
         for _ in range(10):
-            met = consensus_metrics(rng.standard_normal((6, 5)), ds, rp, g)
+            met = consensus_metrics(rng.standard_normal((6, 5)), ds, B)
             assert met.global_spread >= met.edge_spread - 1e-12
 
 
@@ -314,7 +333,7 @@ class TestDistributedInvariants:
 
     def test_shared_null_component_preserved(self):
         ds = gen_dataset(4, 8, "gaussian", seed=72)
-        rp = range_projector(hessian(ds))
+        rp = ds.spectral
         rng = np.random.default_rng(73)
         u = rp.residual(rng.standard_normal(8))
         u /= np.linalg.norm(u)

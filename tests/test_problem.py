@@ -13,9 +13,7 @@ from gdlab.problem import (
     dataset_to_json,
     gen_dataset,
     hessian,
-    hessian_apply,
     load_dataset,
-    range_projector,
     save_dataset,
     spectral_summary,
 )
@@ -130,17 +128,6 @@ class TestHessian:
         assert np.isclose(np.trace(H), ds.row_norms_sq().sum() / ds.n, rtol=1e-12)
         assert np.linalg.eigvalsh(H)[0] >= -1e-12
 
-    def test_matrix_free_apply(self):
-        ds = gen_dataset(6, 10, "gaussian", seed=2)
-        H = hessian(ds)
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            v = rng.standard_normal(10)
-            dense = H @ v
-            loop = sum((ds.X[i] @ v) * ds.X[i] for i in range(ds.n)) / ds.n
-            assert np.allclose(hessian_apply(ds, v), dense, rtol=1e-12, atol=1e-14)
-            assert np.allclose(hessian_apply(ds, v), loop, rtol=1e-12, atol=1e-14)
-
 
 class TestSpectralSummary:
     def test_isotropic(self):
@@ -192,26 +179,26 @@ class TestSpectralSummary:
 
 class TestRangeProjector:
     def test_diagonal_example(self):
-        rp = range_projector(np.diag([1.0, 0.0]))
+        rp = spectral_summary(np.diag([1.0, 0.0]))
         v = np.array([3.0, 5.0])
         assert np.allclose(rp.project(v), [3.0, 0.0], atol=1e-12)
         assert np.allclose(rp.residual(v), [0.0, 5.0], atol=1e-12)
 
     def test_full_rank_projects_to_identity(self):
         ds = gen_dataset(6, 6, "gaussian", seed=4)
-        rp = range_projector(hessian(ds))
+        rp = ds.spectral
         v = np.random.default_rng(1).standard_normal(6)
         assert np.allclose(rp.project(v), v, atol=1e-10)
 
     def test_rows_lie_in_range(self):
         ds = gen_dataset(2, 4, "gaussian", seed=6)
-        rp = range_projector(hessian(ds))
+        rp = ds.spectral
         for i in range(ds.n):
             assert np.linalg.norm(rp.residual(ds.X[i])) <= 1e-8 * np.linalg.norm(ds.X[i])
 
     def test_basis_orthonormal(self):
         ds = gen_dataset(3, 7, "gaussian", seed=9)
-        rp = range_projector(hessian(ds))
+        rp = ds.spectral
         r = rp.basis.shape[1]
         assert r == 3
         assert np.max(np.abs(rp.basis.T @ rp.basis - np.eye(r))) <= 1e-10

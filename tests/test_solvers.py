@@ -8,10 +8,10 @@ from gdlab.problem import (
     dataset_from_rows,
     gen_dataset,
     hessian,
-    range_projector,
 )
 from gdlab.solvers import (
     SolverConfig,
+    _drive,
     default_fit_window,
     estimate_rate,
     run_ensemble,
@@ -60,6 +60,29 @@ class TestRunGd:
         ds = gen_dataset(8, 8, "orthonormal", seed=3)  # lambda_max = 1/8
         tr = run_gd(ds, SolverConfig(eta=64.0, m=8, max_iters=100))
         assert tr.status == "diverged"
+
+    def test_overflow_ends_at_last_finite_row(self):
+        ds = gen_dataset(8, 8, "orthonormal", seed=3)
+        tr = run_gd(ds, SolverConfig(eta=1e200, m=8, max_iters=100))
+        assert tr.status == "diverged"
+        assert len(tr.t) == 1
+        assert np.all(np.isfinite(tr.err_sq_range)) and np.all(np.isfinite(tr.loss))
+        assert np.all(np.isfinite(tr.w_final))
+
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf")])
+    def test_non_finite_eta_rejected(self, eta):
+        ds = gen_dataset(4, 4, "gaussian", seed=1)
+        with pytest.raises(ValueError, match="finite"):
+            run_sgd(ds, SolverConfig(eta=eta, m=2.0, sampler="bernoulli", stop_tol=1e-10))
+
+    def test_nan_error_counts_as_diverged(self):
+        # a NaN error fails every comparison; it must stop the loop, not run on
+        def step(x):
+            return x * 2.0 if x < 4.0 else float("nan")
+
+        cols, status, x, _ = _drive(1.0, step, lambda x: (x,), 100, 0.0, False)
+        assert status == "diverged"
+        assert list(cols[0]) == [1.0, 2.0, 4.0] and x == 4.0
 
     def test_batch_sizes_full(self):
         ds = gen_dataset(5, 5, "gaussian", seed=1)
@@ -201,7 +224,7 @@ class TestEstimateRate:
 class TestSolverInvariants:
     def _null_setup(self):
         ds = gen_dataset(4, 8, "gaussian", seed=60)
-        rp = range_projector(hessian(ds))
+        rp = ds.spectral
         rng = np.random.default_rng(61)
         u = rp.residual(rng.standard_normal(8))
         u /= np.linalg.norm(u)
