@@ -60,6 +60,7 @@ EXIT_INVALID = 1
 EXIT_DIVERGED = 2
 
 _STATUS_WORST_FIRST = (STATUS_DIVERGED, STATUS_MAX_ITERS, STATUS_CONVERGED)
+_FIT_MAX_REL_SE = 0.05
 _SOLVER_COLUMNS = ("t", "err_sq_range", "loss", "batch_size")
 _DGD_COLUMNS = ("t", "mean_err_sq_range", "edge_spread", "global_spread", "penalized_loss")
 
@@ -272,7 +273,7 @@ def _write_table(out, name, columns, fmt, files, status=None):
         doc = dict(columns) if status is None else {**columns, "status": status}
         _write(out, name + ".json", dumps(doc) + "\n", files)
     else:
-        _write(out, name + ".csv", csv_text(list(columns), zip(*columns.values())), files)
+        _write(out, name + ".csv", csv_text(columns), files)
 
 
 def _spectral_doc(ss):
@@ -364,11 +365,20 @@ def _cmd_theory(res: _Resolver) -> int:
     return EXIT_OK
 
 
-def _fit_curve(curve, tail=False):
-    """Rate fit with the default window (skip transient, stop pre-underflow);
-    tail=True fits the later half, for deterministic distributed runs."""
+def _fit_curve(curve, tail=False, rel_se=None):
+    """Rate fit with the default window (skip transient, stop pre-underflow).
+
+    tail=True fits the later half, for deterministic distributed runs.  With
+    an ensemble's rel_se the window ends where the mean's relative standard
+    error first exceeds _FIT_MAX_REL_SE: past it the mean rests on the few
+    runs that still carry error, and the fit would follow their noise.
+    """
+    stop = None
+    if rel_se is not None:
+        noisy = np.flatnonzero(rel_se > _FIT_MAX_REL_SE)
+        stop = int(noisy[0]) if len(noisy) else None
     try:
-        a, b = default_fit_window(curve)
+        a, b = default_fit_window(curve, stop=stop)
         if tail:
             a = max(b // 2, min(5, b - 3))
         fit = estimate_rate(curve, (a, b))
@@ -421,7 +431,7 @@ def _cmd_run_solver(res: _Resolver, solver: str) -> int:
     if runs > 1:
         curve = ens.mean_curve
         _write_table(out, "mean", {"t": np.arange(len(curve)), "mean_err_sq_range": curve}, fmt, files)
-    fit, window = _fit_curve(ens.mean_curve)
+    fit, window = _fit_curve(ens.mean_curve, rel_se=ens.rel_se)
     statuses: dict[str, int] = {}
     for tr in ens.traces:
         statuses[tr.status] = statuses.get(tr.status, 0) + 1
@@ -461,9 +471,10 @@ def _dgd_point(ds, g, mu, eta, run=None):
     rate_lower = 1 - eta lambda_min_nz(H).
 
     With run(eta, mu_iter) -> DgdTrace it also runs DGD and adds the band
-    check: the fitted error-norm rate lies in [rate_lower - 0.02, 1), and both
+    check: the fitted error-norm rate lies in [rate_lower - 0.02, 1), both
     rate bounds contract (rate_lower < 1, and rate_spectral < 1 when the
-    spectrum was computed); a band at or above 1 shows no convergence.
+    spectrum was computed), and a run with a stopping tolerance converged; a
+    band at or above 1, or a run cut at its round cap, shows no convergence.
     Returns (eta, mu_iter, doc, trace, fit, fit window).
     """
     eta = stable_eta(ds, g, mu) if eta is None else float(eta)
@@ -487,7 +498,8 @@ def _dgd_point(ds, g, mu, eta, run=None):
     r_hat = math.sqrt(fit.rate) if fit else None
     rate_lower, rate_spectral = doc["rate_lower"], doc.get("rate_spectral")
     contracting = rate_lower < 1.0 and (rate_spectral is None or rate_spectral < 1.0)
-    band = contracting and r_hat is not None and rate_lower - 0.02 <= r_hat < 1.0
+    reached = trace.status == STATUS_CONVERGED or not trace.stop_tol > 0
+    band = contracting and reached and r_hat is not None and rate_lower - 0.02 <= r_hat < 1.0
     doc["band_check"] = "pass" if band else "fail"
     doc["spectral_match"] = None
     if rate_spectral is not None and r_hat is not None and rate_spectral > 0:
@@ -585,7 +597,7 @@ def _cmd_sweep(res: _Resolver) -> int:
             cfg = SolverConfig(eta=eta_v, m=m_v, sampler="bernoulli",
                                max_iters=iters, stop_tol=stop_tol, seed=master_seed)
             ens = run_ensemble(ds, cfg, runs=runs, seed=master_seed)
-            fit, window = _fit_curve(ens.mean_curve)
+            fit, window = _fit_curve(ens.mean_curve, rel_se=ens.rel_se)
             status = min((tr.status for tr in ens.traces), key=_STATUS_WORST_FIRST.index)
             return (fit.rate if fit else None), status
 
@@ -630,7 +642,8 @@ def _cmd_sweep(res: _Resolver) -> int:
                          math.sqrt(fit.rate) if fit else None, dgd["band_check"], trace.status])
 
     any_diverged = any(row[-1] == STATUS_DIVERGED for row in rows)
-    _write(out, "sweep.csv", csv_text(header, rows), files)
+    columns = {name: [row[i] for row in rows] for i, name in enumerate(header)}
+    _write(out, "sweep.csv", csv_text(columns), files)
     doc = {
         "command": f"sweep-{param}",
         "config": res.resolved,

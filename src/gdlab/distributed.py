@@ -10,6 +10,11 @@ with L = D - A the (positive semidefinite) graph Laplacian; mu is the raw
 coupling weight of that iteration.  Near an exact fit the error obeys
 delta W <- (I - Q) delta W with Q = eta blockdiag(x_i x_i^T) + mu (L kron I),
 so stability and rates are read off Q's spectrum.
+
+Rounds run one at a time through the solvers' loop, which measures them in
+blocks: consensus_metrics takes a stack of states and computes the products
+the trace needs (B W, the residuals, the Gram matrix of the spread) once per
+block, with each state's values bitwise those it gets alone.
 """
 
 from __future__ import annotations
@@ -166,37 +171,50 @@ def incidence(g: CommGraph) -> np.ndarray:
 
 @dataclass
 class ConsensusMetrics:
-    mean_err_sq_range: float
-    edge_spread: float
-    global_spread: float
-    node_err_sq: np.ndarray
+    """Per-state metrics of a stack of K states; every field has K rows."""
+
+    mean_err_sq_range: np.ndarray  # (K,) node mean of the range-projected squared error
+    edge_spread: np.ndarray  # (K,) largest parameter difference across an edge
+    global_spread: np.ndarray  # (K,) largest parameter difference between any two nodes
+    node_err_sq: np.ndarray  # (K, n) range-projected squared error per node
+    residual_sq: np.ndarray  # (K,) sum of squared per-node residuals x_i . w_i - y_i
+    edge_diff_sq: np.ndarray  # (K,) sum of squared edge differences, v^T (L kron I) v
 
 
-def _global_spread(W: np.ndarray) -> float:
+def _global_spread(S: np.ndarray) -> np.ndarray:
     # center rows first: the spread is translation-invariant, and removing the
     # common offset keeps the Gram cancellation at the spread's own scale
-    Wc = W - W.mean(axis=0)
-    sq = np.sum(Wc * Wc, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (Wc @ Wc.T)
-    return float(np.sqrt(max(float(d2.max()), 0.0)))
+    Sc = S - S.mean(axis=1, keepdims=True)
+    sq = np.sum(Sc * Sc, axis=2)
+    d2 = sq[:, :, None] + sq[:, None, :] - 2.0 * (Sc @ Sc.transpose(0, 2, 1))
+    return np.sqrt(np.maximum(d2.max(axis=(1, 2)), 0.0))
 
 
-def consensus_metrics(W: np.ndarray, ds: Dataset, B: np.ndarray) -> ConsensusMetrics:
-    """Mean range-projected error, max edge/global parameter spread, per-node errors.
+def consensus_metrics(S: np.ndarray, ds: Dataset, B: np.ndarray) -> ConsensusMetrics:
+    """Metrics of a stack S of K states (K x n x d; one n x d state is the
+    K = 1 case): mean range-projected error, max edge/global parameter
+    spread, per-node errors, and the two terms of the penalized loss.
 
     B is the graph's incidence matrix, built once per run by the caller.
+    Each state's values are bitwise those of the same state evaluated alone:
+    the stacked products run the same kernel per state, and every dot
+    product is a 1 x 1 matmul.
     """
-    if W.shape != (ds.n, ds.d) or B.shape[1] != ds.n:
+    S = np.asarray(S, dtype=float)
+    if S.shape[-2:] != (ds.n, ds.d) or S.ndim not in (2, 3) or B.shape[1] != ds.n:
         raise ValueError("state, dataset and graph dimensions are inconsistent")
-    comp = ds.spectral.coords(W - ds.w_star)
-    node_err = np.sum(comp * comp, axis=1)
-    diffs = B @ W
-    edge_spread = float(np.linalg.norm(diffs, axis=1).max()) if len(B) else 0.0
+    S = S.reshape(-1, ds.n, ds.d)
+    comp = ds.spectral.coords(S - ds.w_star)
+    node_err = np.sum(comp * comp, axis=2)
+    diffs = B @ S
+    resid = row_inner(ds.X, S) - ds.y
     return ConsensusMetrics(
-        mean_err_sq_range=float(node_err.mean()),
-        edge_spread=edge_spread,
-        global_spread=_global_spread(W),
+        mean_err_sq_range=node_err.mean(axis=1),
+        edge_spread=np.linalg.norm(diffs, axis=2).max(axis=1, initial=0.0),
+        global_spread=_global_spread(S),
         node_err_sq=node_err,
+        residual_sq=(resid[:, None, :] @ resid[:, :, None])[:, 0, 0],
+        edge_diff_sq=np.sum(diffs * diffs, axis=(1, 2)),
     )
 
 
@@ -211,6 +229,7 @@ class DgdTrace:
     penalized_loss: np.ndarray
     status: str
     W_final: np.ndarray
+    stop_tol: float  # the run's stopping tolerance; 0 ran to max_iters
     states: np.ndarray | None = None
 
 
@@ -228,7 +247,10 @@ def run_dgd(ds: Dataset, g: CommGraph, eta: float, mu: float,
 
     stop_tol is relative to the initial mean projected error; zero runs the
     full max_iters.  Divergence (error above 1e12 times initial, or a
-    non-finite metric) is recorded as a status, not raised.
+    non-finite metric) is recorded as a status, not raised.  The trace rows
+    are measured a block of states at a time; a run that stops inside a
+    block takes up to one block minus one extra dgd_step calls, whose states
+    are dropped.
     """
     if ds.n != g.n:
         raise ValueError(f"one sample per node required: dataset n={ds.n}, graph n={g.n}")
@@ -241,11 +263,9 @@ def run_dgd(ds: Dataset, g: CommGraph, eta: float, mu: float,
         raise ValueError(f"W0 must have shape ({ds.n}, {ds.d})")
     B = incidence(g)
 
-    def metrics(W):
-        met = consensus_metrics(W, ds, B)
-        resid = row_inner(ds.X, W) - ds.y
-        diffs = B @ W
-        loss = float(resid @ resid + mu * np.sum(diffs * diffs))
+    def metrics(states):
+        met = consensus_metrics(np.array(states), ds, B)
+        loss = met.residual_sq + mu * met.edge_diff_sq
         return met.mean_err_sq_range, met.edge_spread, met.global_spread, loss
 
     (errs, edge_spreads, global_spreads, losses), status, W, states = _drive(
@@ -258,6 +278,7 @@ def run_dgd(ds: Dataset, g: CommGraph, eta: float, mu: float,
         penalized_loss=losses,
         status=status,
         W_final=W,
+        stop_tol=stop_tol,
         states=np.array(states) if states is not None else None,
     )
 

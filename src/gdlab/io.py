@@ -12,6 +12,10 @@ import json
 import math
 import os
 
+import numpy as np
+
+_CSV_CHUNK_ROWS = 4096
+
 
 def f17(x: float) -> str:
     """Format a float with 17 significant digits (exact binary64 round-trip)."""
@@ -62,14 +66,33 @@ def _cell(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         return f17(v)
-    if isinstance(v, int):
-        return str(v)
     return str(v)
 
 
-def csv_text(header, rows) -> str:
-    """CSV document: floats at 17 significant digits, None as empty cell."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _cells(col) -> list[str]:
+    """The cells of one column.  float64 and integer arrays (trace columns)
+    are converted in one pass; other columns (sweep rows) cell by cell."""
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        bad = ~np.isfinite(col)
+        if bad.any():
+            raise ValueError(f"non-finite value cannot be serialized: {float(col[bad][0])!r}")
+        return [format(v, ".17g") for v in col.tolist()]
+    if isinstance(col, np.ndarray) and np.issubdtype(col.dtype, np.integer):
+        return [str(v) for v in col.tolist()]
+    return [_cell(v) for v in col]
+
+
+def csv_text(columns) -> str:
+    """CSV document of named equal-length columns ({name: column}): floats at
+    17 significant digits, None as empty cell.
+
+    Rows are formatted in chunks of _CSV_CHUNK_ROWS, column by column, so the
+    cell strings held at once stay small next to the document itself.
+    """
+    cols = list(columns.values())
+    length = len(cols[0]) if cols else 0
+    parts = [",".join(columns) + "\n"]
+    for a in range(0, length, _CSV_CHUNK_ROWS):
+        cells = [_cells(c[a:a + _CSV_CHUNK_ROWS]) for c in cols]
+        parts.append("\n".join(map(",".join, zip(*cells))) + "\n")
+    return "".join(parts)

@@ -28,13 +28,13 @@ class DegenerateHessianError(ValueError):
 
 
 def row_inner(A: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Per-row inner products sum(A * w, axis=1).
+    """Per-row inner products sum(A * w, axis=-1); w may be a stack of states.
 
     Labels are generated with this exact reduction; per-node residuals in the
     distributed solver reuse it so an exact-fit state gives bitwise-zero
     residuals.
     """
-    return np.sum(A * w, axis=1)
+    return np.sum(A * w, axis=-1)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,11 @@ Updates are matrix-free and touch only (x_i, y_i); the planted parameter is
 used for diagnostics alone.  Each trace records, per iteration, the squared
 error projected onto range(H), the quadratic loss, and the realized batch
 size.  Runs are bit-reproducible from (dataset, config).
+
+Every solver, the distributed one included, runs through one loop (_drive)
+that steps one state at a time and computes the trace rows of a block of
+states with one metrics call, so a row costs a few large numpy calls rather
+than many small ones.
 """
 
 from __future__ import annotations
@@ -87,6 +92,10 @@ class RateFit:
 class EnsembleResult:
     mean_curve: np.ndarray  # pointwise mean of projected squared error
     traces: list[IterationTrace]
+    rel_se: np.ndarray  # relative standard error of the mean, sd / (mean sqrt(runs)); 0 for one run
+
+
+_BLOCK = 256  # states stepped between two metrics calls
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow ends the run as diverged
@@ -94,41 +103,52 @@ def _drive(x, step, metrics, max_iters: int, stop_tol: float, keep_states: bool)
     """The iteration loop of every solver: x <- step(x) until stop_tol,
     divergence or max_iters.
 
-    metrics(x) returns the trace row of state x, its error first.  The run
-    converges once the error is at most stop_tol times the initial error
-    (stop_tol > 0), and diverges once the error is not within
-    DIVERGENCE_FACTOR of it (a NaN error included) or a row holds a
-    non-finite value; such a row is not recorded, so the run ends at the last
-    finite row.  Returns (one array per row entry, status, final state, the
-    recorded states or None).
+    The recursion is sequential, so the loop steps one state at a time into
+    a buffer of up to _BLOCK states and measures the whole buffer at once:
+    metrics(states) takes a list of K states and returns their trace rows as
+    columns, K values each, errors first.  The run converges once the error
+    is at most stop_tol times the initial error (stop_tol > 0), and diverges
+    once the error is not within DIVERGENCE_FACTOR of it (a NaN error
+    included) or a row holds a non-finite value; such a row is not recorded,
+    so the run ends at the last finite row.  Rows after the first stopping
+    row of a block are dropped with their states, so the result is the one
+    a state-by-state loop gives.  Returns (one array per column, status,
+    final state, the recorded states or None).
     """
-    row = metrics(x)
-    if not all(map(math.isfinite, row)):
+    cols = metrics([x])
+    if not all(np.isfinite(c).all() for c in cols):
         raise ValueError("initial state has non-finite metrics")
-    err0 = row[0]
-    rows = [row]
+    err0 = cols[0][0]
+    blocks = [cols]
     states = [x] if keep_states else None
     status = STATUS_MAX_ITERS
     if stop_tol > 0 and err0 <= stop_tol * err0:
         status = STATUS_CONVERGED
-    else:
-        for _ in range(max_iters):
-            x_next = step(x)
-            row = metrics(x_next)
-            if not all(map(math.isfinite, row)):
-                status = STATUS_DIVERGED
-                break
-            x = x_next
-            rows.append(row)
+    done = 0
+    while status == STATUS_MAX_ITERS and done < max_iters:
+        buf = []
+        y = x
+        for _ in range(min(_BLOCK, max_iters - done)):
+            y = step(y)
+            buf.append(y)
+        done += len(buf)
+        cols = metrics(buf)
+        err = cols[0]
+        finite = np.logical_and.reduce([np.isfinite(c) for c in cols])
+        converged = (stop_tol > 0) & (err <= stop_tol * err0)
+        diverged = ~(err <= DIVERGENCE_FACTOR * err0)
+        stops = np.flatnonzero(~finite | converged | diverged)
+        keep = len(buf)
+        if len(stops):
+            k = stops[0]
+            keep = k + 1 if finite[k] else k
+            status = STATUS_CONVERGED if finite[k] and converged[k] else STATUS_DIVERGED
+        blocks.append([c[:keep] for c in cols])
+        if keep:
+            x = buf[keep - 1]
             if states is not None:
-                states.append(x)
-            if stop_tol > 0 and row[0] <= stop_tol * err0:
-                status = STATUS_CONVERGED
-                break
-            if not row[0] <= DIVERGENCE_FACTOR * err0:
-                status = STATUS_DIVERGED
-                break
-    return [np.array(col) for col in zip(*rows)], status, x, states
+                states.extend(buf[:keep])
+    return [np.concatenate(col) for col in zip(*blocks)], status, x, states
 
 
 def _run(ds: Dataset, cfg: SolverConfig) -> IterationTrace:
@@ -162,10 +182,14 @@ def _run(ds: Dataset, cfg: SolverConfig) -> IterationTrace:
             batch = k_fixed
         return w, X @ w - y, batch
 
-    def metrics(state):
-        w, r, batch = state
-        comp = ss.coords(w - ds.w_star)
-        return float(comp @ comp), float(r @ r) / n, batch
+    def metrics(states):
+        # K x 1 x width stacks: each product is the vector product of one
+        # state alone (vector-matrix, then a 1 x 1 dot), bit for bit
+        w, r, batch = (np.array(col) for col in zip(*states))
+        comp = (w - ds.w_star)[:, None, :] @ ss.basis
+        err = (comp @ comp.transpose(0, 2, 1))[:, 0, 0]
+        loss = (r[:, None, :] @ r[:, :, None])[:, 0, 0] / n
+        return err, loss, batch
 
     (errs, losses, batches), status, (w, _, _), states = _drive(
         (w, X @ w - y, 0), step, metrics, cfg.max_iters, cfg.stop_tol, cfg.record_iterates)
@@ -215,7 +239,9 @@ def run_ensemble(ds: Dataset, cfg: SolverConfig, runs: int, seed: int) -> Ensemb
     """Independent repeats with per-run seeds derived from (seed, run index).
 
     The mean curve is the pointwise average of the projected squared error,
-    truncated to the shortest trace when early stopping makes lengths differ.
+    truncated to the shortest trace when early stopping makes lengths differ;
+    rel_se is its relative standard error (sample standard deviation), NaN
+    where the mean is zero.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1: {runs}")
@@ -225,7 +251,12 @@ def run_ensemble(ds: Dataset, cfg: SolverConfig, runs: int, seed: int) -> Ensemb
         traces.append(run_solver(ds, run_cfg))
     length = min(len(tr.err_sq_range) for tr in traces)
     stack = np.stack([tr.err_sq_range[:length] for tr in traces])
-    return EnsembleResult(mean_curve=stack.mean(axis=0), traces=traces)
+    mean = stack.mean(axis=0)
+    stack -= mean  # deviations in place: one more runs x length array would show in peak memory
+    sd = np.sqrt(np.einsum("ij,ij->j", stack, stack) / max(runs - 1, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel_se = sd / (mean * math.sqrt(runs))
+    return EnsembleResult(mean_curve=mean, traces=traces, rel_se=rel_se)
 
 
 def default_fit_window(curve, start: int = 5, floor_rel: float = 1e-12,

@@ -263,6 +263,30 @@ class TestChecksAndStatuses:
         assert [ln.rsplit(",", 1)[1] for ln in lines[1:]] == ["max-iters", "max-iters"]
         assert [r["status"] for r in read_summary(out)["rows"]] == ["max-iters", "max-iters"]
 
+    def test_band_check_requires_convergence_under_stop_tol(self, tmp_path):
+        # 4000 rounds at a rate near 0.9999 stop at the cap, far from 1e-16
+        common = ["--preset", "gaussian8", "--graph-kind", "ring", "--iters", "4000",
+                  "--w0-seed", "2", "--stop-tol", "1e-16"]
+        out = str(tmp_path / "sweep")
+        assert main(["sweep", "mu", *common, "--values", "0.5,5", "--out", out]) == 0
+        rows = read_summary(out)["rows"]
+        assert [(r["status"], r["band_check"]) for r in rows] == [("max-iters", "fail")] * 2
+        out = str(tmp_path / "run")
+        assert main(["run", "dgd", *common, "--mu", "5", "--out", out]) == 1
+        s = read_summary(out)
+        assert s["empirical"]["status"] == "max-iters"
+        assert s["dgd"]["band_check"] == "fail"
+
+    def test_ensemble_fit_stops_before_the_noisy_tail(self, tmp_path):
+        # the exact mean contraction is 1 - m/n = 0.75; past the window's end
+        # the mean rests on a few runs that still carry error
+        out = str(tmp_path)
+        assert main(["run", "sgd", "--preset", "orthonormal32", "--m", "8",
+                     "--runs", "2500", "--seed", "5", "--out", out]) == 0
+        emp = read_summary(out)["empirical"]
+        assert abs(emp["g_hat"] - 0.75) <= 0.01
+        assert emp["fit_window"][0] == 5
+
     def test_overflowing_step_is_diverged(self, tmp_path):
         out = str(tmp_path)
         rc = main(["run", "sgd", "--preset", "gaussian8", "--eta", "1e200", "--runs", "2",

@@ -25,7 +25,7 @@ from gdlab.problem import (
     hessian,
     spectral_summary,
 )
-from gdlab.solvers import default_fit_window, estimate_rate
+from gdlab.solvers import _BLOCK, default_fit_window, estimate_rate
 
 
 def two_unit_nodes():
@@ -245,6 +245,36 @@ class TestConsensusMetrics:
         for _ in range(10):
             met = consensus_metrics(rng.standard_normal((6, 5)), ds, B)
             assert met.global_spread >= met.edge_spread - 1e-12
+
+    def test_trace_rows_match_single_state_metrics_bitwise(self):
+        # rows measured a block at a time equal the per-state formulas on
+        # each recorded state, and the K = 1 stack, bit for bit
+        ds = gen_dataset(6, 9, "gaussian", seed=54)
+        g = make_graph("ring", 6)
+        B = incidence(g)
+        mu = 0.1
+        W0 = np.random.default_rng(55).standard_normal((6, 9))
+        tr = run_dgd(ds, g, eta=0.3, mu=mu, max_iters=_BLOCK + 40, W0=W0,
+                     record_states=True)
+        assert len(tr.states) == len(tr.t) == _BLOCK + 41
+        assert np.array_equal(tr.W_final, tr.states[-1])
+        for t, W in enumerate(tr.states):
+            comp = (W - ds.w_star) @ ds.spectral.basis
+            diffs = B @ W
+            Wc = W - W.mean(axis=0)
+            sq = np.sum(Wc * Wc, axis=1)
+            d2 = sq[:, None] + sq[None, :] - 2.0 * (Wc @ Wc.T)
+            resid = np.sum(ds.X * W, axis=1) - ds.y
+            row = (float(np.sum(comp * comp, axis=1).mean()),
+                   float(np.linalg.norm(diffs, axis=1).max()),
+                   float(np.sqrt(max(float(d2.max()), 0.0))),
+                   float(resid @ resid + mu * np.sum(diffs * diffs)))
+            assert row == (tr.mean_err_sq_range[t], tr.edge_spread[t],
+                           tr.global_spread[t], tr.penalized_loss[t])
+            met = consensus_metrics(W, ds, B)
+            assert row == (met.mean_err_sq_range[0], met.edge_spread[0],
+                           met.global_spread[0],
+                           met.residual_sq[0] + mu * met.edge_diff_sq[0])
 
 
 class TestOperatorSpectrum:

@@ -10,6 +10,7 @@ from gdlab.problem import (
     hessian,
 )
 from gdlab.solvers import (
+    _BLOCK,
     SolverConfig,
     _drive,
     default_fit_window,
@@ -80,7 +81,7 @@ class TestRunGd:
         def step(x):
             return x * 2.0 if x < 4.0 else float("nan")
 
-        cols, status, x, _ = _drive(1.0, step, lambda x: (x,), 100, 0.0, False)
+        cols, status, x, _ = _drive(1.0, step, lambda xs: (np.array(xs),), 100, 0.0, False)
         assert status == "diverged"
         assert list(cols[0]) == [1.0, 2.0, 4.0] and x == 4.0
 
@@ -96,6 +97,80 @@ class TestRunGd:
             run_gd(ds, SolverConfig(eta=0.1, m=4, sampler="bernoulli"))
         with pytest.raises(ValueError):
             run_sgd(ds, SolverConfig(eta=0.1, m=4, sampler="full"))
+
+
+class TestBlockDriver:
+    """The driver steps one state at a time and measures a block of states at
+    once; a stop anywhere in a block must give what a state-by-state loop
+    gives."""
+
+    @staticmethod
+    def drive(stop_kind, stop_at, max_iters=3 * _BLOCK, stop_tol=0.5):
+        # the state is the step count; every row reads (err, aux) = (1, 0)
+        # except the stop row, which converges, diverges or holds an inf
+        steps = []
+
+        def step(x):
+            steps.append(x + 1)
+            return x + 1
+
+        def metrics(xs):
+            t = np.array(xs)
+            err = np.ones(len(t))
+            aux = np.zeros(len(t))
+            at = t == stop_at
+            if stop_kind == "converged":
+                err[at] = 0.25
+            elif stop_kind == "diverged":
+                err[at] = 1e13
+            elif stop_kind == "non-finite":
+                aux[at] = np.inf
+            return err, aux
+
+        cols, status, x, states = _drive(0, step, metrics, max_iters, stop_tol, True)
+        return cols, status, x, states, steps
+
+    @pytest.mark.parametrize("stop_at", [1, _BLOCK, _BLOCK + 1])
+    @pytest.mark.parametrize("stop_kind", ["converged", "diverged", "non-finite"])
+    def test_stop_positions(self, stop_kind, stop_at):
+        cols, status, x, states, steps = self.drive(stop_kind, stop_at)
+        # a non-finite row is not recorded; converged and diverged rows are
+        last = stop_at - 1 if stop_kind == "non-finite" else stop_at
+        assert status == ("converged" if stop_kind == "converged" else "diverged")
+        assert x == last
+        assert states == list(range(last + 1))
+        assert [len(c) for c in cols] == [last + 1, last + 1]
+        assert np.all(np.isfinite(cols[1]))
+        # steps past the stop row are taken only to the end of its block
+        assert len(steps) == -(-stop_at // _BLOCK) * _BLOCK
+
+    @pytest.mark.parametrize("max_iters", [1, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 3])
+    def test_round_cap(self, max_iters):
+        cols, status, x, states, steps = self.drive(None, None, max_iters=max_iters)
+        assert status == "max-iters"
+        assert x == max_iters and len(steps) == max_iters
+        assert list(cols[0]) == [1.0] * (max_iters + 1)
+        assert states == list(range(max_iters + 1))
+
+    def test_converged_initial_state_takes_no_step(self):
+        cols, status, x, states, steps = self.drive("converged", 0, stop_tol=1.0)
+        assert status == "converged" and x == 0 and steps == []
+        assert [len(c) for c in cols] == [1, 1]
+
+    def test_rows_match_single_state_metrics_bitwise(self):
+        # each trace row equals the per-state products of the recorded iterate
+        ds = gen_dataset(6, 9, "gaussian", seed=14)
+        for sampler, m in (("full", 6.0), ("bernoulli", 2.5), ("fixed", 3.0)):
+            cfg = SolverConfig(eta=0.7, m=m, sampler=sampler, max_iters=_BLOCK + 40,
+                               seed=15, record_iterates=True)
+            tr = run_gd(ds, cfg) if sampler == "full" else run_sgd(ds, cfg)
+            assert len(tr.iterates) == len(tr.t) == _BLOCK + 41
+            assert np.array_equal(tr.w_final, tr.iterates[-1])
+            for w, err, loss in zip(tr.iterates, tr.err_sq_range, tr.loss):
+                comp = (w - ds.w_star) @ ds.spectral.basis
+                r = ds.X @ w - ds.y
+                assert err == float(comp @ comp)
+                assert loss == float(r @ r) / ds.n
 
 
 class TestRunSgd:
