@@ -13,8 +13,9 @@ configuration (every seed explicit).  Identical configuration and master seed
 reproduce byte-identical files.  Numeric output carries 17 significant digits.
 
 A JSON config file (--config) supplies any long-option value by name; values
-given on the command line win.  Exit status: 0 success, 1 validation failure,
-2 diverged runs.
+given on the command line win.  Exit status: 0 success, 1 validation failure
+(or a failed band check of run dgd or sweep mu, after every file is
+written), 2 diverged runs.
 
 Penalty convention for dgd: --mu is the weight of the consensus penalty in
 the distributed loss.  The synchronous round applies the coupling eta * mu,
@@ -43,7 +44,7 @@ from .distributed import (
     stable_eta,
 )
 from .io import atomic_write_text, csv_text, dumps
-from .problem import dataset_to_json, gen_dataset, load_dataset
+from .problem import ROW_NORM_TOL, dataset_to_json, gen_dataset, load_dataset
 from .solvers import (
     STATUS_CONVERGED,
     STATUS_DIVERGED,
@@ -412,6 +413,9 @@ def _cmd_run_solver(res: _Resolver, solver: str) -> int:
         runs = int(res.get("runs", 1))
     pred = optimal_rate(m, n, ss.lambda_max, ss.lambda_min_nz)
     eta = res.get("eta")
+    if eta is None and m < n and np.max(np.abs(ds.row_norms_sq() - 1.0)) > ROW_NORM_TOL:
+        raise CliError("the default eta (eta*) assumes unit-norm rows; "
+                       "give --eta for a dataset whose rows are not unit-norm")
     eta = pred.eta_opt if eta is None else float(eta)
     res.resolved["eta"] = eta
     res.resolved["m"] = m
@@ -641,7 +645,6 @@ def _cmd_sweep(res: _Resolver) -> int:
                          dgd["rate_lower"], dgd.get("rate_spectral"), dgd.get("stable"),
                          math.sqrt(fit.rate) if fit else None, dgd["band_check"], trace.status])
 
-    any_diverged = any(row[-1] == STATUS_DIVERGED for row in rows)
     columns = {name: [row[i] for row in rows] for i, name in enumerate(header)}
     _write(out, "sweep.csv", csv_text(columns), files)
     doc = {
@@ -651,7 +654,11 @@ def _cmd_sweep(res: _Resolver) -> int:
         "rows": [dict(zip(header, row)) for row in rows],
     }
     _write_summary(out, doc, files)
-    return EXIT_DIVERGED if any_diverged else EXIT_OK
+    if STATUS_DIVERGED in columns["status"]:
+        return EXIT_DIVERGED
+    if any(band != "pass" for band in columns.get("band_check", ())):
+        return EXIT_INVALID
+    return EXIT_OK
 
 
 def _cmd_spectrum(res: _Resolver) -> int:

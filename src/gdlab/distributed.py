@@ -263,23 +263,27 @@ def run_dgd(ds: Dataset, g: CommGraph, eta: float, mu: float,
         raise ValueError(f"W0 must have shape ({ds.n}, {ds.d})")
     B = incidence(g)
 
+    # the loop's state is (W stacked as its one member,)
     def metrics(states):
-        met = consensus_metrics(np.array(states), ds, B)
+        met = consensus_metrics(np.concatenate([s[0] for s in states]), ds, B)
         loss = met.residual_sq + mu * met.edge_diff_sq
         return met.mean_err_sq_range, met.edge_spread, met.global_spread, loss
 
-    (errs, edge_spreads, global_spreads, losses), status, W, states = _drive(
-        W, lambda W: dgd_step(ds, B, eta, mu, W), metrics, max_iters, stop_tol, record_states)
+    def step(state, _):
+        return (dgd_step(ds, B, eta, mu, state[0][0])[None],)
+
+    (errs, edge_spreads, global_spreads, losses), _, (status,), (W,), states = _drive(
+        (W[None],), step, metrics, max_iters, stop_tol, record_states)
     return DgdTrace(
-        t=np.arange(len(errs)),
-        mean_err_sq_range=errs,
-        edge_spread=edge_spreads,
-        global_spread=global_spreads,
-        penalized_loss=losses,
+        t=np.arange(errs.shape[1]),
+        mean_err_sq_range=errs[0],
+        edge_spread=edge_spreads[0],
+        global_spread=global_spreads[0],
+        penalized_loss=losses[0],
         status=status,
         W_final=W,
         stop_tol=stop_tol,
-        states=np.array(states) if states is not None else None,
+        states=states[0] if states is not None else None,
     )
 
 

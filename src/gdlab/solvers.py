@@ -8,7 +8,12 @@ size.  Runs are bit-reproducible from (dataset, config).
 Every solver, the distributed one included, runs through one loop (_drive)
 that steps one state at a time and computes the trace rows of a block of
 states with one metrics call, so a row costs a few large numpy calls rather
-than many small ones.
+than many small ones.  An ensemble runs as one stack: its runs advance
+together as a runs x d array of iterates, each run leaving the stack at its
+own stop.  Run k still draws from its own Generator(derive_seed(seed, k)) in
+the order a single run draws, and every product is a stack of per-run
+vector products, so each run's trace is bitwise the one it gets alone and
+the seed-to-trace map is unchanged; run_gd and run_sgd are the one-run case.
 """
 
 from __future__ import annotations
@@ -95,63 +100,131 @@ class EnsembleResult:
     rel_se: np.ndarray  # relative standard error of the mean, sd / (mean sqrt(runs)); 0 for one run
 
 
-_BLOCK = 256  # states stepped between two metrics calls
+_BLOCK = 256  # row-states (members x steps) between two metrics calls
+_DRAW_BYTES = 1 << 20  # sample draws held ahead (members x iterations x packed draw)
+_STATUSES = (STATUS_MAX_ITERS, STATUS_CONVERGED, STATUS_DIVERGED)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow ends the run as diverged
+def _take(x, sel):
+    return tuple(a[sel] for a in x)
+
+
+def _widen(a, cap):
+    """a (members x rows x ...) copied into a buffer of cap rows."""
+    wide = np.empty((a.shape[0], cap) + a.shape[2:], a.dtype)
+    wide[:, :a.shape[1]] = a
+    return wide
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow ends a run as diverged
 def _drive(x, step, metrics, max_iters: int, stop_tol: float, keep_states: bool):
-    """The iteration loop of every solver: x <- step(x) until stop_tol,
-    divergence or max_iters.
+    """The iteration loop of every solver: S runs (members) advanced together,
+    x <- step(x, members), each until its own stop_tol, divergence or
+    max_iters.
 
-    The recursion is sequential, so the loop steps one state at a time into
-    a buffer of up to _BLOCK states and measures the whole buffer at once:
+    A state is a tuple of arrays whose first axis runs over the members that
+    are still running (`members`, their indices in 0..S-1); its first array
+    is the iterate.  The recursion is sequential, so the loop steps the A
+    running members max(1, _BLOCK // A) times into a buffer of up to _BLOCK
+    row-states (one state of every running member per step; one step when
+    more than _BLOCK members run) and measures the whole buffer at once:
     metrics(states) takes a list of K states and returns their trace rows as
-    columns, K values each, errors first.  The run converges once the error
-    is at most stop_tol times the initial error (stop_tol > 0), and diverges
-    once the error is not within DIVERGENCE_FACTOR of it (a NaN error
-    included) or a row holds a non-finite value; such a row is not recorded,
-    so the run ends at the last finite row.  Rows after the first stopping
-    row of a block are dropped with their states, so the result is the one
-    a state-by-state loop gives.  Returns (one array per column, status,
-    final state, the recorded states or None).
+    columns of K x A values (A running members), errors first.
+
+    A member converges once its error is at most stop_tol times its initial
+    error (stop_tol > 0), and diverges once the error is not within
+    DIVERGENCE_FACTOR of it (a NaN error included) or a row holds a
+    non-finite value; such a row is not recorded, so the run ends at its last
+    finite row.  A member adds no row after its first stopping row and takes
+    no step after the block holding it, so each member's rows, status and
+    final state are the ones it gets running alone.
+
+    Returns (one S x L array per column, the S row counts, the S statuses,
+    the S final iterates, the recorded iterates S x L x ... or None); member
+    k's rows are row k of each array up to its row count.
     """
-    cols = metrics([x])
+    cols = [np.reshape(c, (1, -1)) for c in metrics([x])]
     if not all(np.isfinite(c).all() for c in cols):
         raise ValueError("initial state has non-finite metrics")
     err0 = cols[0][0]
-    blocks = [cols]
-    states = [x] if keep_states else None
-    status = STATUS_MAX_ITERS
-    if stop_tol > 0 and err0 <= stop_tol * err0:
-        status = STATUS_CONVERGED
+    runs = len(err0)
+    # room for a block's steps of one run; widened by doubling when a run
+    # goes on, so an ensemble of short runs never copies its rows
+    cap = min(max_iters, _BLOCK) + 1
+    outs = [_widen(c.T, cap) for c in cols]
+    kept = _widen(x[0][:, None], cap) if keep_states else None
+    lengths = np.ones(runs, dtype=int)
+    status = np.zeros(runs, dtype=int)  # index into _STATUSES
+    if stop_tol > 0:
+        status[err0 <= stop_tol * err0] = 1
+    members = np.flatnonzero(status == 0)
+    ends = []  # (stopped members, their final iterates)
+    if len(members) < runs:
+        ends.append((np.flatnonzero(status), x[0][status != 0]))
+        x = _take(x, members)
     done = 0
-    while status == STATUS_MAX_ITERS and done < max_iters:
+    while len(members) and done < max_iters:
+        A = len(members)
+        c = min(max(1, _BLOCK // A), max_iters - done)
         buf = []
         y = x
-        for _ in range(min(_BLOCK, max_iters - done)):
-            y = step(y)
+        for _ in range(c):
+            y = step(y, members)
             buf.append(y)
-        done += len(buf)
-        cols = metrics(buf)
-        err = cols[0]
-        finite = np.logical_and.reduce([np.isfinite(c) for c in cols])
-        converged = (stop_tol > 0) & (err <= stop_tol * err0)
-        diverged = ~(err <= DIVERGENCE_FACTOR * err0)
-        stops = np.flatnonzero(~finite | converged | diverged)
-        keep = len(buf)
-        if len(stops):
-            k = stops[0]
-            keep = k + 1 if finite[k] else k
-            status = STATUS_CONVERGED if finite[k] and converged[k] else STATUS_DIVERGED
-        blocks.append([c[:keep] for c in cols])
-        if keep:
-            x = buf[keep - 1]
-            if states is not None:
-                states.extend(buf[:keep])
-    return [np.concatenate(col) for col in zip(*blocks)], status, x, states
+        cols = [np.reshape(col, (c, A)) for col in metrics(buf)]
+        err, e0 = cols[0], err0[members]
+        finite = np.logical_and.reduce([np.isfinite(col) for col in cols])
+        converged = (stop_tol > 0) & (err <= stop_tol * e0)
+        stops = ~finite | converged | ~(err <= DIVERGENCE_FACTOR * e0)
+        hit = stops.any(axis=0)
+        row = stops.argmax(axis=0)
+        a = np.arange(A)
+        ok = finite[row, a]
+        keep = np.where(hit, row + ok, c)  # rows of this block each member keeps
+        status[members[hit]] = np.where(ok & converged[row, a], 1, 2)[hit]
+        if done + 1 + c > cap:
+            cap = min(max_iters + 1, max(done + 1 + c, 2 * cap))
+            for i, o in enumerate(outs):
+                outs[i] = _widen(o, cap)
+            kept = _widen(kept, cap) if keep_states else None
+        # rows past a member's stop fill only its unused tail
+        for out, col in zip(outs, cols):
+            out[members, done + 1:done + 1 + c] = col.T
+        if keep_states:
+            kept[members, done + 1:done + 1 + c] = np.stack([s[0] for s in buf], axis=1)
+        lengths[members] = done + 1 + keep
+        done += c
+        if hit.any():
+            past = [x] + buf  # past[r]: the state after r steps of this block
+            for r in np.unique(keep[hit]):
+                sel = hit & (keep == r)
+                ends.append((members[sel], past[r][0][sel]))
+            members, x = members[~hit], _take(buf[-1], ~hit)
+        else:
+            x = buf[-1]
+    ends.append((members, x[0]))
+    final = np.empty((runs,) + x[0].shape[1:], x[0].dtype)
+    for stopped, w in ends:
+        final[stopped] = w
+    length = lengths.max()
+    outs = [o[:, :length] for o in outs]
+    if keep_states:
+        kept = kept[:, :length]
+    return outs, lengths, [_STATUSES[s] for s in status], final, kept
 
 
-def _run(ds: Dataset, cfg: SolverConfig) -> IterationTrace:
+def _run(ds: Dataset, cfg: SolverConfig,
+         seeds: list[int]) -> tuple[list[IterationTrace], np.ndarray]:
+    """One run per seed, all advanced together as one stack of iterates.
+
+    Member k draws from its own Generator(seeds[k]) in the order a run alone
+    draws, the running members holding at most _DRAW_BYTES of draws ahead (a
+    member's generator lives only while it has draws to come), and every
+    product is a stack of per-member vector-matrix products; so member k's
+    trace is bitwise the one a single run with seed seeds[k] gives.  Returns
+    the traces and the runs x L error stack their err_sq_range rows are
+    views of.
+    """
     cfg.validate(ds.n)
     X, y = ds.X, ds.y
     n = ds.n
@@ -159,57 +232,109 @@ def _run(ds: Dataset, cfg: SolverConfig) -> IterationTrace:
     w = np.zeros(ds.d) if cfg.w0 is None else np.array(cfg.w0, dtype=float)
     if w.shape != (ds.d,):
         raise ValueError(f"w0 must have shape ({ds.d},)")
-    rng = np.random.default_rng(cfg.seed)
+    runs = len(seeds)
     p = cfg.m / n
     k_fixed = max(1, int(round(cfg.m)))
 
-    # a state is (w, residual X w - y, samples used by the update that made w)
-    def step(state):
+    # draw(rng, c): the next c iterations' draws of one run as c rows;
+    # unpack(rows): one row per run as the step uses it
+    if cfg.sampler == SAMPLER_FIXED:
+        width, dtype = k_fixed, np.intp
+
+        def draw(rng, c):
+            return [rng.choice(n, size=k_fixed, replace=False) for _ in range(c)]
+
+        def unpack(rows):
+            return rows
+    else:  # Bernoulli masks, 8 samples a byte
+        width, dtype = (n + 7) // 8, np.uint8
+
+        def draw(rng, c):
+            return np.packbits(rng.random((c, n)) < p, axis=1)  # the doubles of c rng.random(n)
+
+        def unpack(rows):
+            return np.unpackbits(rows, axis=1, count=n).view(bool)
+
+    rngs = {}  # the generators of runs with draws still to come
+    # draws held (one row per member running at the refill), the members
+    # they are for, rows of them used, iterations drawn for
+    ahead, drawn, used, handed = None, None, 0, 0
+
+    def next_draws(members):
+        # the running members' draws for the next iteration, refilled a chunk
+        # of iterations ahead; a stopped member's unused draws are dropped
+        nonlocal ahead, drawn, used, handed
+        if ahead is None or used == ahead.shape[1]:
+            c = _DRAW_BYTES // (len(members) * width * np.dtype(dtype).itemsize)
+            c = max(1, min(c, cfg.max_iters - handed))
+            ahead, drawn, used = np.empty((len(members), c, width), dtype), members, 0
+            for i, k in enumerate(members):
+                rng = rngs.pop(k, None) or np.random.default_rng(seeds[k])
+                ahead[i] = draw(rng, c)
+                if handed + c < cfg.max_iters:
+                    rngs[k] = rng
+        handed, used = handed + 1, used + 1
+        # members only ever shrinks, in order, so it is a sorted subset of drawn
+        return unpack(ahead[np.searchsorted(drawn, members), used - 1])
+
+    # a state is (w, residual X w - y, samples used by the update that made
+    # w), one row per running member
+    def step(state, members):
         w, r, _ = state
         if cfg.sampler == SAMPLER_FULL:
-            grad = X.T @ r
-            w = w - (cfg.eta / n) * grad
-            batch = n
+            v, rows, scale = r, X, cfg.eta / n
+            batch = np.full(len(members), n)
         elif cfg.sampler == SAMPLER_BERNOULLI:
-            mask = (rng.random(n) < p).astype(float)
-            batch = int(mask.sum())
-            grad = X.T @ (mask * r)
-            w = w - (cfg.eta / cfg.m) * grad
+            mask = next_draws(members)
+            v, rows, scale = mask * r, X, cfg.eta / cfg.m
+            batch = mask.sum(axis=1)
         else:  # fixed
-            idx = rng.choice(n, size=k_fixed, replace=False)
-            grad = X[idx].T @ r[idx]
-            w = w - (cfg.eta / cfg.m) * grad
-            batch = k_fixed
-        return w, X @ w - y, batch
+            idx = next_draws(members)
+            v, rows, scale = np.take_along_axis(r, idx, axis=1), X[idx], cfg.eta / cfg.m
+            batch = np.full(len(members), k_fixed)
+        grad = (v[:, None, :] @ rows)[:, 0, :]
+        grad *= scale
+        w = w - grad
+        r = (w[:, None, :] @ X.T)[:, 0, :]
+        r -= y
+        return w, r, batch
 
     def metrics(states):
-        # K x 1 x width stacks: each product is the vector product of one
-        # state alone (vector-matrix, then a 1 x 1 dot), bit for bit
-        w, r, batch = (np.array(col) for col in zip(*states))
+        # stacks of 1 x width products: each value is the vector product of
+        # one member's state alone (vector-matrix, then a 1 x 1 dot), bit for
+        # bit; a block of one step is measured in place, without a copy
+        w, r, batch = states[0] if len(states) == 1 else map(np.concatenate, zip(*states))
         comp = (w - ds.w_star)[:, None, :] @ ss.basis
         err = (comp @ comp.transpose(0, 2, 1))[:, 0, 0]
         loss = (r[:, None, :] @ r[:, :, None])[:, 0, 0] / n
         return err, loss, batch
 
-    (errs, losses, batches), status, (w, _, _), states = _drive(
-        (w, X @ w - y, 0), step, metrics, cfg.max_iters, cfg.stop_tol, cfg.record_iterates)
-    return IterationTrace(
-        t=np.arange(len(errs)),
-        err_sq_range=errs,
-        loss=losses,
-        batch_size=batches,
-        status=status,
-        config=cfg,
-        w_final=w,
-        iterates=np.array([s[0] for s in states]) if states is not None else None,
-    )
+    W = np.tile(w, (runs, 1))
+    x0 = (W, (W[:, None, :] @ X.T)[:, 0, :] - y, np.zeros(runs, dtype=int))
+    (errs, losses, batches), lengths, statuses, finals, kept = _drive(
+        x0, step, metrics, cfg.max_iters, cfg.stop_tol, cfg.record_iterates)
+    t = np.arange(errs.shape[1])
+    traces = [
+        IterationTrace(
+            t=t[:L],
+            err_sq_range=errs[k, :L],
+            loss=losses[k, :L],
+            batch_size=batches[k, :L],
+            status=statuses[k],
+            config=replace(cfg, seed=seeds[k]),
+            w_final=finals[k],
+            iterates=kept[k, :L] if kept is not None else None,
+        )
+        for k, L in enumerate(lengths.tolist())
+    ]
+    return traces, errs
 
 
 def run_gd(ds: Dataset, cfg: SolverConfig) -> IterationTrace:
     """Full gradient descent: w <- w - (eta/n) sum_i (x_i.w - y_i) x_i."""
     if cfg.sampler != SAMPLER_FULL:
         raise ValueError(f"run_gd requires sampler={SAMPLER_FULL!r}")
-    return _run(ds, cfg)
+    return _run(ds, cfg, [cfg.seed])[0][0]
 
 
 def run_sgd(ds: Dataset, cfg: SolverConfig) -> IterationTrace:
@@ -222,7 +347,7 @@ def run_sgd(ds: Dataset, cfg: SolverConfig) -> IterationTrace:
     """
     if cfg.sampler not in (SAMPLER_BERNOULLI, SAMPLER_FIXED):
         raise ValueError(f"run_sgd requires sampler in ({SAMPLER_BERNOULLI!r}, {SAMPLER_FIXED!r})")
-    return _run(ds, cfg)
+    return _run(ds, cfg, [cfg.seed])[0][0]
 
 
 def run_solver(ds: Dataset, cfg: SolverConfig) -> IterationTrace:
@@ -245,15 +370,12 @@ def run_ensemble(ds: Dataset, cfg: SolverConfig, runs: int, seed: int) -> Ensemb
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1: {runs}")
-    traces = []
-    for k in range(runs):
-        run_cfg = replace(cfg, seed=derive_seed(seed, k))
-        traces.append(run_solver(ds, run_cfg))
-    length = min(len(tr.err_sq_range) for tr in traces)
-    stack = np.stack([tr.err_sq_range[:length] for tr in traces])
+    traces, errs = _run(ds, cfg, [derive_seed(seed, k) for k in range(runs)])
+    length = min(len(tr.t) for tr in traces)
+    stack = errs[:, :length]
     mean = stack.mean(axis=0)
-    stack -= mean  # deviations in place: one more runs x length array would show in peak memory
-    sd = np.sqrt(np.einsum("ij,ij->j", stack, stack) / max(runs - 1, 1))
+    dev = stack - mean
+    sd = np.sqrt(np.einsum("ij,ij->j", dev, dev) / max(runs - 1, 1))
     with np.errstate(divide="ignore", invalid="ignore"):
         rel_se = sd / (mean * math.sqrt(runs))
     return EnsembleResult(mean_curve=mean, traces=traces, rel_se=rel_se)

@@ -268,7 +268,7 @@ class TestChecksAndStatuses:
         common = ["--preset", "gaussian8", "--graph-kind", "ring", "--iters", "4000",
                   "--w0-seed", "2", "--stop-tol", "1e-16"]
         out = str(tmp_path / "sweep")
-        assert main(["sweep", "mu", *common, "--values", "0.5,5", "--out", out]) == 0
+        assert main(["sweep", "mu", *common, "--values", "0.5,5", "--out", out]) == 1
         rows = read_summary(out)["rows"]
         assert [(r["status"], r["band_check"]) for r in rows] == [("max-iters", "fail")] * 2
         out = str(tmp_path / "run")
@@ -304,6 +304,19 @@ class TestChecksAndStatuses:
         assert rc == 1
         assert "must be nonnegative and finite" in capsys.readouterr().err
         assert os.listdir(str(tmp_path)) == []
+
+    def test_default_eta_needs_unit_norm_rows(self, tmp_path, capsys):
+        # cond4x16 rows have squared norms 6 to 11; eta* = 1.315 assumes unit
+        # norms and diverged every run
+        out = str(tmp_path / "sgd")
+        assert main(["run", "sgd", "--preset", "cond4x16", "--m", "3", "--out", out]) == 1
+        assert "--eta" in capsys.readouterr().err
+        assert os.listdir(out) == []
+        out = str(tmp_path / "eta")
+        assert main(["run", "sgd", "--preset", "cond4x16", "--m", "3", "--eta", "0.05",
+                     "--runs", "4", "--iters", "20", "--out", out]) == 0
+        out = str(tmp_path / "gd")
+        assert main(["run", "gd", "--preset", "cond4x16", "--iters", "20", "--out", out]) == 0
 
     def test_rerun_removes_stale_files(self, tmp_path):
         out = str(tmp_path)

@@ -1,8 +1,14 @@
 """Tests for the sequential solvers, ensembles, and rate estimation."""
 
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from gdlab import solvers
 from gdlab.problem import (
     Dataset,
     dataset_from_rows,
@@ -14,6 +20,7 @@ from gdlab.solvers import (
     SolverConfig,
     _drive,
     default_fit_window,
+    derive_seed,
     estimate_rate,
     run_ensemble,
     run_gd,
@@ -78,12 +85,16 @@ class TestRunGd:
 
     def test_nan_error_counts_as_diverged(self):
         # a NaN error fails every comparison; it must stop the loop, not run on
-        def step(x):
-            return x * 2.0 if x < 4.0 else float("nan")
+        def step(x, members):
+            return (np.where(x[0] < 4.0, x[0] * 2.0, np.nan),)
 
-        cols, status, x, _ = _drive(1.0, step, lambda xs: (np.array(xs),), 100, 0.0, False)
-        assert status == "diverged"
-        assert list(cols[0]) == [1.0, 2.0, 4.0] and x == 4.0
+        def metrics(xs):
+            return (np.concatenate([x[0] for x in xs]),)
+
+        cols, lengths, statuses, final, _ = _drive(
+            (np.array([1.0]),), step, metrics, 100, 0.0, False)
+        assert statuses == ["diverged"]
+        assert list(cols[0][0, :lengths[0]]) == [1.0, 2.0, 4.0] and final[0] == 4.0
 
     def test_batch_sizes_full(self):
         ds = gen_dataset(5, 5, "gaussian", seed=1)
@@ -110,12 +121,12 @@ class TestBlockDriver:
         # except the stop row, which converges, diverges or holds an inf
         steps = []
 
-        def step(x):
-            steps.append(x + 1)
-            return x + 1
+        def step(x, members):
+            steps.append(x[0] + 1)
+            return (x[0] + 1,)
 
         def metrics(xs):
-            t = np.array(xs)
+            t = np.concatenate([x[0] for x in xs])
             err = np.ones(len(t))
             aux = np.zeros(len(t))
             at = t == stop_at
@@ -127,8 +138,9 @@ class TestBlockDriver:
                 aux[at] = np.inf
             return err, aux
 
-        cols, status, x, states = _drive(0, step, metrics, max_iters, stop_tol, True)
-        return cols, status, x, states, steps
+        cols, lengths, statuses, final, kept = _drive(
+            (np.array([0]),), step, metrics, max_iters, stop_tol, True)
+        return [c[0] for c in cols], statuses[0], final[0], list(kept[0]), steps
 
     @pytest.mark.parametrize("stop_at", [1, _BLOCK, _BLOCK + 1])
     @pytest.mark.parametrize("stop_kind", ["converged", "diverged", "non-finite"])
@@ -156,6 +168,65 @@ class TestBlockDriver:
         cols, status, x, states, steps = self.drive("converged", 0, stop_tol=1.0)
         assert status == "converged" and x == 0 and steps == []
         assert [len(c) for c in cols] == [1, 1]
+
+    @staticmethod
+    def drive_members(stops, max_iters=3 * _BLOCK, stop_tol=0.5):
+        # member k's state is (step count, k); its rows read (1, 0) except at
+        # stops[k] = (kind, row), as in drive(); also returns the number of
+        # row-states in each metrics call after the first
+        sizes = []
+        runs = len(stops)
+        kinds = np.array([str(kind) for kind, _ in stops])
+        rows = np.array([-1 if at is None else at for _, at in stops])
+
+        def step(x, members):
+            assert np.array_equal(x[1], members)
+            return x[0] + 1, x[1]
+
+        def metrics(xs):
+            t = np.concatenate([x[0] for x in xs])
+            k = np.concatenate([x[1] for x in xs])
+            sizes.append(len(t))
+            at = t == rows[k]
+            err = np.where(at & (kinds[k] == "converged"), 0.25, 1.0)
+            err[at & (kinds[k] == "diverged")] = 1e13
+            aux = np.where(at & (kinds[k] == "non-finite"), np.inf, 0.0)
+            return err, aux
+
+        x0 = (np.zeros(runs, dtype=int), np.arange(runs))
+        return _drive(x0, step, metrics, max_iters, stop_tol, True), sizes[1:]
+
+    def test_members_stop_independently(self):
+        # six members step _BLOCK // 6 rows per block; three stop in the first
+        # block, at its first and last rows, and the other three step
+        # _BLOCK // 3 rows per block; two of them stop at the first and last
+        # rows of the second block and one never stops (the round cap).  Each
+        # member's rows, status, final state and recorded states are those it
+        # gets alone
+        b1, b2 = _BLOCK // 6, _BLOCK // 3
+        stops = [("converged", 1), ("diverged", b1), ("non-finite", b1 + 1), (None, None),
+                 ("non-finite", 1), ("converged", b1 + b2)]
+        (cols, lengths, statuses, final, kept), sizes = self.drive_members(stops)
+        assert sizes[:2] == [6 * b1, 3 * b2]
+        for k, (kind, at) in enumerate(stops):
+            alone = self.drive(kind, at)
+            L = lengths[k]
+            assert [list(col[k, :L]) for col in cols] == [list(col) for col in alone[0]]
+            assert statuses[k] == alone[1]
+            assert final[k] == alone[2]
+            assert list(kept[k, :L]) == alone[3]
+
+    @pytest.mark.parametrize("runs", [1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 1000])
+    def test_block_holds_at_most_block_row_states(self, runs):
+        # each metrics call measures max(1, _BLOCK // A) steps of the A running
+        # members; one member keeps blocks of _BLOCK states
+        (cols, lengths, statuses, _, _), sizes = self.drive_members(
+            [(None, None)] * runs, max_iters=2 * _BLOCK + 3)
+        per = max(1, _BLOCK // runs)
+        assert sizes[:-1] == [per * runs] * (len(sizes) - 1)
+        assert max(sizes) <= max(_BLOCK, runs)
+        assert statuses == ["max-iters"] * runs
+        assert np.all(lengths == 2 * _BLOCK + 4)
 
     def test_rows_match_single_state_metrics_bitwise(self):
         # each trace row equals the per-state products of the recorded iterate
@@ -254,6 +325,87 @@ class TestRunEnsemble:
         assert np.array_equal(a.mean_curve, b.mean_curve)
         seeds = [tr.config.seed for tr in a.traces]
         assert len(set(seeds)) == 4
+
+
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def assert_members_are_single_runs(ds, cfg, runs, seed, draw_bytes):
+    """Member k of the stacked ensemble, drawing at most draw_bytes of sample
+    draws ahead, is bitwise run_sgd with seed derive_seed(seed, k), and the
+    mean and its standard error are those of the member traces."""
+    with mock.patch.object(solvers, "_DRAW_BYTES", draw_bytes):
+        ens = run_ensemble(ds, cfg, runs=runs, seed=seed)
+    for k, tr in enumerate(ens.traces):
+        alone = run_sgd(ds, replace(cfg, seed=derive_seed(seed, k)))
+        for name in ("t", "err_sq_range", "loss", "batch_size", "w_final", "iterates"):
+            a, b = getattr(tr, name), getattr(alone, name)
+            if b is None:
+                assert a is None
+            else:
+                assert a.dtype == b.dtype and a.shape == b.shape and bits(a) == bits(b), name
+        assert tr.status == alone.status
+        assert tr.config.seed == alone.config.seed
+    length = min(len(tr.t) for tr in ens.traces)
+    stack = np.stack([tr.err_sq_range[:length] for tr in ens.traces])
+    mean = stack.mean(axis=0)
+    assert bits(ens.mean_curve) == bits(mean)
+    stack -= mean
+    sd = np.sqrt(np.einsum("ij,ij->j", stack, stack) / max(len(stack) - 1, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert bits(ens.rel_se) == bits(sd / (mean * np.sqrt(len(stack))))
+    return ens
+
+
+_PROPERTY_DATASETS = (
+    gen_dataset(8, 8, "orthonormal", seed=3),
+    gen_dataset(6, 4, "gaussian", normalize=True, seed=5),
+    gen_dataset(5, 7, "gaussian", seed=2),
+)
+
+
+class TestStackedEnsemble:
+    """run_ensemble advances its members as one stack; each member must be
+    the run it would be alone, bit for bit."""
+
+    # 1000 bytes of draws ahead: a few iterations per refill, more as members stop
+
+    @pytest.mark.parametrize("sampler", ["bernoulli", "fixed"])
+    def test_members_converge_at_different_iterations(self, sampler):
+        ds = gen_dataset(32, 32, "orthonormal", seed=320)
+        cfg = SolverConfig(eta=2.0, m=2.0, sampler=sampler, max_iters=300, stop_tol=1e-10,
+                           record_iterates=True)
+        ens = assert_members_are_single_runs(ds, cfg, 12, 3, 1000)
+        assert {tr.status for tr in ens.traces} == {"converged"}
+        assert len({len(tr.t) for tr in ens.traces}) > 1
+
+    @pytest.mark.parametrize("sampler", ["bernoulli", "fixed"])
+    def test_some_members_diverge(self, sampler):
+        # eta = 5, m = 2 on orthonormal rows: about one run in eight diverges
+        ds = gen_dataset(32, 32, "orthonormal", seed=320)
+        w0 = np.random.default_rng(1).standard_normal(32)
+        cfg = SolverConfig(eta=5.0, m=2.0, sampler=sampler, max_iters=400, stop_tol=1e-8,
+                           w0=w0, record_iterates=True)
+        ens = assert_members_are_single_runs(ds, cfg, 30, 3, 1000)
+        assert {tr.status for tr in ens.traces} == {"diverged", "max-iters"}
+
+    @settings(max_examples=150, deadline=None)
+    @given(runs=st.integers(1, 8), iters=st.integers(1, 40),
+           ds_index=st.integers(0, len(_PROPERTY_DATASETS) - 1),
+           m_frac=st.floats(0.05, 1.0), sampler=st.sampled_from(["bernoulli", "fixed"]),
+           stop_tol=st.sampled_from([0.0, 0.9, 0.5, 1e-2, 1e-6]),
+           eta_per_m=st.integers(0, 50).map(lambda i: i / 10),
+           seed=st.integers(0, 2**32 - 1), draw_bytes=st.sampled_from([1, 100, 1 << 20]))
+    def test_members_are_single_runs(self, runs, iters, ds_index, m_frac, sampler,
+                                     stop_tol, eta_per_m, seed, draw_bytes):
+        ds = _PROPERTY_DATASETS[ds_index]
+        m = m_frac * ds.n
+        cfg = SolverConfig(eta=eta_per_m * m, m=m, sampler=sampler, max_iters=iters,
+                           stop_tol=stop_tol, record_iterates=True)
+        ens = assert_members_are_single_runs(ds, cfg, runs, seed, draw_bytes)
+        for status in {tr.status for tr in ens.traces}:
+            event(status)
 
 
 class TestEstimateRate:
