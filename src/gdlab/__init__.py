@@ -37,7 +37,6 @@ from .solvers import (
     run_ensemble,
     run_gd,
     run_sgd,
-    run_solver,
 )
 from .distributed import (
     CommGraph,
@@ -55,7 +54,6 @@ from .distributed import (
     load_graph,
     make_graph,
     run_dgd,
-    save_graph,
     stability_bound,
     stable_eta,
 )

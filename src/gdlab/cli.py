@@ -17,10 +17,11 @@ given on the command line win.  Exit status: 0 success, 1 validation failure
 (or a failed band check of run dgd or sweep mu, after every file is
 written), 2 diverged runs.
 
-Penalty convention for dgd: --mu is the weight of the consensus penalty in
-the distributed loss.  The synchronous round applies the coupling eta * mu,
-and when --eta is omitted it defaults to min(0.5/max|x|^2,
-1/(max|x|^2 + 2 mu maxdeg)), which keeps the round stable for any mu.
+Penalty convention for dgd, shared with gdlab.distributed, which takes --mu
+unchanged: mu weighs the penalty in sum_i (x_i . w_i - y_i)^2 + mu sum_<i,j>
+|w_i - w_j|^2 (the penalized_loss trace column), and a round applies the
+coupling eta * mu (reported as mu_iter).  The default eta, min(0.5/max|x|^2,
+1/(max|x|^2 + 2 mu maxdeg)), keeps the round stable for any mu.
 """
 
 from __future__ import annotations
@@ -394,6 +395,12 @@ def _w0(res, shape):
     return None if w0_seed is None else np.random.default_rng(int(w0_seed)).standard_normal(shape)
 
 
+def _require_unit_norm_for_eta_star(ds, m, remedy):
+    """Refuse eta* for batch size m < n on rows that are not unit-norm, which it assumes."""
+    if m < ds.n and np.max(np.abs(ds.row_norms_sq() - 1.0)) > ROW_NORM_TOL:
+        raise CliError(f"eta* assumes unit-norm rows, and this dataset's are not; {remedy}")
+
+
 def _cmd_run_solver(res: _Resolver, solver: str) -> int:
     out = _outdir(res)
     fmt = res.get("fmt", "csv")
@@ -413,9 +420,8 @@ def _cmd_run_solver(res: _Resolver, solver: str) -> int:
         runs = int(res.get("runs", 1))
     pred = optimal_rate(m, n, ss.lambda_max, ss.lambda_min_nz)
     eta = res.get("eta")
-    if eta is None and m < n and np.max(np.abs(ds.row_norms_sq() - 1.0)) > ROW_NORM_TOL:
-        raise CliError("the default eta (eta*) assumes unit-norm rows; "
-                       "give --eta for a dataset whose rows are not unit-norm")
+    if eta is None:
+        _require_unit_norm_for_eta_star(ds, m, "give --eta")
     eta = pred.eta_opt if eta is None else float(eta)
     res.resolved["eta"] = eta
     res.resolved["m"] = m
@@ -468,26 +474,12 @@ def _cmd_run_solver(res: _Resolver, solver: str) -> int:
     return EXIT_OK
 
 
-def _dgd_point(ds, g, mu, eta, run=None):
-    """One DGD configuration: eta (the stable step for penalty weight mu
-    unless given) and the round coupling mu_iter = eta * mu, the dense
-    operator spectrum (or why it was skipped), the stability bound and
-    rate_lower = 1 - eta lambda_min_nz(H).
-
-    With run(eta, mu_iter) -> DgdTrace it also runs DGD and adds the band
-    check: the fitted error-norm rate lies in [rate_lower - 0.02, 1), both
-    rate bounds contract (rate_lower < 1, and rate_spectral < 1 when the
-    spectrum was computed), and a run with a stopping tolerance converged; a
-    band at or above 1, or a run cut at its round cap, shows no convergence.
-    Returns (eta, mu_iter, doc, trace, fit, fit window).
-    """
-    eta = stable_eta(ds, g, mu) if eta is None else float(eta)
-    mu_iter = eta * mu
-    if not (0 < eta < math.inf and 0 <= mu_iter < math.inf):
-        raise CliError(f"need finite eta > 0 and mu >= 0: eta={eta}, mu={mu}")
-    bound, bound_ok = stability_bound(ds, g, eta, mu_iter)
+def _dgd_doc(ds, g, eta, mu):
+    """The round operator's spectrum at step eta and penalty weight mu (or why it was
+    skipped), the stability bound and rate_lower = 1 - eta lambda_min_nz(H)."""
+    bound, bound_ok = stability_bound(ds, g, eta, mu)
     try:
-        sp = dgd_operator_spectrum(ds, g, eta, mu_iter)
+        sp = dgd_operator_spectrum(ds, g, eta, mu)
         doc = {"skipped": False, "sigma_min": sp.sigma_min, "sigma_max": sp.sigma_max,
                "rate_lower": sp.rate_lower, "rate_spectral": sp.rate_spectral,
                "stable": sp.stable}
@@ -495,9 +487,17 @@ def _dgd_point(ds, g, mu, eta, run=None):
         doc = {"skipped": True, "reason": str(exc)}
     doc.update(stability_bound=bound, stable_by_bound=bound_ok,
                rate_lower=1.0 - eta * ds.spectral.lambda_min_nz)
-    if run is None:
-        return eta, mu_iter, doc, None, None, None
-    trace = run(eta, mu_iter)
+    return doc
+
+
+def _band_check(doc, trace):
+    """Add the band check of a DGD run to its _dgd_doc: the fitted
+    error-norm rate lies in [rate_lower - 0.02, 1), both rate bounds contract
+    (rate_lower < 1, and rate_spectral < 1 when the spectrum was computed),
+    and a run with a stopping tolerance converged; a band at or above 1, or
+    a run cut at its round cap, shows no convergence.  Returns the tail fit
+    and its window.
+    """
     fit, window = _fit_curve(trace.mean_err_sq_range, tail=True)
     r_hat = math.sqrt(fit.rate) if fit else None
     rate_lower, rate_spectral = doc["rate_lower"], doc.get("rate_spectral")
@@ -508,7 +508,7 @@ def _dgd_point(ds, g, mu, eta, run=None):
     doc["spectral_match"] = None
     if rate_spectral is not None and r_hat is not None and rate_spectral > 0:
         doc["spectral_match"] = abs(r_hat - rate_spectral) <= 0.01 * rate_spectral
-    return eta, mu_iter, doc, trace, fit, window
+    return fit, window
 
 
 def _cmd_run_dgd(res: _Resolver) -> int:
@@ -517,14 +517,13 @@ def _cmd_run_dgd(res: _Resolver) -> int:
     ds = res.dataset()
     g = res.graph(ds)
     mu = float(res.get("mu", 1.0))
-
-    def run(eta, mu_iter):
-        # resolved step first, then the run options: summary.json keeps this order
-        res.resolved.update(eta=eta, mu=mu, mu_iter=mu_iter)
-        return run_dgd(ds, g, eta, mu_iter, max_iters=int(res.get("iters", 10_000)),
-                       stop_tol=float(res.get("stop_tol", 1e-16)), W0=_w0(res, (ds.n, ds.d)))
-
-    eta, mu_iter, dgd_doc, trace, fit, window = _dgd_point(ds, g, mu, res.get("eta"), run)
+    eta = float(res.get("eta", stable_eta(ds, g, mu)))
+    dgd_doc = _dgd_doc(ds, g, eta, mu)
+    # resolved step first, then the run options: summary.json keeps this order
+    res.resolved.update(eta=eta, mu=mu, mu_iter=eta * mu)
+    trace = run_dgd(ds, g, eta, mu, max_iters=int(res.get("iters", 10_000)),
+                    stop_tol=float(res.get("stop_tol", 1e-16)), W0=_w0(res, (ds.n, ds.d)))
+    fit, window = _band_check(dgd_doc, trace)
     files: list[str] = []
     _write(out, "dataset.json", dataset_to_json(ds) + "\n", files)
     _write(out, "graph.json", graph_to_json(g) + "\n", files)
@@ -588,6 +587,8 @@ def _cmd_sweep(res: _Resolver) -> int:
     res.resolved["values"] = values
     res.resolved["epsilon"] = epsilon
     runs = int(res.get("runs", 0))
+    if param == "m" and runs > 0:
+        _require_unit_norm_for_eta_star(ds, min(values), "give --runs 0 for predictions only")
     iters = int(res.get("iters", 60 if param != "mu" else 10_000))
     stop_tol = float(res.get("stop_tol", 0.0 if param != "mu" else 1e-16))
     files: list[str] = []
@@ -633,15 +634,14 @@ def _cmd_sweep(res: _Resolver) -> int:
         header = ["mu", "eta", "mu_iter", "sigma_min", "sigma_max", "rate_lower",
                   "rate_spectral", "stable", "r_hat_norm", "band_check", "status"]
         eta_flag = res.get("eta")
-
-        def run(eta, mu_iter):
-            return run_dgd(ds, g, eta, mu_iter, max_iters=iters, stop_tol=stop_tol, W0=W0)
-
         for i, v in enumerate(values):
-            eta, mu_iter, dgd, trace, fit, _ = _dgd_point(ds, g, v, eta_flag, run)
+            eta = stable_eta(ds, g, v) if eta_flag is None else float(eta_flag)
+            dgd = _dgd_doc(ds, g, eta, v)
+            trace = run_dgd(ds, g, eta, v, max_iters=iters, stop_tol=stop_tol, W0=W0)
+            fit, _ = _band_check(dgd, trace)
             columns = {c: getattr(trace, c) for c in _DGD_COLUMNS}
             _write_table(out, f"trace_{i:03d}", columns, fmt, files, trace.status)
-            rows.append([v, eta, mu_iter, dgd.get("sigma_min"), dgd.get("sigma_max"),
+            rows.append([v, eta, eta * v, dgd.get("sigma_min"), dgd.get("sigma_max"),
                          dgd["rate_lower"], dgd.get("rate_spectral"), dgd.get("stable"),
                          math.sqrt(fit.rate) if fit else None, dgd["band_check"], trace.status])
 
@@ -666,8 +666,9 @@ def _cmd_spectrum(res: _Resolver) -> int:
     ds = res.dataset()
     g = res.graph(ds)
     mu = float(res.get("mu", 1.0))
-    eta, mu_iter, dgd_doc, *_ = _dgd_point(ds, g, mu, res.get("eta"))
-    res.resolved.update(eta=eta, mu=mu, mu_iter=mu_iter)
+    eta = float(res.get("eta", stable_eta(ds, g, mu)))
+    dgd_doc = _dgd_doc(ds, g, eta, mu)
+    res.resolved.update(eta=eta, mu=mu, mu_iter=eta * mu)
     files: list[str] = []
     _write(out, "dataset.json", dataset_to_json(ds) + "\n", files)
     _write(out, "graph.json", graph_to_json(g) + "\n", files)

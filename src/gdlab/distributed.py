@@ -4,11 +4,13 @@ Each of n nodes holds exactly one sample and a private parameter vector and
 talks only to its graph neighbors.  A synchronous round applies, from the
 previous iterate,
 
-    w_i <- w_i - eta (x_i . w_i - y_i) x_i - mu sum_j L_ij w_j
+    w_i <- w_i - eta (x_i . w_i - y_i) x_i - eta mu sum_j L_ij w_j
 
-with L = D - A the (positive semidefinite) graph Laplacian; mu is the raw
-coupling weight of that iteration.  Near an exact fit the error obeys
-delta W <- (I - Q) delta W with Q = eta blockdiag(x_i x_i^T) + mu (L kron I),
+with L = D - A the (positive semidefinite) graph Laplacian: gradient descent
+with step eta on half of sum_i (x_i . w_i - y_i)^2 + mu sum_<i,j> |w_i - w_j|^2,
+the penalized loss the trace records.  Every function here takes that penalty
+weight mu and forms the coupling eta * mu itself.  Near an exact fit the error
+obeys delta W <- (I - Q) delta W with Q = eta blockdiag(x_i x_i^T) + eta mu (L kron I),
 so stability and rates are read off Q's spectrum.
 
 Rounds run one at a time through the solvers' loop, which measures them in
@@ -27,7 +29,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .io import atomic_write_text, dumps
+from .io import dumps
 from .problem import Dataset, row_inner
 from .solvers import _drive
 
@@ -226,18 +228,26 @@ class DgdTrace:
     mean_err_sq_range: np.ndarray
     edge_spread: np.ndarray
     global_spread: np.ndarray
-    penalized_loss: np.ndarray
+    penalized_loss: np.ndarray  # residual_sq + mu * edge_diff_sq: the module docstring's loss
     status: str
     W_final: np.ndarray
     stop_tol: float  # the run's stopping tolerance; 0 ran to max_iters
     states: np.ndarray | None = None
 
 
+def _coupling(eta: float, mu: float) -> float:
+    """The round's coupling eta * mu, once eta, mu and the product are checked."""
+    coupling = eta * mu
+    if not (0 < eta < math.inf and 0 < mu < math.inf and 0 < coupling < math.inf):
+        raise ValueError(f"eta, mu and eta * mu must be positive and finite: eta={eta}, mu={mu}")
+    return coupling
+
+
 def dgd_step(ds: Dataset, B: np.ndarray, eta: float, mu: float,
              W: np.ndarray) -> np.ndarray:
     """One synchronous round; every node reads only the previous iterate."""
     e = row_inner(ds.X, W) - ds.y
-    return W - eta * e[:, None] * ds.X - mu * (B.T @ (B @ W))
+    return W - eta * e[:, None] * ds.X - (eta * mu) * (B.T @ (B @ W))
 
 
 def run_dgd(ds: Dataset, g: CommGraph, eta: float, mu: float,
@@ -254,8 +264,7 @@ def run_dgd(ds: Dataset, g: CommGraph, eta: float, mu: float,
     """
     if ds.n != g.n:
         raise ValueError(f"one sample per node required: dataset n={ds.n}, graph n={g.n}")
-    if not (0 < eta < math.inf and 0 < mu < math.inf):
-        raise ValueError(f"eta and mu must be positive and finite: eta={eta}, mu={mu}")
+    _coupling(eta, mu)
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1: {max_iters}")
     W = np.zeros((ds.n, ds.d)) if W0 is None else np.array(W0, dtype=float)
@@ -289,7 +298,7 @@ def run_dgd(ds: Dataset, g: CommGraph, eta: float, mu: float,
 
 @dataclass(frozen=True)
 class OperatorSpectrum:
-    """Spectrum of Q = eta blockdiag(x_i x_i^T) + mu (L kron I) off its exact null space.
+    """Spectrum of Q = eta blockdiag(x_i x_i^T) + eta mu (L kron I) off its exact null space.
 
     The exact null space is consensus states whose common component lies in
     null(H); sigma_min/sigma_max are taken off it.  rate_spectral is the
@@ -308,18 +317,16 @@ class OperatorSpectrum:
 def dgd_operator_spectrum(ds: Dataset, g: CommGraph, eta: float, mu: float) -> OperatorSpectrum:
     """Dense eigensolve of the nd x nd round operator (guarded at nd <= 4096).
 
-    With mu = 0 the coupling disappears and consensus modes carrying per-node
-    null components sit at eigenvalue zero: sigma_min is reported as 0,
-    signalling that a positive penalty is required.
+    As the coupling eta * mu vanishes, consensus modes carrying per-node null
+    components approach eigenvalue zero: a sigma_min below 1e-11 sigma_max is
+    reported as 0, signalling that a stronger penalty is required.
     """
     if ds.n != g.n:
         raise ValueError(f"one sample per node required: dataset n={ds.n}, graph n={g.n}")
     n, d = ds.n, ds.d
     if n * d > DENSE_GUARD:
         raise ValueError(f"too large for dense eigensolve: n*d = {n * d} > {DENSE_GUARD}")
-    if mu < 0 or eta <= 0:
-        raise ValueError(f"need eta > 0 and mu >= 0: eta={eta}, mu={mu}")
-    Q = mu * np.kron(laplacian(g), np.eye(d))
+    Q = _coupling(eta, mu) * np.kron(laplacian(g), np.eye(d))
     for i in range(n):
         Q[i * d:(i + 1) * d, i * d:(i + 1) * d] += eta * np.outer(ds.X[i], ds.X[i])
     evals = np.linalg.eigvalsh(Q)
@@ -341,23 +348,24 @@ def dgd_operator_spectrum(ds: Dataset, g: CommGraph, eta: float, mu: float) -> O
 
 
 def stability_bound(ds: Dataset, g: CommGraph, eta: float, mu: float) -> tuple[float, bool]:
-    """Gershgorin-style bound on sigma_max: eta max_i |x_i|^2 + 2 mu max_degree.
+    """Gershgorin-style bound on sigma_max: eta max_i |x_i|^2 + 2 eta mu max_degree.
 
     Conservative (bound >= true sigma_max); the flag is bound < 2.
     """
-    bound = eta * float(ds.row_norms_sq().max()) + 2.0 * mu * g.max_degree()
+    bound = eta * float(ds.row_norms_sq().max()) + 2.0 * _coupling(eta, mu) * g.max_degree()
     return bound, bound < 2.0
 
 
-def stable_eta(ds: Dataset, g: CommGraph, mu_loss: float) -> float:
-    """Step size whose Gershgorin bound stays below 1 when the consensus
-    penalty mu_loss enters the round as a coupling of eta * mu_loss.
+def stable_eta(ds: Dataset, g: CommGraph, mu: float) -> float:
+    """Step size whose Gershgorin bound is 1 (up to rounding) or less for penalty weight mu.
 
     This is the experiment-layer default: eta shrinks as the penalty grows,
     so any positive penalty weight yields a stable round.
     """
+    if not 0 < mu < math.inf:
+        raise ValueError(f"mu must be positive and finite: mu={mu}")
     xmax = float(ds.row_norms_sq().max())
-    return min(0.5 / xmax, 1.0 / (xmax + 2.0 * mu_loss * g.max_degree()))
+    return min(0.5 / xmax, 1.0 / (xmax + 2.0 * mu * g.max_degree()))
 
 
 def graph_to_json(g: CommGraph) -> str:
@@ -379,10 +387,6 @@ def graph_from_json(text: str) -> CommGraph:
         params=dict(doc["params"]),
         seed=int(doc["seed"]),
     )
-
-
-def save_graph(g: CommGraph, path: str) -> None:
-    atomic_write_text(path, graph_to_json(g) + "\n")
 
 
 def load_graph(path: str) -> CommGraph:

@@ -350,10 +350,6 @@ def run_sgd(ds: Dataset, cfg: SolverConfig) -> IterationTrace:
     return _run(ds, cfg, [cfg.seed])[0][0]
 
 
-def run_solver(ds: Dataset, cfg: SolverConfig) -> IterationTrace:
-    return run_gd(ds, cfg) if cfg.sampler == SAMPLER_FULL else run_sgd(ds, cfg)
-
-
 def derive_seed(master_seed: int, index: int) -> int:
     """Child seed for ensemble member `index`, mixed via SeedSequence."""
     ss = np.random.SeedSequence([int(master_seed), int(index)])

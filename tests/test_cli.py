@@ -117,6 +117,26 @@ class TestRunCommand:
         assert header == "t,mean_err_sq_range,edge_spread,global_spread,penalized_loss"
         assert os.path.exists(os.path.join(out, "graph.json"))
 
+    def test_dgd_penalized_loss_is_the_objective(self, tmp_path):
+        # row 0 recomputed from the written inputs: sum of squared residuals
+        # plus mu (the --mu loss weight, not the coupling eta * mu) times the
+        # sum of squared edge differences
+        out = str(tmp_path)
+        main(["run", "dgd", "--preset", "ring16", "--mu", "10", "--w0-seed", "7",
+              "--iters", "5", "--stop-tol", "0", "--out", out])
+        with open(os.path.join(out, "graph.json")) as fh:
+            edges = json.load(fh)["edges"]
+        ds = load_dataset(os.path.join(out, "dataset.json"))
+        W0 = np.random.default_rng(7).standard_normal((ds.n, ds.d))
+        residuals = [float(ds.X[i] @ W0[i] - ds.y[i]) for i in range(ds.n)]
+        edge_sq = [float(np.sum((W0[i] - W0[j]) ** 2)) for i, j in edges]
+        expected = sum(r * r for r in residuals) + 10.0 * sum(edge_sq)
+        with open(os.path.join(out, "trace.csv")) as fh:
+            header, row0 = fh.readline().strip().split(","), fh.readline().strip().split(",")
+        loss0 = float(row0[header.index("penalized_loss")])
+        assert len(edges) == 16
+        assert loss0 == pytest.approx(expected, rel=1e-12)
+
     def test_json_trace_format(self, tmp_path):
         out = str(tmp_path)
         rc = main(["run", "gd", "--preset", "gaussian8", "--iters", "10",
@@ -317,6 +337,17 @@ class TestChecksAndStatuses:
                      "--runs", "4", "--iters", "20", "--out", out]) == 0
         out = str(tmp_path / "gd")
         assert main(["run", "gd", "--preset", "cond4x16", "--iters", "20", "--out", out]) == 0
+
+    def test_sweep_m_needs_unit_norm_rows(self, tmp_path, capsys):
+        # measured points run at eta*; on cond4x16 the m = 3 point diverged
+        out = str(tmp_path / "measured")
+        argv = ["sweep", "m", "--preset", "cond4x16", "--values", "3,8,16"]
+        assert main(argv + ["--runs", "20", "--out", out]) == 1
+        assert "--runs 0" in capsys.readouterr().err
+        assert os.listdir(out) == []
+        out = str(tmp_path / "predicted")
+        assert main(argv + ["--runs", "0", "--out", out]) == 0
+        assert len(read_summary(out)["rows"]) == 3
 
     def test_rerun_removes_stale_files(self, tmp_path):
         out = str(tmp_path)

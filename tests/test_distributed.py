@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdlab.distributed import (
     GraphConnectError,
@@ -36,7 +38,7 @@ def two_unit_nodes():
 
 def dense_round_operator(ds, g, eta, mu):
     n, d = ds.n, ds.d
-    Q = mu * np.kron(laplacian(g), np.eye(d))
+    Q = eta * mu * np.kron(laplacian(g), np.eye(d))
     for i in range(n):
         Q[i * d:(i + 1) * d, i * d:(i + 1) * d] += eta * np.outer(ds.X[i], ds.X[i])
     return np.eye(n * d) - Q
@@ -143,16 +145,16 @@ class TestLaplacian:
 
 class TestRunDgd:
     def test_two_node_modal_contraction(self):
-        # difference mode factor 1 - eta - 2 mu = 0: consensus after one round;
-        # sum mode factor 1 - eta = 0.5
+        # difference mode factor 1 - eta - 2 eta mu = 0: consensus after one
+        # round; sum mode factor 1 - eta = 0.5
         ds = two_unit_nodes()
         g = make_graph("path", 2)
-        tr = run_dgd(ds, g, eta=0.5, mu=0.25, max_iters=3,
+        tr = run_dgd(ds, g, eta=0.5, mu=0.5, max_iters=3,
                      W0=np.array([[1.0], [-1.0]]))
         assert tr.global_spread[0] == 2.0
         assert tr.global_spread[1] == 0.0
         assert tr.mean_err_sq_range[1] == 0.0
-        tr_sum = run_dgd(ds, g, eta=0.5, mu=0.25, max_iters=3,
+        tr_sum = run_dgd(ds, g, eta=0.5, mu=0.5, max_iters=3,
                          W0=np.array([[1.0], [1.0]]))
         assert np.allclose(tr_sum.W_final.ravel(), [0.125, 0.125], atol=1e-15)
 
@@ -175,11 +177,11 @@ class TestRunDgd:
         rng = np.random.default_rng(42)
         W0 = rng.standard_normal((4, 8))
         T = 3600
-        tr = run_dgd(ds, g, eta=0.05, mu=0.4, max_iters=T, W0=W0)
+        tr = run_dgd(ds, g, eta=0.05, mu=8.0, max_iters=T, W0=W0)
         crossed = np.nonzero(tr.global_spread <= 1e-8 * tr.global_spread[0])[0]
         assert len(crossed) > 0
         assert np.all(np.diff(tr.mean_err_sq_range) < 0)
-        A = dense_round_operator(ds, g, 0.05, 0.4)
+        A = dense_round_operator(ds, g, 0.05, 8.0)
         delta = np.linalg.matrix_power(A, T) @ (W0 - ds.w_star).reshape(-1)
         final = delta.reshape(4, 8) + ds.w_star
         assert np.allclose(final, tr.W_final, rtol=1e-8, atol=1e-12)
@@ -197,11 +199,20 @@ class TestRunDgd:
             run_dgd(ds, make_graph("ring", 5), 0.1, 0.1)
 
     @pytest.mark.parametrize("eta,mu", [(float("nan"), 0.1), (float("inf"), 0.1),
-                                        (0.1, float("nan")), (0.1, float("inf"))])
+                                        (0.1, float("nan")), (0.1, float("inf")),
+                                        (0.1, 0.0), (0.1, -1.0), (1e10, 1e300),
+                                        (1e-200, 1e-200)])
     def test_non_finite_eta_or_mu_rejected(self, eta, mu):
+        # a non-positive mu, or a coupling eta * mu that overflows or
+        # underflows to 0, too
         ds = gen_dataset(4, 4, "gaussian", seed=1)
+        g = make_graph("ring", 4)
         with pytest.raises(ValueError, match="finite"):
-            run_dgd(ds, make_graph("ring", 4), eta, mu, max_iters=10)
+            run_dgd(ds, g, eta, mu, max_iters=10)
+        with pytest.raises(ValueError, match="finite"):
+            dgd_operator_spectrum(ds, g, eta, mu)
+        with pytest.raises(ValueError, match="finite"):
+            stability_bound(ds, g, eta, mu)
 
     def test_incidence_built_once_per_run(self, monkeypatch):
         import gdlab.distributed
@@ -281,7 +292,7 @@ class TestOperatorSpectrum:
     def test_two_node_hand_solve(self):
         ds = two_unit_nodes()
         g = make_graph("path", 2)
-        sp = dgd_operator_spectrum(ds, g, eta=0.5, mu=0.25)
+        sp = dgd_operator_spectrum(ds, g, eta=0.5, mu=0.5)
         assert sp.sigma_min == pytest.approx(0.5, abs=1e-12)
         assert sp.sigma_max == pytest.approx(1.0, abs=1e-12)
         assert sp.rate_spectral == pytest.approx(0.5, abs=1e-12)
@@ -289,9 +300,10 @@ class TestOperatorSpectrum:
         assert sp.stable
 
     def test_zero_coupling_reports_zero_sigma_min(self):
+        # a vanishing penalty leaves the per-node null modes at eigenvalue ~0
         ds = gen_dataset(3, 4, "gaussian", seed=55)
         g = make_graph("ring", 3)
-        sp = dgd_operator_spectrum(ds, g, eta=0.2, mu=0.0)
+        sp = dgd_operator_spectrum(ds, g, eta=0.2, mu=1e-300)
         assert sp.sigma_min == 0.0
         assert sp.rate_spectral >= 1.0
 
@@ -313,10 +325,10 @@ class TestStabilityBound:
     def test_two_node_bound_is_tight_here(self):
         ds = two_unit_nodes()
         g = make_graph("path", 2)
-        bound, ok = stability_bound(ds, g, 0.5, 0.25)
+        bound, ok = stability_bound(ds, g, 0.5, 0.5)
         assert bound == pytest.approx(1.0, abs=1e-15)
         assert ok
-        assert bound >= dgd_operator_spectrum(ds, g, 0.5, 0.25).sigma_max - 1e-12
+        assert bound >= dgd_operator_spectrum(ds, g, 0.5, 0.5).sigma_max - 1e-12
 
     def test_large_step_flagged(self):
         ds = gen_dataset(4, 4, "gaussian", normalize=True, seed=58)
@@ -328,10 +340,43 @@ class TestStabilityBound:
     def test_ring8_conservative(self):
         ds = gen_dataset(8, 8, "gaussian", normalize=True, seed=59)
         g = make_graph("ring", 8)
-        bound, ok = stability_bound(ds, g, 0.1, 0.1)
+        bound, ok = stability_bound(ds, g, 0.1, 1.0)
         assert bound == pytest.approx(0.5, abs=1e-12)
         assert ok
-        assert dgd_operator_spectrum(ds, g, 0.1, 0.1).sigma_max <= bound + 1e-12
+        assert dgd_operator_spectrum(ds, g, 0.1, 1.0).sigma_max <= bound + 1e-12
+
+
+@st.composite
+def small_configs(draw):
+    """A small dataset, a connected graph on its samples, and a penalty weight
+    mu spanning 1e-3 to 1e6."""
+    n = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["orthonormal", "gaussian", "spiked"]))
+    d = draw(st.integers(n if kind == "orthonormal" else 1, 8))
+    ds = gen_dataset(n, d, kind, rho=0.9 if kind == "spiked" else 0.0,
+                     normalize=draw(st.booleans()), seed=draw(st.integers(0, 2**16)))
+    gkind = draw(st.sampled_from(["ring", "path", "complete", "k_ring", "erdos_renyi"]))
+    if gkind == "k_ring" and n < 3:
+        gkind = "path"
+    g = make_graph(gkind, n, seed=draw(st.integers(0, 2**16)),
+                   k=draw(st.integers(1, (n - 1) // 2)) if gkind == "k_ring" else None,
+                   p=draw(st.floats(0.4, 1.0)) if gkind == "erdos_renyi" else None)
+    return ds, g, 10.0 ** draw(st.floats(-3.0, 6.0))
+
+
+class TestOnePenaltyConvention:
+    @settings(max_examples=80, deadline=None)
+    @given(small_configs())
+    def test_stable_eta_gives_a_stable_round(self, config):
+        # stable_eta, stability_bound and the spectrum all read mu as the
+        # loss weight; rounding may lift the bound an ulp above 1
+        ds, g, mu = config
+        eta = stable_eta(ds, g, mu)
+        bound, _ = stability_bound(ds, g, eta, mu)
+        assert bound <= 1.0 + 2 * np.finfo(float).eps
+        sp = dgd_operator_spectrum(ds, g, eta, mu)
+        assert sp.sigma_max <= bound + 1e-12
+        assert sp.stable
 
 
 class TestDistributedInvariants:
@@ -344,7 +389,7 @@ class TestDistributedInvariants:
             lam_min = spectral_summary(hessian(ds)).lambda_min_nz
             for gkind in ("ring", "path", "complete"):
                 g = make_graph(gkind, 8)
-                for eta, mu in [(0.2, 0.05), (0.1, 0.02), (0.05, 0.2)]:
+                for eta, mu in [(0.2, 0.25), (0.1, 0.2), (0.05, 4.0)]:
                     sp = dgd_operator_spectrum(ds, g, eta, mu)
                     assert sp.sigma_min > 0
                     assert sp.sigma_min <= eta * lam_min + 1e-10
@@ -355,8 +400,8 @@ class TestDistributedInvariants:
         rng = np.random.default_rng(71)
         W0 = rng.standard_normal((4, 6))
         T = 20
-        tr = run_dgd(ds, g, eta=0.2, mu=0.1, max_iters=T, W0=W0)
-        A = dense_round_operator(ds, g, 0.2, 0.1)
+        tr = run_dgd(ds, g, eta=0.2, mu=0.5, max_iters=T, W0=W0)
+        A = dense_round_operator(ds, g, 0.2, 0.5)
         delta = np.linalg.matrix_power(A, T) @ (W0 - ds.w_star).reshape(-1)
         assert np.allclose(tr.W_final - ds.w_star, delta.reshape(4, 6),
                            rtol=1e-8, atol=1e-12)
@@ -382,7 +427,7 @@ class TestDistributedInvariants:
         W0 = rng.standard_normal((8, 8))
         for mu in (0.1, 1.0, 10.0):
             eta = stable_eta(ds, g, mu)
-            tr = run_dgd(ds, g, eta, eta * mu, max_iters=80_000,
+            tr = run_dgd(ds, g, eta, mu, max_iters=80_000,
                          stop_tol=1e-16, W0=W0)
             assert tr.status == "converged"
             assert tr.global_spread[-1] <= 1e-8 * tr.global_spread[0]
@@ -395,8 +440,8 @@ class TestDistributedInvariants:
         W0 = rng.standard_normal((8, 8))
         for mu in (0.1, 1.0):
             eta = stable_eta(ds, g, mu)
-            sp = dgd_operator_spectrum(ds, g, eta, eta * mu)
-            tr = run_dgd(ds, g, eta, eta * mu, max_iters=20_000, W0=W0)
+            sp = dgd_operator_spectrum(ds, g, eta, mu)
+            tr = run_dgd(ds, g, eta, mu, max_iters=20_000, W0=W0)
             a, b = default_fit_window(tr.mean_err_sq_range)
             fit = estimate_rate(tr.mean_err_sq_range, (max(b // 2, 5), b))
             r_hat = np.sqrt(fit.rate)
