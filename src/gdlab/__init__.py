@@ -11,12 +11,10 @@ from .problem import (
     gen_dataset,
     hessian,
     load_dataset,
-    save_dataset,
     spectral_summary,
 )
 from .theory import (
     CostModel,
-    NoClosedFormError,
     RatePrediction,
     cost_model,
     expected_mm,

@@ -13,9 +13,9 @@ configuration (every seed explicit).  Identical configuration and master seed
 reproduce byte-identical files.  Numeric output carries 17 significant digits.
 
 A JSON config file (--config) supplies any long-option value by name; values
-given on the command line win.  Exit status: 0 success, 1 validation failure
-(or a failed band check of run dgd or sweep mu, after every file is
-written), 2 diverged runs.
+given on the command line win.  Exit status: 0 success, 1 validation failure,
+which writes no file (or a failed band check of run dgd or sweep mu, after
+every file is written), 2 diverged runs.
 
 Penalty convention for dgd, shared with gdlab.distributed, which takes --mu
 unchanged: mu weighs the penalty in sum_i (x_i . w_i - y_i)^2 + mu sum_<i,j>
@@ -45,11 +45,12 @@ from .distributed import (
     stable_eta,
 )
 from .io import atomic_write_text, csv_text, dumps
-from .problem import ROW_NORM_TOL, dataset_to_json, gen_dataset, load_dataset
+from .problem import dataset_to_json, gen_dataset, load_dataset
 from .solvers import (
     STATUS_CONVERGED,
     STATUS_DIVERGED,
     STATUS_MAX_ITERS,
+    _FIT_START,
     SolverConfig,
     default_fit_window,
     estimate_rate,
@@ -334,16 +335,13 @@ def _cmd_theory(res: _Resolver) -> int:
     lambdan = res.get("lambdan")
     n = res.get("n")
     d = res.get("d")
-    spectral = None
-    c_norms = 1.0
+    ds = None
+    x_min_sq = x_max_sq = 1.0  # unit norms when only the spectrum is given
     if lambda1 is None or lambdan is None:
         ds = res.dataset()
-        ss = ds.spectral
-        spectral = _spectral_doc(ss)
-        lambda1, lambdan, n, d = ss.lambda_max, ss.lambda_min_nz, ds.n, ds.d
+        lambda1, lambdan, n, d = ds.spectral.lambda_max, ds.spectral.lambda_min_nz, ds.n, ds.d
         norms = ds.row_norms_sq()
-        c_norms = gm_am_factor(float(norms.min()), float(norms.max()))
-        _write(out, "dataset.json", dataset_to_json(ds) + "\n", files)
+        x_min_sq, x_max_sq = float(norms.min()), float(norms.max())
     if n is None:
         raise CliError("theory needs --n (or a dataset/preset)")
     n = int(n)
@@ -352,17 +350,18 @@ def _cmd_theory(res: _Resolver) -> int:
     doc = {
         "command": "theory",
         "config": res.resolved,
-        "theory": {"m": pred.m, "eta_opt": pred.eta_opt, "g_opt": pred.g_opt,
-                   "branch": pred.branch, "g_orthogonal_bound": orthogonal_rate(m, n, 1.0, 1.0)
-                   if m <= n else None},
+        "theory": {"m": pred.m, "eta_opt": pred.eta_opt, "g_opt": pred.g_opt, "branch": pred.branch,
+                   "g_orthogonal_bound": orthogonal_rate(m, n, x_min_sq, x_max_sq)},
     }
     epsilon = res.get("epsilon")
     if epsilon is not None and 0 < pred.g_opt < 1:
-        cm = cost_model(m, n, int(d) if d else 1, float(epsilon), pred.g_opt, c_norms)
+        cm = cost_model(m, n, int(d) if d else 1, float(epsilon), pred.g_opt,
+                        gm_am_factor(x_min_sq, x_max_sq))
         doc["cost"] = {"epsilon": cm.epsilon, "t_eps": cm.t_eps,
                        "total_cost": cm.total_cost, "cost_scaling": cm.cost_scaling}
-    if spectral is not None:
-        doc["spectral"] = spectral
+    if ds is not None:
+        doc["spectral"] = _spectral_doc(ds.spectral)
+        _write(out, "dataset.json", dataset_to_json(ds) + "\n", files)
     _write_summary(out, doc, files)
     return EXIT_OK
 
@@ -382,7 +381,7 @@ def _fit_curve(curve, tail=False, rel_se=None):
     try:
         a, b = default_fit_window(curve, stop=stop)
         if tail:
-            a = max(b // 2, min(5, b - 3))
+            a = max(b // 2, min(_FIT_START, b - 3))
         fit = estimate_rate(curve, (a, b))
         return fit, (a, b)
     except ValueError:
@@ -397,7 +396,7 @@ def _w0(res, shape):
 
 def _require_unit_norm_for_eta_star(ds, m, remedy):
     """Refuse eta* for batch size m < n on rows that are not unit-norm, which it assumes."""
-    if m < ds.n and np.max(np.abs(ds.row_norms_sq() - 1.0)) > ROW_NORM_TOL:
+    if m < ds.n and not ds.normalized:
         raise CliError(f"eta* assumes unit-norm rows, and this dataset's are not; {remedy}")
 
 
@@ -476,17 +475,18 @@ def _cmd_run_solver(res: _Resolver, solver: str) -> int:
 
 def _dgd_doc(ds, g, eta, mu):
     """The round operator's spectrum at step eta and penalty weight mu (or why it was
-    skipped), the stability bound and rate_lower = 1 - eta lambda_min_nz(H)."""
+    skipped), the stability bound and rate_lower = 1 - eta lambda_min_nz(H), the
+    one-sided rate bound (a consensus test vector shows sigma_min <= eta lambda_min_nz(H))."""
     bound, bound_ok = stability_bound(ds, g, eta, mu)
+    rate_lower = 1.0 - eta * ds.spectral.lambda_min_nz
     try:
         sp = dgd_operator_spectrum(ds, g, eta, mu)
         doc = {"skipped": False, "sigma_min": sp.sigma_min, "sigma_max": sp.sigma_max,
-               "rate_lower": sp.rate_lower, "rate_spectral": sp.rate_spectral,
+               "rate_lower": rate_lower, "rate_spectral": sp.rate_spectral,
                "stable": sp.stable}
     except ValueError as exc:
         doc = {"skipped": True, "reason": str(exc)}
-    doc.update(stability_bound=bound, stable_by_bound=bound_ok,
-               rate_lower=1.0 - eta * ds.spectral.lambda_min_nz)
+    doc.update(stability_bound=bound, stable_by_bound=bound_ok, rate_lower=rate_lower)
     return doc
 
 
@@ -592,7 +592,6 @@ def _cmd_sweep(res: _Resolver) -> int:
     iters = int(res.get("iters", 60 if param != "mu" else 10_000))
     stop_tol = float(res.get("stop_tol", 0.0 if param != "mu" else 1e-16))
     files: list[str] = []
-    _write(out, "dataset.json", dataset_to_json(ds) + "\n", files)
     rows = []
 
     if param in ("m", "eta"):
@@ -629,14 +628,14 @@ def _cmd_sweep(res: _Resolver) -> int:
             res.resolved["m"] = fixed_m
     else:  # mu sweep
         g = res.graph(ds)
-        _write(out, "graph.json", graph_to_json(g) + "\n", files)
         W0 = _w0(res, (n, d))
         header = ["mu", "eta", "mu_iter", "sigma_min", "sigma_max", "rate_lower",
                   "rate_spectral", "stable", "r_hat_norm", "band_check", "status"]
         eta_flag = res.get("eta")
-        for i, v in enumerate(values):
-            eta = stable_eta(ds, g, v) if eta_flag is None else float(eta_flag)
-            dgd = _dgd_doc(ds, g, eta, v)
+        # every point's step and spectrum before the first run checks every value
+        etas = [stable_eta(ds, g, v) if eta_flag is None else float(eta_flag) for v in values]
+        docs = [_dgd_doc(ds, g, eta, v) for eta, v in zip(etas, values)]
+        for i, (v, eta, dgd) in enumerate(zip(values, etas, docs)):
             trace = run_dgd(ds, g, eta, v, max_iters=iters, stop_tol=stop_tol, W0=W0)
             fit, _ = _band_check(dgd, trace)
             columns = {c: getattr(trace, c) for c in _DGD_COLUMNS}
@@ -644,7 +643,9 @@ def _cmd_sweep(res: _Resolver) -> int:
             rows.append([v, eta, eta * v, dgd.get("sigma_min"), dgd.get("sigma_max"),
                          dgd["rate_lower"], dgd.get("rate_spectral"), dgd.get("stable"),
                          math.sqrt(fit.rate) if fit else None, dgd["band_check"], trace.status])
+        _write(out, "graph.json", graph_to_json(g) + "\n", files)
 
+    _write(out, "dataset.json", dataset_to_json(ds) + "\n", files)
     columns = {name: [row[i] for row in rows] for i, name in enumerate(header)}
     _write(out, "sweep.csv", csv_text(columns), files)
     doc = {

@@ -178,7 +178,6 @@ class ConsensusMetrics:
     mean_err_sq_range: np.ndarray  # (K,) node mean of the range-projected squared error
     edge_spread: np.ndarray  # (K,) largest parameter difference across an edge
     global_spread: np.ndarray  # (K,) largest parameter difference between any two nodes
-    node_err_sq: np.ndarray  # (K, n) range-projected squared error per node
     residual_sq: np.ndarray  # (K,) sum of squared per-node residuals x_i . w_i - y_i
     edge_diff_sq: np.ndarray  # (K,) sum of squared edge differences, v^T (L kron I) v
 
@@ -195,7 +194,7 @@ def _global_spread(S: np.ndarray) -> np.ndarray:
 def consensus_metrics(S: np.ndarray, ds: Dataset, B: np.ndarray) -> ConsensusMetrics:
     """Metrics of a stack S of K states (K x n x d; one n x d state is the
     K = 1 case): mean range-projected error, max edge/global parameter
-    spread, per-node errors, and the two terms of the penalized loss.
+    spread, and the two terms of the penalized loss.
 
     B is the graph's incidence matrix, built once per run by the caller.
     Each state's values are bitwise those of the same state evaluated alone:
@@ -214,7 +213,6 @@ def consensus_metrics(S: np.ndarray, ds: Dataset, B: np.ndarray) -> ConsensusMet
         mean_err_sq_range=node_err.mean(axis=1),
         edge_spread=np.linalg.norm(diffs, axis=2).max(axis=1, initial=0.0),
         global_spread=_global_spread(S),
-        node_err_sq=node_err,
         residual_sq=(resid[:, None, :] @ resid[:, :, None])[:, 0, 0],
         edge_diff_sq=np.sum(diffs * diffs, axis=(1, 2)),
     )
@@ -302,14 +300,11 @@ class OperatorSpectrum:
 
     The exact null space is consensus states whose common component lies in
     null(H); sigma_min/sigma_max are taken off it.  rate_spectral is the
-    spectral radius of I - Q there, rate_lower = 1 - eta lambda_min_nz(H) is
-    the one-sided bound (a consensus test vector shows
-    sigma_min <= eta lambda_min_nz(H)), and `stable` requires sigma_max < 2.
+    spectral radius of I - Q there, and `stable` requires sigma_max < 2.
     """
 
     sigma_min: float
     sigma_max: float
-    rate_lower: float
     rate_spectral: float
     stable: bool
 
@@ -330,8 +325,7 @@ def dgd_operator_spectrum(ds: Dataset, g: CommGraph, eta: float, mu: float) -> O
     for i in range(n):
         Q[i * d:(i + 1) * d, i * d:(i + 1) * d] += eta * np.outer(ds.X[i], ds.X[i])
     evals = np.linalg.eigvalsh(Q)
-    ss = ds.spectral
-    null_dim = d - ss.rank
+    null_dim = d - ds.spectral.rank
     nonnull = evals[null_dim:]
     sigma_max = float(evals[-1])
     sigma_min = float(nonnull[0])
@@ -341,7 +335,6 @@ def dgd_operator_spectrum(ds: Dataset, g: CommGraph, eta: float, mu: float) -> O
     return OperatorSpectrum(
         sigma_min=sigma_min,
         sigma_max=sigma_max,
-        rate_lower=1.0 - eta * ss.lambda_min_nz,
         rate_spectral=rate_spectral,
         stable=sigma_max < 2.0,
     )

@@ -17,10 +17,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .io import atomic_write_text, dumps
+from .io import dumps
 
 ROW_NORM_TOL = 1e-12
-DEFAULT_RANK_TOL = 1e-10
+_RANK_TOL = 1e-10
 
 
 class DegenerateHessianError(ValueError):
@@ -41,16 +41,14 @@ def row_inner(A: np.ndarray, w: np.ndarray) -> np.ndarray:
 class Dataset:
     """Linear samples with a planted exactly-interpolating parameter.
 
-    X is n x d with rows x_i, y_i = x_i . w_star at generation time, and
-    `normalized` records that every row has unit Euclidean norm.  Instances
-    are immutable and safe to share across workers; `spectral` is therefore
-    computed on first use and cached.
+    X is n x d with rows x_i and y_i = x_i . w_star at generation time.
+    Instances are immutable and safe to share across workers; `spectral` and
+    `normalized` are therefore measured from X on first use and cached.
     """
 
     X: np.ndarray
     y: np.ndarray
     w_star: np.ndarray
-    normalized: bool
     kind: str
     seed: int
 
@@ -75,12 +73,17 @@ class Dataset:
         """Spectrum and range basis of H = (1/n) X^T X (one eigensolve per dataset)."""
         return spectral_summary(hessian(self))
 
+    @cached_property
+    def normalized(self) -> bool:
+        """Every squared row norm lies within ROW_NORM_TOL of 1."""
+        return bool(np.max(np.abs(self.row_norms_sq() - 1.0)) <= ROW_NORM_TOL)
 
-def _plant(X: np.ndarray, rng: np.random.Generator, normalized: bool, kind: str, seed: int) -> Dataset:
+
+def _plant(X: np.ndarray, rng: np.random.Generator, kind: str, seed: int) -> Dataset:
     d = X.shape[1]
     w_star = rng.standard_normal(d)
     y = row_inner(X, w_star)
-    return Dataset(X=X, y=y, w_star=w_star, normalized=normalized, kind=kind, seed=seed)
+    return Dataset(X=X, y=y, w_star=w_star, kind=kind, seed=seed)
 
 
 def gen_dataset(n: int, d: int, kind: str, *, rho: float = 0.0,
@@ -125,8 +128,7 @@ def gen_dataset(n: int, d: int, kind: str, *, rho: float = 0.0,
         raise ValueError(f"unknown dataset kind: {kind!r}")
     if normalize:
         X = X / np.linalg.norm(X, axis=1, keepdims=True)
-    normalized = normalize or kind == "orthonormal"
-    return _plant(X, rng, normalized, kind_label, seed)
+    return _plant(X, rng, kind_label, seed)
 
 
 def dataset_from_rows(X: np.ndarray, *, seed: int = 0, kind: str = "custom",
@@ -137,10 +139,7 @@ def dataset_from_rows(X: np.ndarray, *, seed: int = 0, kind: str = "custom",
         raise ValueError(f"invalid dimension: X shape {X.shape}")
     if normalize:
         X = X / np.linalg.norm(X, axis=1, keepdims=True)
-    norms = np.sum(X * X, axis=1)
-    normalized = bool(np.max(np.abs(norms - 1.0)) <= ROW_NORM_TOL)
-    rng = np.random.default_rng(seed)
-    return _plant(X, rng, normalized, kind, seed)
+    return _plant(X, np.random.default_rng(seed), kind, seed)
 
 
 def hessian(ds: Dataset) -> np.ndarray:
@@ -181,8 +180,8 @@ class SpectralSummary:
         return v @ self.basis
 
 
-def spectral_summary(H: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> SpectralSummary:
-    """Full symmetric eigensolve of H with a relative rank cut at tol * lambda_max."""
+def spectral_summary(H: np.ndarray) -> SpectralSummary:
+    """Full symmetric eigensolve of H with a relative rank cut at _RANK_TOL * lambda_max."""
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"H must be square, got shape {H.shape}")
@@ -193,7 +192,7 @@ def spectral_summary(H: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> SpectralSu
     lambda_max = float(evals[0])
     if lambda_max <= 0.0:
         raise DegenerateHessianError("curvature operator has no positive eigenvalue")
-    cut = tol * lambda_max
+    cut = _RANK_TOL * lambda_max
     rank = int(np.count_nonzero(evals > cut))
     lambda_min_nz = float(evals[rank - 1])
     trace = float(np.trace(H))
@@ -205,7 +204,7 @@ def spectral_summary(H: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> SpectralSu
         trace=trace,
         condition_number=lambda_max / lambda_min_nz,
         m_star=trace / lambda_max,
-        tol=tol,
+        tol=_RANK_TOL,
         basis=vecs[:, ::-1][:, :rank].copy(),
     )
 
@@ -233,14 +232,9 @@ def dataset_from_json(text: str) -> Dataset:
         X=X,
         y=np.array(doc["y"], dtype=float),
         w_star=np.array(doc["w_star"], dtype=float),
-        normalized=bool(doc["normalized"]),
         kind=str(doc["kind"]),
         seed=int(doc["seed"]),
     )
-
-
-def save_dataset(ds: Dataset, path: str) -> None:
-    atomic_write_text(path, dataset_to_json(ds) + "\n")
 
 
 def load_dataset(path: str) -> Dataset:

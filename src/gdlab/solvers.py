@@ -26,6 +26,8 @@ import numpy as np
 from .problem import Dataset
 
 DIVERGENCE_FACTOR = 1e12
+_FIT_START = 5
+_FIT_FLOOR_REL = 1e-12
 
 SAMPLER_FULL = "full"
 SAMPLER_BERNOULLI = "bernoulli"
@@ -377,24 +379,21 @@ def run_ensemble(ds: Dataset, cfg: SolverConfig, runs: int, seed: int) -> Ensemb
     return EnsembleResult(mean_curve=mean, traces=traces, rel_se=rel_se)
 
 
-def default_fit_window(curve, start: int = 5, floor_rel: float = 1e-12,
-                       stop: int | None = None) -> tuple[int, int]:
+def default_fit_window(curve, stop: int | None = None) -> tuple[int, int]:
     """Fit window for rate estimation: skip the transient, stop pre-underflow.
 
-    Returns (start, end) with end at the first point below floor_rel times
-    the initial value (eigen-mixture transients and the floating-point floor
-    both bias slope fits).
+    Returns (start, end) with start at _FIT_START and end at the first point
+    below _FIT_FLOOR_REL times the initial value (eigen-mixture transients
+    and the floating-point floor both bias slope fits).
     """
     c = np.asarray(curve, dtype=float)
     if len(c) == 0 or c[0] <= 0:
         raise ValueError("curve must start positive")
-    floor = floor_rel * c[0]
-    below = np.nonzero(c < floor)[0]
+    below = np.nonzero(c < _FIT_FLOOR_REL * c[0])[0]
     end = int(below[0]) if len(below) else len(c)
     if stop is not None:
         end = min(end, stop)
-    start = min(start, max(end - 3, 0))
-    return start, end
+    return min(_FIT_START, max(end - 3, 0)), end
 
 
 def estimate_rate(curve, window: tuple[int, int] | None = None) -> RateFit:

@@ -2,8 +2,8 @@
 
 The sampling scheme picks each sample independently with probability m/n per
 iteration, so batch sizes are Binomial with mean m.  For that scheme the
-expected squared-update operator E[M^T M] has an exact closed form, and the
-per-eigenvalue contraction
+expected squared-update operator E[M^T M] has one exact closed form for any
+rows, and on unit-norm rows its per-eigenvalue contraction
 
     g(m, eta, lam) = (1 - eta*lam)^2 + (eta^2 * lam / m) * (1 - m/n)
 
@@ -18,15 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ROW_NORM_TOL, Dataset, hessian
+from .problem import Dataset, hessian
 
-ORTHOGONALITY_TOL = 1e-10
 _MC_CHUNK = 20_000
-
-
-class NoClosedFormError(ValueError):
-    """Rows are neither unit-norm nor mutually orthogonal; use mc_expected_mm."""
-
+_TIE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class RatePrediction:
@@ -62,30 +57,19 @@ def _validate_eta_m(eta: float, m: float, n: int) -> None:
 
 
 def expected_mm(ds: Dataset, eta: float, m: float) -> np.ndarray:
-    """Exact E[M^T M] for one Bernoulli-minibatch step.
+    """Exact E[M^T M] for one Bernoulli-minibatch step, for any rows:
 
-    Unit-norm rows:          (I - eta H)^2 + (eta^2 / m)(1 - m/n) H
-    Orthogonal rows:         I - 2 eta H + (n/m) eta^2 H^2
-    The two agree when rows are both unit-norm and orthogonal; anything else
-    has no closed form here and raises NoClosedFormError.
+        (I - eta H)^2 + (eta^2 / (m n))(1 - m/n) sum_i |x_i|^2 x_i x_i^T
+
+    The sum is n H for unit-norm rows and n^2 H^2 for orthogonal rows.  The
+    result is symmetrized bitwise, as hessian() is.
     """
     _validate_eta_m(eta, m, ds.n)
-    n, d = ds.n, ds.d
-    H = hessian(ds)
-    eye = np.eye(d)
-    norms_sq = ds.row_norms_sq()
-    if np.max(np.abs(norms_sq - 1.0)) <= ROW_NORM_TOL:
-        A = eye - eta * H
-        return A @ A + (eta * eta / m) * (1.0 - m / n) * H
-    unit_rows = ds.X / np.sqrt(norms_sq)[:, None]
-    gram = unit_rows @ unit_rows.T
-    off = gram - np.diag(np.diag(gram))
-    if np.max(np.abs(off)) <= ORTHOGONALITY_TOL:
-        return eye - 2.0 * eta * H + (n / m) * eta * eta * (H @ H)
-    raise NoClosedFormError(
-        "rows are neither unit-norm nor mutually orthogonal; "
-        "estimate E[M^T M] with mc_expected_mm instead"
-    )
+    n = ds.n
+    A = np.eye(ds.d) - eta * hessian(ds)
+    weighted = (ds.X.T * ds.row_norms_sq()) @ ds.X
+    E = A @ A + (eta * eta / (m * n)) * (1.0 - m / n) * weighted
+    return (E + E.T) / 2.0
 
 
 def mc_expected_mm(ds: Dataset, eta: float, m: float, samples: int,
@@ -135,8 +119,7 @@ def g_eigen(m: float, n: int, eta: float, lam):
     return float(val) if val.ndim == 0 else val
 
 
-def optimal_rate(m: float, n: int, lambda1: float, lambdan: float,
-                 tol: float = 1e-9) -> RatePrediction:
+def optimal_rate(m: float, n: int, lambda1: float, lambdan: float) -> RatePrediction:
     """Minimize max(g at lambda1, g at lambdan) over the learning rate.
 
     With q = 1/m - 1/n, the minimax sits at the intersection of the two
@@ -150,7 +133,7 @@ def optimal_rate(m: float, n: int, lambda1: float, lambdan: float,
 
         eta* = 1 / (lambdan + q),   g* = q / (lambdan + q).
 
-    Both formulas coincide on the boundary; `tol` only breaks near-ties in
+    Both formulas coincide on the boundary; _TIE_TOL only breaks near-ties in
     favor of the intersection branch.  At m = n (q = 0) the intersection
     reduces to the deterministic-GD value ((lambda1-lambdan)/(lambda1+lambdan))^2.
     """
@@ -163,9 +146,7 @@ def optimal_rate(m: float, n: int, lambda1: float, lambdan: float,
     if m > n:
         raise ValueError(f"mean batch size cannot exceed n: m={m}, n={n}")
     q = 1.0 / m - 1.0 / n
-    if q < 0.0:
-        q = 0.0
-    if (lambda1 - lambdan) + tol * lambda1 >= q:
+    if (lambda1 - lambdan) + _TIE_TOL * lambda1 >= q:
         denom = lambda1 + lambdan + q
         eta_opt = 2.0 / denom
         g_opt = 1.0 - 4.0 * lambda1 * lambdan / (denom * denom)

@@ -1,6 +1,7 @@
 """Tests for the command-line experiment runner."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -40,6 +41,18 @@ class TestTheoryCommand:
         assert rc == 0
         s = read_summary(out)
         assert s["theory"]["g_opt"] == pytest.approx(0.75, abs=1e-9)
+
+    def test_orthogonal_bound_uses_row_norms(self, tmp_path):
+        # cond4x16's squared row norms are not equal, so c < 1 in 1 - c m/n;
+        # with only a spectrum given the rows are taken as unit-norm
+        out = str(tmp_path / "preset")
+        assert main(["theory", "--preset", "cond4x16", "--m", "4", "--out", out]) == 0
+        assert read_summary(out)["theory"]["g_orthogonal_bound"] == \
+            pytest.approx(0.7878285779187415, rel=1e-14)
+        out = str(tmp_path / "spectrum")
+        assert main(["theory", "--n", "16", "--lambda1", "1", "--lambdan", "0.25",
+                     "--m", "4", "--out", out]) == 0
+        assert read_summary(out)["theory"]["g_orthogonal_bound"] == 0.75
 
 
 class TestGenCommand:
@@ -137,6 +150,41 @@ class TestRunCommand:
         assert len(edges) == 16
         assert loss0 == pytest.approx(expected, rel=1e-12)
 
+    def test_input_files_reproduce_the_run(self, tmp_path):
+        # a command's own dataset.json and graph.json, passed back as
+        # --dataset/--graph, give the same inputs and the same traces
+        def same(a, b, names):
+            for name in names:
+                with open(os.path.join(a, name), "rb") as fa, \
+                     open(os.path.join(b, name), "rb") as fb:
+                    assert fa.read() == fb.read(), name
+
+        first, again = str(tmp_path / "dgd"), str(tmp_path / "dgd_again")
+        opts = ["--iters", "300", "--stop-tol", "0", "--w0-seed", "5", "--mu", "1"]
+        rc = main(["run", "dgd", "--preset", "gaussian8", "--graph-kind", "ring", *opts,
+                   "--out", first])
+        dataset = os.path.join(first, "dataset.json")
+        assert main(["run", "dgd", "--dataset", dataset,
+                     "--graph", os.path.join(first, "graph.json"), *opts,
+                     "--out", again]) == rc
+        same(first, again, ["dataset.json", "graph.json", "trace.csv"])
+        first, again = str(tmp_path / "sgd"), str(tmp_path / "sgd_again")
+        opts = ["--m", "2", "--runs", "3", "--iters", "20", "--seed", "4"]
+        assert main(["run", "sgd", "--preset", "gaussian8", *opts, "--out", first]) == 0
+        assert main(["run", "sgd", "--dataset", dataset, *opts, "--out", again]) == 0
+        same(first, again, ["dataset.json", "run_000.csv", "run_002.csv", "mean.csv"])
+
+    def test_sgd_cost_block_with_epsilon(self, tmp_path):
+        # orthonormal32 at m = 8: g* = 0.75 and c = 1
+        out = str(tmp_path)
+        assert main(["run", "sgd", "--preset", "orthonormal32", "--m", "8", "--runs", "5",
+                     "--iters", "10", "--epsilon", "0.01", "--out", out]) == 0
+        cost = read_summary(out)["cost"]
+        t_eps = math.log(100) / math.log(1 / 0.75)
+        assert cost["t_eps"] == pytest.approx(t_eps, rel=1e-12)
+        assert cost["total_cost"] == pytest.approx(8 * 32 * t_eps, rel=1e-12)
+        assert cost["cost_scaling"] == pytest.approx(8 / math.log(32 / 24), rel=1e-12)
+
     def test_json_trace_format(self, tmp_path):
         out = str(tmp_path)
         rc = main(["run", "gd", "--preset", "gaussian8", "--iters", "10",
@@ -182,6 +230,14 @@ class TestSweepCommand:
         assert all(r["stable"] for r in s["rows"])
         assert os.path.exists(os.path.join(out, "trace_000.csv"))
         assert os.path.exists(os.path.join(out, "trace_001.csv"))
+
+    def test_sweep_m_with_measurement(self, tmp_path):
+        out = str(tmp_path)
+        assert main(["sweep", "m", "--preset", "orthonormal32", "--runs", "20",
+                     "--values", "8", "--out", out]) == 0
+        (row,) = read_summary(out)["rows"]
+        assert row["status"] == "max-iters"
+        assert abs(row["g_hat_measured"] - 0.75) <= 0.05
 
     def test_values_required_without_preset_defaults(self, tmp_path):
         rc = main(["sweep", "m", "--n", "4", "--d", "4", "--kind", "gaussian",
@@ -272,6 +328,31 @@ class TestChecksAndStatuses:
         dgd = read_summary(out)["dgd"]
         assert dgd["rate_lower"] == 1.0
         assert dgd["band_check"] == "fail"
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "dgd", "--mu", "2"],
+        ["sweep", "mu", "--values", "2"],
+    ])
+    def test_diverging_dgd_exits_2(self, tmp_path, argv):
+        out = str(tmp_path)
+        assert main([*argv, "--preset", "gaussian8", "--graph-kind", "ring", "--eta", "0.3",
+                     "--iters", "500", "--out", out]) == 2
+        s = read_summary(out)
+        status = s["empirical"]["status"] if argv[0] == "run" else s["rows"][0]["status"]
+        assert status == "diverged"
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "mu", "--preset", "gaussian8", "--graph-kind", "ring", "--values", "1,-1",
+         "--iters", "50"],
+        ["sweep", "m", "--preset", "orthonormal32", "--runs", "0", "--values", "4,0"],
+        ["sweep", "m", "--preset", "orthonormal32", "--runs", "0", "--values", "4,40"],
+        ["sweep", "eta", "--preset", "gaussian8", "--runs", "5", "--values", "0.5,-1"],
+        ["theory", "--preset", "orthonormal32", "--m", "40"],
+    ])
+    def test_invalid_value_writes_nothing(self, tmp_path, argv):
+        # every value is checked before the first file is written
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+        assert os.listdir(str(tmp_path)) == []
 
     def test_sweep_status_column(self, tmp_path):
         out = str(tmp_path)

@@ -33,7 +33,7 @@ from gdlab.solvers import _BLOCK, default_fit_window, estimate_rate
 def two_unit_nodes():
     """Two scalar samples x = 1 with labels 0; the fit point is w = 0."""
     return Dataset(X=np.array([[1.0], [1.0]]), y=np.zeros(2), w_star=np.zeros(1),
-                   normalized=True, kind="custom", seed=0)
+                   kind="custom", seed=0)
 
 
 def dense_round_operator(ds, g, eta, mu):
@@ -296,7 +296,6 @@ class TestOperatorSpectrum:
         assert sp.sigma_min == pytest.approx(0.5, abs=1e-12)
         assert sp.sigma_max == pytest.approx(1.0, abs=1e-12)
         assert sp.rate_spectral == pytest.approx(0.5, abs=1e-12)
-        assert sp.rate_lower == pytest.approx(0.5, abs=1e-12)
         assert sp.stable
 
     def test_zero_coupling_reports_zero_sigma_min(self):

@@ -14,7 +14,6 @@ from gdlab.problem import (
     gen_dataset,
     hessian,
     load_dataset,
-    save_dataset,
     spectral_summary,
 )
 
@@ -221,9 +220,19 @@ class TestSerialization:
         assert set(doc) == {"n", "d", "normalized", "seed", "kind", "X", "y", "w_star"}
         assert doc["n"] == 2 and doc["d"] == 3
 
+    def test_normalized_is_measured_not_read(self):
+        # a document's claim is ignored; the written key states the measurement
+        ds = gen_dataset(3, 4, "gaussian", seed=6)
+        claim = json.loads(dataset_to_json(ds))
+        claim["normalized"] = True
+        back = dataset_from_json(json.dumps(claim))
+        assert not back.normalized
+        assert json.loads(dataset_to_json(back))["normalized"] is False
+
     def test_file_round_trip(self, tmp_path):
         ds = gen_dataset(4, 4, "orthonormal", seed=12)
         path = str(tmp_path / "ds.json")
-        save_dataset(ds, path)
+        with open(path, "w") as fh:
+            fh.write(dataset_to_json(ds) + "\n")
         back = load_dataset(path)
         assert np.array_equal(back.X, ds.X)

@@ -32,8 +32,7 @@ from gdlab.theory import optimal_rate
 def planted_1d(x, w_star):
     X = np.array([[float(x)]])
     return Dataset(X=X, y=np.array([float(x * w_star)]),
-                   w_star=np.array([float(w_star)]), normalized=abs(x) == 1.0,
-                   kind="custom", seed=0)
+                   w_star=np.array([float(w_star)]), kind="custom", seed=0)
 
 
 class TestRunGd:
@@ -441,7 +440,7 @@ class TestEstimateRate:
 
     def test_default_window_skips_transient_and_floor(self):
         curve = [1.0] + [0.5 ** t for t in range(1, 30)] + [1e-300] * 5
-        start, end = default_fit_window(curve, start=5)
+        start, end = default_fit_window(curve)
         assert start == 5
         assert end <= 30
         seg = np.asarray(curve[start:end])

@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gdlab.presets import build_dataset
 from gdlab.problem import dataset_from_rows, gen_dataset, hessian
 from gdlab.theory import (
-    NoClosedFormError,
     cost_model,
     expected_mm,
     g_eigen,
@@ -51,21 +51,38 @@ class TestExpectedMM:
         est, se = mc_expected_mm(ds, 0.5, 2.0, 100_000, seed=17)
         assert np.all(np.abs(E - est) <= 3.0 * se + 1e-12)
 
+    @pytest.mark.parametrize("preset", ["orthonormal32", "gaussian8"])
+    def test_unit_norm_rows_give_the_form_in_h(self, preset):
+        # sum_i |x_i|^2 x_i x_i^T = n H when every row is unit-norm
+        ds = build_dataset(preset)
+        H = hessian(ds)
+        for eta, m in [(0.5, 1.0), (2.0, 4.0), (1.0, float(ds.n))]:
+            A = np.eye(ds.d) - eta * H
+            unit_form = A @ A + (eta * eta / m) * (1 - m / ds.n) * H
+            assert np.max(np.abs(expected_mm(ds, eta, m) - unit_form)) <= 1e-14
+
     def test_orthogonal_unnormalized_branch(self):
-        # orthogonal rows with unequal norms use the variance form in H^2
+        # sum_i |x_i|^2 x_i x_i^T = n^2 H^2 for orthogonal rows of unequal norms
         rows = np.diag([2.0, 1.0, 0.5])
         ds = dataset_from_rows(rows, seed=3)
         E = expected_mm(ds, 0.3, 1.5)
         H = hessian(ds)
         expected = np.eye(3) - 2 * 0.3 * H + (3 / 1.5) * 0.09 * (H @ H)
-        assert np.allclose(E, expected, atol=1e-14)
+        assert np.max(np.abs(E - expected)) <= 1e-14
         est, se = mc_expected_mm(ds, 0.3, 1.5, 100_000, seed=5)
         assert np.all(np.abs(E - est) <= 3.0 * se + 1e-12)
 
-    def test_no_closed_form_raises(self):
-        ds = gen_dataset(6, 6, "gaussian", seed=9)  # unnormalized, non-orthogonal
-        with pytest.raises(NoClosedFormError):
-            expected_mm(ds, 0.5, 2.0)
+    @pytest.mark.parametrize("name", ["gaussian6x6", "cond4x16"])
+    def test_general_rows_match_monte_carlo(self, name):
+        # rows neither unit-norm nor orthogonal
+        if name == "cond4x16":
+            ds, eta, m = build_dataset(name), 0.5, 4.0
+        else:
+            ds, eta, m = gen_dataset(6, 6, "gaussian", seed=9), 0.5, 2.0
+        assert not ds.normalized
+        E = expected_mm(ds, eta, m)
+        est, se = mc_expected_mm(ds, eta, m, 100_000, seed=31)
+        assert lambda_max_close(E, est, se)
 
     def test_parameter_validation(self):
         ds = gen_dataset(4, 4, "orthonormal", seed=1)
