@@ -1,21 +1,31 @@
 """Command-line experiment runner.
 
-Subcommands
-    gen       generate a dataset and its spectral summary
-    theory    closed-form rate/cost predictions for a batch size
-    run       gd | sgd | dgd experiment with trace files and a summary
-    sweep     m | eta | mu one row per parameter value, predicted vs measured
-    spectrum  dense round-operator spectrum for a distributed configuration
+Commands and the options each reads, besides --config, --preset, --out and
+--seed; D stands for --dataset --n --d --kind --rho --normalize --data-seed
+and G for --graph --graph-kind --graph-rows --graph-cols --graph-k
+--graph-p --graph-seed:
+    gen        D: a dataset and its spectral summary
+    theory     D --m --lambda1 --lambdan --epsilon: closed-form rate and cost
+    run gd     D --eta --runs --iters --stop-tol --w0-seed --epsilon --format
+    run sgd    the run gd options, --m --sampler
+    run dgd    D G --eta --mu --iters --stop-tol --w0-seed --format
+    sweep m    D --values --runs --iters --stop-tol --epsilon: a row per value
+    sweep eta  the sweep m options, --m
+    sweep mu   D G --values --eta --iters --stop-tol --w0-seed --format
+    spectrum   D G --eta --mu: dense round-operator spectrum of run dgd
+Any other option, or an abbreviated one, is a validation failure.
 
 All outputs land in --out: dataset.json / graph.json inputs, one CSV per run
 plus mean.csv for ensembles, and summary.json embedding the fully resolved
 configuration (every seed explicit).  Identical configuration and master seed
 reproduce byte-identical files.  Numeric output carries 17 significant digits.
 
-A JSON config file (--config) supplies any long-option value by name; values
-given on the command line win.  Exit status: 0 success, 1 validation failure,
-which writes no file (or a failed band check of run dgd or sweep mu, after
-every file is written), 2 diverged runs.
+A JSON config file (--config) supplies option values keyed by the long name
+with _ for - (stop_tol, w0_seed, format); a key that is not an option of the
+command is a validation failure, and values given on the command line win.
+Exit status: 0 success, 1 validation failure, which writes no file (or a
+failed band check of run dgd or sweep mu, after every file is written),
+2 diverged runs.
 
 Penalty convention for dgd, shared with gdlab.distributed, which takes --mu
 unchanged: mu weighs the penalty in sum_i (x_i . w_i - y_i)^2 + mu sum_<i,j>
@@ -56,7 +66,8 @@ from .solvers import (
     estimate_rate,
     run_ensemble,
 )
-from .theory import cost_model, g_eigen, gm_am_factor, optimal_rate, orthogonal_rate
+from .theory import (_validate_eta_m, cost_model, g_eigen, gm_am_factor, optimal_rate,
+                     orthogonal_rate)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -77,96 +88,10 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON file supplying option values by name")
-    p.add_argument("--preset", help="named preset: " + ", ".join(presets_mod.preset_names()))
-    p.add_argument("--out", help="output directory (default .)")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
-    p.add_argument("--format", choices=["csv", "json"], dest="fmt", help="trace file format")
-
-
-def _add_dataset_opts(p):
-    p.add_argument("--dataset", help="path to a dataset JSON file")
-    p.add_argument("--n", type=int, help="sample count")
-    p.add_argument("--d", type=int, help="parameter dimension")
-    p.add_argument("--kind", choices=["orthonormal", "gaussian", "spiked"], help="dataset kind")
-    p.add_argument("--rho", type=float, help="spiked correlation in [0,1)")
-    p.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=None,
-                   help="rescale rows to unit norm")
-    p.add_argument("--data-seed", type=int, help="dataset generation seed (default: master seed)")
-
-
-def _add_graph_opts(p):
-    p.add_argument("--graph", help="path to a graph JSON file")
-    p.add_argument("--graph-kind",
-                   choices=["complete", "ring", "path", "grid", "k_ring", "erdos_renyi"])
-    p.add_argument("--graph-rows", type=int)
-    p.add_argument("--graph-cols", type=int)
-    p.add_argument("--graph-k", type=int)
-    p.add_argument("--graph-p", type=float)
-    p.add_argument("--graph-seed", type=int)
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="gdlab", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a dataset")
-    _add_common(p)
-    _add_dataset_opts(p)
-
-    p = sub.add_parser("theory", help="closed-form predictions")
-    _add_common(p)
-    _add_dataset_opts(p)
-    p.add_argument("--m", type=float, help="mean batch size (default n)")
-    p.add_argument("--lambda1", type=float, help="largest nonzero eigenvalue")
-    p.add_argument("--lambdan", type=float, help="smallest nonzero eigenvalue")
-    p.add_argument("--epsilon", type=float, help="target relative error for the cost model")
-
-    p = sub.add_parser("run", help="run a solver experiment")
-    p.add_argument("solver", choices=["gd", "sgd", "dgd"])
-    _add_common(p)
-    _add_dataset_opts(p)
-    _add_graph_opts(p)
-    p.add_argument("--eta", type=float, help="learning rate (default: optimal/stable)")
-    p.add_argument("--m", type=float, help="mean batch size (sgd)")
-    p.add_argument("--sampler", choices=["bernoulli", "fixed"], help="sgd sampler")
-    p.add_argument("--runs", type=int, help="ensemble size (gd/sgd)")
-    p.add_argument("--iters", type=int, help="iteration cap")
-    p.add_argument("--stop-tol", type=float, help="relative stopping tolerance (0 = never)")
-    p.add_argument("--mu", type=float, help="consensus penalty weight (dgd)")
-    p.add_argument("--w0-seed", type=int, help="seed for a random initial state (default: zeros)")
-    p.add_argument("--epsilon", type=float, help="target relative error for the cost model")
-
-    p = sub.add_parser("sweep", help="sweep one parameter")
-    p.add_argument("param", choices=["m", "eta", "mu"])
-    _add_common(p)
-    _add_dataset_opts(p)
-    _add_graph_opts(p)
-    p.add_argument("--values", help="comma-separated parameter values")
-    p.add_argument("--eta", type=float, help="learning rate (eta/mu sweeps)")
-    p.add_argument("--m", type=float, help="mean batch size (eta sweep)")
-    p.add_argument("--runs", type=int, help="measured ensemble size per point (0 = predictions only)")
-    p.add_argument("--iters", type=int)
-    p.add_argument("--stop-tol", type=float)
-    p.add_argument("--w0-seed", type=int)
-    p.add_argument("--epsilon", type=float)
-
-    p = sub.add_parser("spectrum", help="distributed round-operator spectrum")
-    _add_common(p)
-    _add_dataset_opts(p)
-    _add_graph_opts(p)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--w0-seed", type=int)
-
-    return parser
-
-
 # ---------------------------------------------------------------- resolution
 
-def _load_config_file(path):
+def _load_config_file(path, options, variant):
+    """The config file's JSON object; each key must name an option of the variant."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -174,27 +99,30 @@ def _load_config_file(path):
         raise CliError(f"unreadable config file {path}: {exc}")
     if not isinstance(doc, dict):
         raise CliError(f"config file {path} must hold a JSON object")
+    for key in doc:
+        if key == "config" or key not in options:
+            raise CliError(f"config file {path}: {key!r} is not an option of {variant}; "
+                           "keys are long option names with _ for -")
     return doc
 
 
 class _Resolver:
     """Precedence: command line > config file > preset > hard default."""
 
-    def __init__(self, args):
+    def __init__(self, args, options):
         self.args = args
-        self.file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
+        self.file_cfg = (_load_config_file(args.config, options, " ".join(args.variant))
+                         if args.config else {})
         preset_name = self._raw("preset")
         self.preset = presets_mod.get_preset(preset_name) if preset_name else {}
         self.preset_name = preset_name
         self.resolved: dict = {"command": args.command}
-        if getattr(args, "solver", None):
-            self.resolved["solver"] = args.solver
-        if getattr(args, "param", None):
-            self.resolved["param"] = args.param
+        if args.command in _GROUPS:  # run and sweep also record their solver or param
+            self.resolved[_GROUPS[args.command][0]] = args.variant[1]
         self.resolved["preset"] = preset_name
 
     def _raw(self, key, default=None):
-        v = getattr(self.args, key, None)
+        v = getattr(self.args, key)  # only the variant's own options are read
         if v is None:
             v = self.file_cfg.get(key)
         return default if v is None else v
@@ -225,10 +153,8 @@ class _Resolver:
                 seed = self.get("seed", 0, record=False)
             ds = gen_dataset(int(n), int(d), kind, rho=self.get("rho", 0.0),
                              normalize=bool(self.get("normalize", False)), seed=int(seed))
-        self.resolved["dataset_spec"] = {
-            "n": ds.n, "d": ds.d, "kind": ds.kind, "normalized": ds.normalized,
-            "seed": ds.seed,
-        }
+        self.resolved["dataset_spec"] = {"n": ds.n, "d": ds.d, "kind": ds.kind,
+                                         "normalized": ds.normalized, "seed": ds.seed}
         return ds
 
     def graph(self, ds):
@@ -237,15 +163,9 @@ class _Resolver:
         if path:
             g = load_graph(path)
         elif self.get("graph_kind", record=False):
-            g = make_graph(
-                self.get("graph_kind"),
-                ds.n,
-                seed=int(self.get("graph_seed", 0) or 0),
-                rows=self.get("graph_rows"),
-                cols=self.get("graph_cols"),
-                k=self.get("graph_k"),
-                p=self.get("graph_p"),
-            )
+            g = make_graph(self.get("graph_kind"), ds.n, seed=int(self.get("graph_seed", 0) or 0),
+                           rows=self.get("graph_rows"), cols=self.get("graph_cols"),
+                           k=self.get("graph_k"), p=self.get("graph_p"))
         elif self.preset_name and self.preset.get("graph"):
             g = presets_mod.build_graph(self.preset_name)
         else:
@@ -328,6 +248,19 @@ def _cmd_gen(res: _Resolver) -> int:
     return EXIT_OK
 
 
+def _predictions(res, pred, n, d, x_min_sq, x_max_sq):
+    """summary.json's theory block for pred, and its cost block, None without
+    --epsilon or when g* does not contract."""
+    theory = {"m": pred.m, "eta_opt": pred.eta_opt, "g_opt": pred.g_opt, "branch": pred.branch,
+              "g_orthogonal_bound": orthogonal_rate(pred.m, n, x_min_sq, x_max_sq)}
+    epsilon = res.get("epsilon")
+    if epsilon is None or not 0 < pred.g_opt < 1:
+        return theory, None
+    cm = cost_model(pred.m, n, d, float(epsilon), pred.g_opt, gm_am_factor(x_min_sq, x_max_sq))
+    return theory, {"epsilon": cm.epsilon, "t_eps": cm.t_eps, "total_cost": cm.total_cost,
+                    "cost_scaling": cm.cost_scaling}
+
+
 def _cmd_theory(res: _Resolver) -> int:
     out = _outdir(res)
     files: list[str] = []
@@ -347,18 +280,10 @@ def _cmd_theory(res: _Resolver) -> int:
     n = int(n)
     m = float(res.get("m", n))
     pred = optimal_rate(m, n, float(lambda1), float(lambdan))
-    doc = {
-        "command": "theory",
-        "config": res.resolved,
-        "theory": {"m": pred.m, "eta_opt": pred.eta_opt, "g_opt": pred.g_opt, "branch": pred.branch,
-                   "g_orthogonal_bound": orthogonal_rate(m, n, x_min_sq, x_max_sq)},
-    }
-    epsilon = res.get("epsilon")
-    if epsilon is not None and 0 < pred.g_opt < 1:
-        cm = cost_model(m, n, int(d) if d else 1, float(epsilon), pred.g_opt,
-                        gm_am_factor(x_min_sq, x_max_sq))
-        doc["cost"] = {"epsilon": cm.epsilon, "t_eps": cm.t_eps,
-                       "total_cost": cm.total_cost, "cost_scaling": cm.cost_scaling}
+    theory, cost = _predictions(res, pred, n, int(d) if d else 1, x_min_sq, x_max_sq)
+    doc = {"command": "theory", "config": res.resolved, "theory": theory}
+    if cost:
+        doc["cost"] = cost
     if ds is not None:
         doc["spectral"] = _spectral_doc(ds.spectral)
         _write(out, "dataset.json", dataset_to_json(ds) + "\n", files)
@@ -400,9 +325,10 @@ def _require_unit_norm_for_eta_star(ds, m, remedy):
         raise CliError(f"eta* assumes unit-norm rows, and this dataset's are not; {remedy}")
 
 
-def _cmd_run_solver(res: _Resolver, solver: str) -> int:
+def _cmd_run_solver(res: _Resolver) -> int:
+    solver = res.args.solver
     out = _outdir(res)
-    fmt = res.get("fmt", "csv")
+    fmt = res.get("format", "csv")
     master_seed = int(res.get("seed", 0))
     ds = res.dataset()
     ss = ds.spectral
@@ -429,7 +355,7 @@ def _cmd_run_solver(res: _Resolver, solver: str) -> int:
     stop_tol = float(res.get("stop_tol", 0.0))
     cfg = SolverConfig(eta=eta, m=m, sampler=sampler, max_iters=iters,
                        stop_tol=stop_tol, seed=master_seed, w0=_w0(res, ds.d))
-    ens = run_ensemble(ds, cfg, runs=runs, seed=master_seed)
+    ens = run_ensemble(ds, cfg, runs=runs)
 
     files: list[str] = []
     _write(out, "dataset.json", dataset_to_json(ds) + "\n", files)
@@ -445,13 +371,12 @@ def _cmd_run_solver(res: _Resolver, solver: str) -> int:
     for tr in ens.traces:
         statuses[tr.status] = statuses.get(tr.status, 0) + 1
     norms = ds.row_norms_sq()
+    theory, cost = _predictions(res, pred, n, ds.d, float(norms.min()), float(norms.max()))
     doc = {
         "command": f"run-{solver}",
         "config": res.resolved,
         "spectral": _spectral_doc(ss),
-        "theory": {"m": pred.m, "eta_opt": pred.eta_opt, "g_opt": pred.g_opt,
-                   "branch": pred.branch,
-                   "g_orthogonal_bound": orthogonal_rate(m, n, float(norms.min()), float(norms.max()))},
+        "theory": theory,
         "empirical": {
             "g_hat": fit.rate if fit else None,
             "r_hat_norm": math.sqrt(fit.rate) if fit else None,
@@ -461,12 +386,8 @@ def _cmd_run_solver(res: _Resolver, solver: str) -> int:
             "seeds": [tr.config.seed for tr in ens.traces],
         },
     }
-    epsilon = res.get("epsilon")
-    if epsilon is not None and 0 < pred.g_opt < 1:
-        cm = cost_model(m, n, ds.d, float(epsilon), pred.g_opt,
-                        gm_am_factor(float(norms.min()), float(norms.max())))
-        doc["cost"] = {"epsilon": cm.epsilon, "t_eps": cm.t_eps,
-                       "total_cost": cm.total_cost, "cost_scaling": cm.cost_scaling}
+    if cost:
+        doc["cost"] = cost
     _write_summary(out, doc, files)
     if statuses.get(STATUS_DIVERGED):
         return EXIT_DIVERGED
@@ -513,7 +434,7 @@ def _band_check(doc, trace):
 
 def _cmd_run_dgd(res: _Resolver) -> int:
     out = _outdir(res)
-    fmt = res.get("fmt", "csv")
+    fmt = res.get("format", "csv")
     ds = res.dataset()
     g = res.graph(ds)
     mu = float(res.get("mu", 1.0))
@@ -555,13 +476,6 @@ def _cmd_run_dgd(res: _Resolver) -> int:
     return EXIT_OK
 
 
-def _cmd_run(res: _Resolver) -> int:
-    solver = res.args.solver
-    if solver == "dgd":
-        return _cmd_run_dgd(res)
-    return _cmd_run_solver(res, solver)
-
-
 def _parse_values(raw, fallback):
     if raw is None:
         return [float(v) for v in fallback] if fallback else None
@@ -573,9 +487,10 @@ def _parse_values(raw, fallback):
 def _cmd_sweep(res: _Resolver) -> int:
     param = res.args.param
     out = _outdir(res)
-    fmt = res.get("fmt", "csv")
+    fmt = res.get("format", "csv") if param == "mu" else None  # only mu sweeps write traces
     master_seed = int(res.get("seed", 0))
-    epsilon = float(res.get("epsilon", 0.01))
+    if param != "mu":
+        epsilon = res.resolved["epsilon"] = float(res.get("epsilon", 0.01))
     ds = res.dataset()
     ss = ds.spectral
     n, d = ds.n, ds.d
@@ -585,8 +500,7 @@ def _cmd_sweep(res: _Resolver) -> int:
     if not values:
         raise CliError(f"sweep {param} needs --values")
     res.resolved["values"] = values
-    res.resolved["epsilon"] = epsilon
-    runs = int(res.get("runs", 0))
+    runs = int(res.get("runs", 0)) if param != "mu" else 0
     if param == "m" and runs > 0:
         _require_unit_norm_for_eta_star(ds, min(values), "give --runs 0 for predictions only")
     iters = int(res.get("iters", 60 if param != "mu" else 10_000))
@@ -600,7 +514,7 @@ def _cmd_sweep(res: _Resolver) -> int:
         def measure(eta_v, m_v):
             cfg = SolverConfig(eta=eta_v, m=m_v, sampler="bernoulli",
                                max_iters=iters, stop_tol=stop_tol, seed=master_seed)
-            ens = run_ensemble(ds, cfg, runs=runs, seed=master_seed)
+            ens = run_ensemble(ds, cfg, runs=runs)
             fit, window = _fit_curve(ens.mean_curve, rel_se=ens.rel_se)
             status = min((tr.status for tr in ens.traces), key=_STATUS_WORST_FIRST.index)
             return (fit.rate if fit else None), status
@@ -618,6 +532,8 @@ def _cmd_sweep(res: _Resolver) -> int:
                              cm.t_eps, cm.total_cost, cm.cost_scaling, measured, status])
         else:
             header = ["eta", "m", "g_pred", "g_hat_measured", "status"]
+            for v in values:  # every value before the first point
+                _validate_eta_m(v, fixed_m, n)
             for v in values:
                 g_pred = max(g_eigen(fixed_m, n, v, ss.lambda_max),
                              g_eigen(fixed_m, n, v, ss.lambda_min_nz))
@@ -683,19 +599,91 @@ def _cmd_spectrum(res: _Resolver) -> int:
     return EXIT_OK
 
 
+# ---------------------------------------------------------------- parser
+
+# every option once: the key (its --long-name with _ for -) -> argparse keywords
+_OPTIONS = {
+    "config": dict(help="JSON file of option values keyed by long name, _ for -"),
+    "preset": dict(help="named preset: " + ", ".join(presets_mod.preset_names())),
+    "out": dict(help="output directory (default .)"),
+    "seed": dict(type=int, help="master seed (default 0)"),
+    "dataset": dict(help="path to a dataset JSON file"),
+    "n": dict(type=int, help="sample count"),
+    "d": dict(type=int, help="parameter dimension"),
+    "kind": dict(choices=["orthonormal", "gaussian", "spiked"], help="dataset kind"),
+    "rho": dict(type=float, help="spiked correlation in [0,1)"),
+    "normalize": dict(action=argparse.BooleanOptionalAction, help="rescale rows to unit norm"),
+    "data_seed": dict(type=int, help="dataset generation seed (default: master seed)"),
+    "graph": dict(help="path to a graph JSON file"),
+    "graph_kind": dict(choices=["complete", "ring", "path", "grid", "k_ring", "erdos_renyi"],
+                       help="graph kind"),
+    "graph_rows": dict(type=int, help="grid rows"),
+    "graph_cols": dict(type=int, help="grid columns"),
+    "graph_k": dict(type=int, help="k_ring neighbours on each side"),
+    "graph_p": dict(type=float, help="erdos_renyi edge probability"),
+    "graph_seed": dict(type=int, help="graph generation seed (default 0)"),
+    "m": dict(type=float, help="mean batch size"),
+    "lambda1": dict(type=float, help="largest nonzero eigenvalue"),
+    "lambdan": dict(type=float, help="smallest nonzero eigenvalue"),
+    "epsilon": dict(type=float, help="target relative error for the cost model"),
+    "eta": dict(type=float, help="learning rate (default: optimal/stable)"),
+    "mu": dict(type=float, help="consensus penalty weight"),
+    "sampler": dict(choices=["bernoulli", "fixed"], help="minibatch sampler"),
+    "runs": dict(type=int, help="ensemble size (per sweep point; 0 = predictions only)"),
+    "iters": dict(type=int, help="iteration cap"),
+    "stop_tol": dict(type=float, help="relative stopping tolerance (0 = never)"),
+    "w0_seed": dict(type=int, help="seed for a random initial state (default: zeros)"),
+    "values": dict(help="comma-separated parameter values"),
+    "format": dict(choices=["csv", "json"], help="trace file format"),
+}
+_COMMON = ("config", "preset", "out", "seed")
+_D = ("dataset", "n", "d", "kind", "rho", "normalize", "data_seed")
+_G = ("graph", "graph_kind", "graph_rows", "graph_cols", "graph_k", "graph_p", "graph_seed")
+_RUN = _D + ("eta", "runs", "iters", "stop_tol", "w0_seed", "epsilon", "format")
+_SWEEP = _D + ("values", "runs", "iters", "stop_tol", "epsilon")
+_DGD = _D + _G + ("eta", "iters", "stop_tol", "w0_seed", "format")
+# the nested commands: their sub-command's dest and their help
+_GROUPS = {"run": ("solver", "run a solver experiment"), "sweep": ("param", "sweep one parameter")}
+# each command variant: its handler, its help and the options it reads besides _COMMON
+_VARIANTS = {
+    ("gen",): (_cmd_gen, "generate a dataset", _D),
+    ("theory",): (_cmd_theory, "closed-form predictions",
+                  _D + ("m", "lambda1", "lambdan", "epsilon")),
+    ("run", "gd"): (_cmd_run_solver, "full gradient descent", _RUN),
+    ("run", "sgd"): (_cmd_run_solver, "minibatch SGD", _RUN + ("m", "sampler")),
+    ("run", "dgd"): (_cmd_run_dgd, "distributed gradient descent", _DGD + ("mu",)),
+    ("sweep", "m"): (_cmd_sweep, "batch sizes at eta*(m)", _SWEEP),
+    ("sweep", "eta"): (_cmd_sweep, "learning rates at one batch size", _SWEEP + ("m",)),
+    ("sweep", "mu"): (_cmd_sweep, "distributed penalty weights", _DGD + ("values",)),
+    ("spectrum",): (_cmd_spectrum, "distributed round-operator spectrum", _D + _G + ("eta", "mu")),
+}
+
+
+def build_parser() -> _Parser:
+    """One parser per command variant, each taking exactly its options, none abbreviated."""
+    parser = _Parser(prog="gdlab", description=__doc__, allow_abbrev=False,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    commands = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for variant, (_, help_, names) in _VARIANTS.items():
+        if len(variant) == 2 and variant[0] not in groups:
+            dest, group_help = _GROUPS[variant[0]]
+            group = commands.add_parser(variant[0], help=group_help, allow_abbrev=False)
+            groups[variant[0]] = group.add_subparsers(dest=dest, required=True)
+        sub = groups[variant[0]] if len(variant) == 2 else commands
+        p = sub.add_parser(variant[-1], help=help_, allow_abbrev=False)
+        for key in _COMMON + names:
+            p.add_argument("--" + key.replace("_", "-"), **_OPTIONS[key])
+        p.set_defaults(variant=variant)
+    return parser
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        res = _Resolver(args)
-        handler = {
-            "gen": _cmd_gen,
-            "theory": _cmd_theory,
-            "run": _cmd_run,
-            "sweep": _cmd_sweep,
-            "spectrum": _cmd_spectrum,
-        }[args.command]
-        return handler(res)
+        handler, _, names = _VARIANTS[args.variant]
+        return handler(_Resolver(args, _COMMON + names))
     except (ValueError, OSError) as exc:  # CliError included
         print(f"gdlab: error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -92,8 +92,6 @@ def build_dataset(name: str) -> Dataset:
                        normalize=spec.get("normalize", False), seed=spec["seed"])
 
 
-def build_graph(name: str) -> CommGraph | None:
-    spec = get_preset(name).get("graph")
-    if spec is None:
-        return None
+def build_graph(name: str) -> CommGraph:
+    spec = get_preset(name)["graph"]
     return make_graph(spec["kind"], spec["n"], seed=spec.get("seed", 0))

@@ -131,14 +131,11 @@ def gen_dataset(n: int, d: int, kind: str, *, rho: float = 0.0,
     return _plant(X, rng, kind_label, seed)
 
 
-def dataset_from_rows(X: np.ndarray, *, seed: int = 0, kind: str = "custom",
-                      normalize: bool = False) -> Dataset:
+def dataset_from_rows(X: np.ndarray, *, seed: int = 0, kind: str = "custom") -> Dataset:
     """Plant an interpolating parameter on user-supplied rows."""
     X = np.array(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
         raise ValueError(f"invalid dimension: X shape {X.shape}")
-    if normalize:
-        X = X / np.linalg.norm(X, axis=1, keepdims=True)
     return _plant(X, np.random.default_rng(seed), kind, seed)
 
 

@@ -58,8 +58,8 @@ class SolverConfig:
     record_iterates: bool = False
 
     def validate(self, n: int) -> None:
-        if not 0 <= self.eta < math.inf:
-            raise ValueError(f"learning rate must be nonnegative and finite: eta={self.eta}")
+        if not 0 < self.eta < math.inf:
+            raise ValueError(f"learning rate must be positive and finite: eta={self.eta}")
         if not 0 < self.m <= n:
             raise ValueError(f"mean batch size must lie in (0, n]: m={self.m}")
         if self.max_iters < 1:
@@ -92,7 +92,6 @@ class RateFit:
 
     rate: float
     residual: float
-    status: str  # "ok" or "non-contracting"
 
 
 @dataclass
@@ -358,8 +357,8 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def run_ensemble(ds: Dataset, cfg: SolverConfig, runs: int, seed: int) -> EnsembleResult:
-    """Independent repeats with per-run seeds derived from (seed, run index).
+def run_ensemble(ds: Dataset, cfg: SolverConfig, runs: int) -> EnsembleResult:
+    """Independent repeats with per-run seeds derived from (cfg.seed, run index).
 
     The mean curve is the pointwise average of the projected squared error,
     truncated to the shortest trace when early stopping makes lengths differ;
@@ -368,7 +367,7 @@ def run_ensemble(ds: Dataset, cfg: SolverConfig, runs: int, seed: int) -> Ensemb
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1: {runs}")
-    traces, errs = _run(ds, cfg, [derive_seed(seed, k) for k in range(runs)])
+    traces, errs = _run(ds, cfg, [derive_seed(cfg.seed, k) for k in range(runs)])
     length = min(len(tr.t) for tr in traces)
     stack = errs[:, :length]
     mean = stack.mean(axis=0)
@@ -415,6 +414,4 @@ def estimate_rate(curve, window: tuple[int, int] | None = None) -> RateFit:
     slope, intercept = np.polyfit(t, logs, 1)
     fitted = slope * t + intercept
     residual = float(np.sqrt(np.mean((logs - fitted) ** 2)))
-    # slope at the rounding floor means a flat curve, not contraction
-    status = "ok" if slope < -1e-12 else "non-contracting"
-    return RateFit(rate=float(np.exp(slope)), residual=residual, status=status)
+    return RateFit(rate=float(np.exp(slope)), residual=residual)

@@ -50,8 +50,8 @@ class CostModel:
 
 
 def _validate_eta_m(eta: float, m: float, n: int) -> None:
-    if not eta > 0:
-        raise ValueError(f"learning rate must be positive: eta={eta}")
+    if not 0 < eta < math.inf:
+        raise ValueError(f"learning rate must be positive and finite: eta={eta}")
     if not 0 < m <= n:
         raise ValueError(f"mean batch size must lie in (0, n]: m={m}, n={n}")
 

@@ -1,13 +1,17 @@
 """Tests for the command-line experiment runner."""
 
+import argparse
 import json
 import math
 import os
+import re
+import shlex
 
 import numpy as np
 import pytest
 
-from gdlab.cli import main
+from gdlab import cli
+from gdlab.cli import build_parser, main
 from gdlab.problem import load_dataset
 
 
@@ -313,6 +317,118 @@ class TestConfigAndErrors:
         assert cfg["dataset_spec"]["seed"] == 80
 
 
+D = ["--dataset", "--n", "--d", "--kind", "--rho", "--normalize", "--data-seed"]
+G = ["--graph", "--graph-kind", "--graph-rows", "--graph-cols", "--graph-k", "--graph-p",
+     "--graph-seed"]
+RUN = D + ["--eta", "--runs", "--iters", "--stop-tol", "--w0-seed", "--epsilon", "--format"]
+SWEEP = D + ["--values", "--runs", "--iters", "--stop-tol", "--epsilon"]
+# the options of each variant besides --config --preset --out --seed
+ACCEPTED = {
+    ("gen",): D,
+    ("theory",): D + ["--m", "--lambda1", "--lambdan", "--epsilon"],
+    ("run", "gd"): RUN,
+    ("run", "sgd"): RUN + ["--m", "--sampler"],
+    ("run", "dgd"): D + G + ["--eta", "--mu", "--iters", "--stop-tol", "--w0-seed", "--format"],
+    ("sweep", "m"): SWEEP,
+    ("sweep", "eta"): SWEEP + ["--m"],
+    ("sweep", "mu"): D + G + ["--values", "--eta", "--iters", "--stop-tol", "--w0-seed",
+                              "--format"],
+    ("spectrum",): D + G + ["--eta", "--mu"],
+}
+GEN = ["--n", "4", "--d", "4", "--kind", "gaussian", "--normalize"]
+# a run of each variant on a generated dataset, and a generated graph where it takes one
+READS_ARGV = {
+    ("gen",): GEN,
+    ("theory",): GEN + ["--m", "2", "--epsilon", "0.1"],
+    ("run", "gd"): GEN + ["--iters", "5"],
+    ("run", "sgd"): GEN + ["--m", "2", "--runs", "2", "--iters", "5"],
+    ("run", "dgd"): GEN + ["--graph-kind", "ring", "--iters", "20"],
+    ("sweep", "m"): GEN + ["--values", "2", "--runs", "2", "--iters", "5"],
+    ("sweep", "eta"): GEN + ["--values", "0.5", "--runs", "2", "--iters", "5"],
+    ("sweep", "mu"): GEN + ["--graph-kind", "ring", "--values", "1", "--iters", "20"],
+    ("spectrum",): GEN + ["--graph-kind", "ring"],
+}
+
+
+def variant_parsers(parser, words=()):
+    """{variant words: parser} for every leaf command under parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {words: parser}
+    return {k: v for a in subs for name, p in a.choices.items()
+            for k, v in variant_parsers(p, words + (name,)).items()}
+
+
+def accepted(parser):
+    return {a.option_strings[0] for a in parser._actions if a.option_strings} - {"-h"}
+
+
+class TestOptionTable:
+    def test_each_variant_takes_exactly_its_options(self):
+        parsers = variant_parsers(build_parser())
+        assert set(parsers) == set(ACCEPTED)
+        common = {"--config", "--preset", "--out", "--seed"}
+        for variant, options in ACCEPTED.items():
+            assert accepted(parsers[variant]) == common | set(options), variant
+        assert sum(len(accepted(p)) for p in parsers.values()) == 165
+
+    @pytest.mark.parametrize("variant", sorted(READS_ARGV), ids="_".join)
+    def test_each_accepted_option_is_read(self, tmp_path, monkeypatch, variant):
+        reads = set()
+        raw = cli._Resolver._raw
+
+        def spy(self, key, default=None):
+            reads.add(key)
+            return raw(self, key, default)
+
+        monkeypatch.setattr(cli._Resolver, "_raw", spy)
+        assert main([*variant, *READS_ARGV[variant], "--out", str(tmp_path)]) in (0, 1)
+        options = accepted(variant_parsers(build_parser())[variant]) - {"--config"}
+        assert {"--" + key.replace("_", "-") for key in reads} == options
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "dgd", "--preset", "ring16", "--runs", "100"],
+        ["run", "dgd", "--preset", "ring16", "--m", "3"],
+        ["spectrum", "--preset", "ring16", "--m", "3"],
+        ["sweep", "m", "--preset", "orthonormal32", "--runs", "5", "--eta", "0.3",
+         "--values", "4"],
+        ["run", "sgd", "--preset", "gaussian8", "--mu", "5"],
+        ["run", "sgd", "--preset", "gaussian8", "--run", "3"],  # no abbreviation of --runs
+    ])
+    def test_unread_flag_writes_nothing(self, tmp_path, argv):
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+        assert os.listdir(str(tmp_path)) == []
+
+    @pytest.mark.parametrize("key", ["stop-tol", "fmt", "mu", "config"])
+    def test_config_key_must_name_an_option(self, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 0.001}))
+        out = tmp_path / "out"
+        assert main(["run", "sgd", "--preset", "gaussian8", "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_keys_are_long_names_with_underscores(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"stop_tol": 0.001, "format": "json"}))
+        out = str(tmp_path / "out")
+        assert main(["run", "sgd", "--preset", "gaussian8", "--runs", "2", "--iters", "5",
+                     "--config", str(cfg), "--out", out]) == 0
+        config = read_summary(out)["config"]
+        assert (config["stop_tol"], config["format"]) == (0.001, "json")
+        assert set(os.listdir(out)) == {"dataset.json", "run_000.json", "run_001.json",
+                                        "mean.json", "summary.json"}
+
+    def test_readme_commands_parse(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            lines = re.findall(r"^gdlab (.*)$", fh.read(), flags=re.M)
+        assert len(lines) >= 8
+        for line in lines:
+            build_parser().parse_args(shlex.split(line.split("#")[0]))
+
+
 def listed_and_present(out):
     s = read_summary(out)
     return set(s["files"]), set(os.listdir(out)) - {"summary.json"}
@@ -348,6 +464,11 @@ class TestChecksAndStatuses:
         ["sweep", "m", "--preset", "orthonormal32", "--runs", "0", "--values", "4,40"],
         ["sweep", "eta", "--preset", "gaussian8", "--runs", "5", "--values", "0.5,-1"],
         ["theory", "--preset", "orthonormal32", "--m", "40"],
+        ["sweep", "eta", "--preset", "gaussian8", "--runs", "0", "--values=-1,0"],
+        ["sweep", "eta", "--preset", "gaussian8", "--runs", "0", "--values", "0.5,inf"],
+        ["sweep", "eta", "--preset", "gaussian8", "--runs", "3", "--iters", "5",
+         "--values", "0.5,0"],
+        ["run", "gd", "--preset", "gaussian8", "--eta", "0"],
     ])
     def test_invalid_value_writes_nothing(self, tmp_path, argv):
         # every value is checked before the first file is written
@@ -403,7 +524,7 @@ class TestChecksAndStatuses:
         rc = main(["run", "sgd", "--preset", "gaussian8", "--eta", eta, "--runs", "2",
                    "--iters", "20", "--out", str(tmp_path)])
         assert rc == 1
-        assert "must be nonnegative and finite" in capsys.readouterr().err
+        assert "must be positive and finite" in capsys.readouterr().err
         assert os.listdir(str(tmp_path)) == []
 
     def test_default_eta_needs_unit_norm_rows(self, tmp_path, capsys):

@@ -44,10 +44,11 @@ class TestRunGd:
         assert tr.err_sq_range[0] == pytest.approx(9.0, abs=1e-12)
         assert tr.err_sq_range[1] == 0.0
 
-    def test_zero_step_size_is_identity(self):
+    def test_zero_step_size_rejected(self):
+        # eta = 0 leaves every iterate where it started: there is no rate to measure
         ds = gen_dataset(4, 4, "gaussian", seed=5)
-        tr = run_gd(ds, SolverConfig(eta=0.0, m=4, max_iters=20))
-        assert np.all(tr.err_sq_range == tr.err_sq_range[0])
+        with pytest.raises(ValueError, match="positive and finite"):
+            run_gd(ds, SolverConfig(eta=0.0, m=4, max_iters=20))
 
     def test_orthonormal_contraction_ratio(self):
         # all eigenvalues are 1/8, so eta = 4 contracts squared error by
@@ -257,8 +258,8 @@ class TestRunSgd:
         # one unit sample at eta = m = 1/2: each draw is a no-op or an exact
         # solve with probability 1/2, so the mean squared error is err0 / 2^t
         ds = planted_1d(1.0, 1.7)
-        cfg = SolverConfig(eta=0.5, m=0.5, sampler="bernoulli", max_iters=6)
-        ens = run_ensemble(ds, cfg, runs=4000, seed=21)
+        cfg = SolverConfig(eta=0.5, m=0.5, sampler="bernoulli", max_iters=6, seed=21)
+        ens = run_ensemble(ds, cfg, runs=4000)
         stack = np.stack([tr.err_sq_range for tr in ens.traces])
         err0 = stack[0, 0]
         for t in range(1, 7):
@@ -269,8 +270,8 @@ class TestRunSgd:
     def test_orthonormal_mean_contraction(self):
         # mean squared-error ratio per iteration approaches 1 - m/n
         ds = gen_dataset(32, 32, "orthonormal", seed=320)
-        cfg = SolverConfig(eta=8.0, m=8.0, sampler="bernoulli", max_iters=12)
-        ens = run_ensemble(ds, cfg, runs=500, seed=7)
+        cfg = SolverConfig(eta=8.0, m=8.0, sampler="bernoulli", max_iters=12, seed=7)
+        ens = run_ensemble(ds, cfg, runs=500)
         ratios = ens.mean_curve[1:] / ens.mean_curve[:-1]
         assert np.all(np.abs(ratios - 0.75) <= 0.05)
 
@@ -292,14 +293,14 @@ class TestRunSgd:
 class TestRunEnsemble:
     def test_single_run_mean_is_the_trace(self):
         ds = gen_dataset(4, 4, "gaussian", seed=3)
-        cfg = SolverConfig(eta=0.2, m=2, sampler="bernoulli", max_iters=10)
-        ens = run_ensemble(ds, cfg, runs=1, seed=5)
+        cfg = SolverConfig(eta=0.2, m=2, sampler="bernoulli", max_iters=10, seed=5)
+        ens = run_ensemble(ds, cfg, runs=1)
         assert np.array_equal(ens.mean_curve, ens.traces[0].err_sq_range)
 
     def test_deterministic_sampler_gives_identical_runs(self):
         ds = gen_dataset(4, 4, "gaussian", seed=3)
-        cfg = SolverConfig(eta=0.2, m=4, sampler="full", max_iters=10)
-        ens = run_ensemble(ds, cfg, runs=3, seed=5)
+        cfg = SolverConfig(eta=0.2, m=4, sampler="full", max_iters=10, seed=5)
+        ens = run_ensemble(ds, cfg, runs=3)
         for tr in ens.traces[1:]:
             assert np.array_equal(tr.err_sq_range, ens.traces[0].err_sq_range)
         assert np.array_equal(ens.mean_curve, ens.traces[0].err_sq_range)
@@ -308,8 +309,8 @@ class TestRunEnsemble:
         # eta = m = 2 on 8 orthonormal samples contracts the mean squared
         # error by exactly 3/4 per iteration
         ds = gen_dataset(8, 8, "orthonormal", seed=9)
-        cfg = SolverConfig(eta=2.0, m=2.0, sampler="bernoulli", max_iters=8)
-        ens = run_ensemble(ds, cfg, runs=2000, seed=31)
+        cfg = SolverConfig(eta=2.0, m=2.0, sampler="bernoulli", max_iters=8, seed=31)
+        ens = run_ensemble(ds, cfg, runs=2000)
         stack = np.stack([tr.err_sq_range for tr in ens.traces])
         for t in range(1, 9):
             expect = ens.mean_curve[0] * 0.75 ** t
@@ -318,9 +319,9 @@ class TestRunEnsemble:
 
     def test_run_seeds_derived_from_master(self):
         ds = gen_dataset(4, 4, "gaussian", seed=3)
-        cfg = SolverConfig(eta=0.2, m=2, sampler="bernoulli", max_iters=5, seed=123)
-        a = run_ensemble(ds, cfg, runs=4, seed=77)
-        b = run_ensemble(ds, cfg, runs=4, seed=77)
+        cfg = SolverConfig(eta=0.2, m=2, sampler="bernoulli", max_iters=5, seed=77)
+        a = run_ensemble(ds, cfg, runs=4)
+        b = run_ensemble(ds, cfg, runs=4)
         assert np.array_equal(a.mean_curve, b.mean_curve)
         seeds = [tr.config.seed for tr in a.traces]
         assert len(set(seeds)) == 4
@@ -335,7 +336,7 @@ def assert_members_are_single_runs(ds, cfg, runs, seed, draw_bytes):
     draws ahead, is bitwise run_sgd with seed derive_seed(seed, k), and the
     mean and its standard error are those of the member traces."""
     with mock.patch.object(solvers, "_DRAW_BYTES", draw_bytes):
-        ens = run_ensemble(ds, cfg, runs=runs, seed=seed)
+        ens = run_ensemble(ds, replace(cfg, seed=seed), runs=runs)
     for k, tr in enumerate(ens.traces):
         alone = run_sgd(ds, replace(cfg, seed=derive_seed(seed, k)))
         for name in ("t", "err_sq_range", "loss", "batch_size", "w_final", "iterates"):
@@ -394,7 +395,7 @@ class TestStackedEnsemble:
            ds_index=st.integers(0, len(_PROPERTY_DATASETS) - 1),
            m_frac=st.floats(0.05, 1.0), sampler=st.sampled_from(["bernoulli", "fixed"]),
            stop_tol=st.sampled_from([0.0, 0.9, 0.5, 1e-2, 1e-6]),
-           eta_per_m=st.integers(0, 50).map(lambda i: i / 10),
+           eta_per_m=st.integers(1, 50).map(lambda i: i / 10),
            seed=st.integers(0, 2**32 - 1), draw_bytes=st.sampled_from([1, 100, 1 << 20]))
     def test_members_are_single_runs(self, runs, iters, ds_index, m_frac, sampler,
                                      stop_tol, eta_per_m, seed, draw_bytes):
@@ -412,12 +413,10 @@ class TestEstimateRate:
         fit = estimate_rate([1.0, 0.5, 0.25, 0.125])
         assert fit.rate == pytest.approx(0.5, rel=1e-12)
         assert fit.residual <= 1e-12
-        assert fit.status == "ok"
 
     def test_constant_curve_does_not_contract(self):
         fit = estimate_rate([2.0, 2.0, 2.0, 2.0])
         assert fit.rate == pytest.approx(1.0, abs=1e-12)
-        assert fit.status == "non-contracting"
 
     def test_gd_rate_matches_condition_number_prediction(self):
         # two-level spectrum: the fit recovers the predicted full-batch rate

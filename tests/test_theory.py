@@ -24,11 +24,27 @@ def quad_se_bound(se_matrix, v):
     return float(av @ se_matrix @ av)
 
 
-def lambda_max_close(closed, mc_est, mc_se, sigmas=3.0, slack=1e-12):
+def lambda_max_gaps(closed, mc_est, mc_se, sigmas=3.0, slack=1e-12):
+    """The two one-sided gaps between lambda_max of the closed form E and of
+    its Monte-Carlo estimate, each over its tolerance, taken along vectors that
+    do not depend on how rounding picks a top eigenvector of E.
+
+    By the Rayleigh quotient, lambda_mc - lambda <= v^T (E_mc - E) v along the
+    estimate's top eigenvector v, and lambda - lambda_mc <= u^T (E - E_mc) u
+    for any unit u in E's top eigenspace; u is v projected onto it.
+    """
     evals, vecs = np.linalg.eigh(closed)
-    vtop = vecs[:, -1]
-    lam_mc = np.linalg.eigvalsh(mc_est)[-1]
-    return abs(evals[-1] - lam_mc) <= sigmas * quad_se_bound(mc_se, vtop) + slack
+    mc_evals, mc_vecs = np.linalg.eigh(mc_est)
+    v = mc_vecs[:, -1]
+    top = vecs[:, evals >= evals[-1] - 1e-12 * max(1.0, abs(evals[-1]))]
+    u = top @ (top.T @ v)
+    u /= np.linalg.norm(u)
+    return ((mc_evals[-1] - evals[-1]) / (sigmas * quad_se_bound(mc_se, v) + slack),
+            (evals[-1] - mc_evals[-1]) / (sigmas * quad_se_bound(mc_se, u) + slack))
+
+
+def lambda_max_close(closed, mc_est, mc_se):
+    return all(gap <= 1.0 for gap in lambda_max_gaps(closed, mc_est, mc_se))
 
 
 class TestExpectedMM:
