@@ -6,6 +6,7 @@ and G for --graph --graph-kind --graph-rows --graph-cols --graph-k
 --graph-p --graph-seed:
     gen        D: a dataset and its spectral summary
     theory     D --m --lambda1 --lambdan --epsilon: closed-form rate and cost
+               (given --lambda1 and --lambdan it reads no dataset: refuses --preset, D but --n --d)
     run gd     D --eta --runs --iters --stop-tol --w0-seed --epsilon --format
     run sgd    the run gd options, --m --sampler
     run dgd    D G --eta --mu --iters --stop-tol --w0-seed --format
@@ -15,14 +16,16 @@ and G for --graph --graph-kind --graph-rows --graph-cols --graph-k
     spectrum   D G --eta --mu: dense round-operator spectrum of run dgd
 Any other option, or an abbreviated one, is a validation failure.
 
-All outputs land in --out: dataset.json / graph.json inputs, one CSV per run
-plus mean.csv for ensembles, and summary.json embedding the fully resolved
-configuration (every seed explicit).  Identical configuration and master seed
-reproduce byte-identical files.  Numeric output carries 17 significant digits.
+All outputs land in --out: each table as the command makes it (one CSV per
+run plus mean.csv for ensembles), then the dataset.json / graph.json inputs,
+then summary.json embedding the fully resolved configuration (every seed
+explicit).  Identical configuration and master seed reproduce byte-identical
+files.  Numeric output carries 17 significant digits.
 
-A JSON config file (--config) supplies option values keyed by the long name
-with _ for - (stop_tol, w0_seed, format); a key that is not an option of the
-command is a validation failure, and values given on the command line win.
+A JSON config file (--config) holds option values keyed by the long name with
+_ for - (stop_tol, w0_seed, format), parsed as flags (true/false for --name/
+--no-name, a list as a comma string) placed before the command line's, which
+win; a key that is not an option of the command is a validation failure.
 Exit status: 0 success, 1 validation failure, which writes no file (or a
 failed band check of run dgd or sweep mu, after every file is written),
 2 diverged runs.
@@ -90,8 +93,10 @@ class _Parser(argparse.ArgumentParser):
 
 # ---------------------------------------------------------------- resolution
 
-def _load_config_file(path, options, variant):
-    """The config file's JSON object; each key must name an option of the variant."""
+def _config_flags(path, variant):
+    """The config file's JSON object as flags: --name=value, --name/--no-name
+    for true/false, a list as a comma string.  Each key must name an option of
+    the variant."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -99,20 +104,28 @@ def _load_config_file(path, options, variant):
         raise CliError(f"unreadable config file {path}: {exc}")
     if not isinstance(doc, dict):
         raise CliError(f"config file {path} must hold a JSON object")
-    for key in doc:
-        if key == "config" or key not in options:
-            raise CliError(f"config file {path}: {key!r} is not an option of {variant}; "
-                           "keys are long option names with _ for -")
-    return doc
+    flags = []
+    for key, value in doc.items():
+        if key == "config" or key not in _COMMON + _VARIANTS[variant][2]:
+            raise CliError(f"config file {path}: {key!r} is not an option of "
+                           f"{' '.join(variant)}; keys are long option names with _ for -")
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        if isinstance(value, bool):
+            flags.append(flag if value else "--no-" + flag[2:])
+        elif isinstance(value, (str, int, float)):
+            flags.append(f"{flag}={value}")
+        else:
+            raise CliError(f"config file {path}: {key!r} is not a string, number, boolean or list")
+    return flags
 
 
 class _Resolver:
-    """Precedence: command line > config file > preset > hard default."""
+    """Precedence: command line > config file (parsed into args) > preset > hard default."""
 
-    def __init__(self, args, options):
+    def __init__(self, args):
         self.args = args
-        self.file_cfg = (_load_config_file(args.config, options, " ".join(args.variant))
-                         if args.config else {})
         preset_name = self._raw("preset")
         self.preset = presets_mod.get_preset(preset_name) if preset_name else {}
         self.preset_name = preset_name
@@ -120,11 +133,10 @@ class _Resolver:
         if args.command in _GROUPS:  # run and sweep also record their solver or param
             self.resolved[_GROUPS[args.command][0]] = args.variant[1]
         self.resolved["preset"] = preset_name
+        self.ds = self.g = None  # the inputs read, which _Output.commit writes
 
     def _raw(self, key, default=None):
         v = getattr(self.args, key)  # only the variant's own options are read
-        if v is None:
-            v = self.file_cfg.get(key)
         return default if v is None else v
 
     def get(self, key, default=None, record=True):
@@ -155,6 +167,7 @@ class _Resolver:
                              normalize=bool(self.get("normalize", False)), seed=int(seed))
         self.resolved["dataset_spec"] = {"n": ds.n, "d": ds.d, "kind": ds.kind,
                                          "normalized": ds.normalized, "seed": ds.seed}
+        self.ds = ds
         return ds
 
     def graph(self, ds):
@@ -174,30 +187,11 @@ class _Resolver:
             raise CliError(f"graph has {g.n} nodes but dataset has {ds.n} samples")
         self.resolved["graph_spec"] = {"n": g.n, "kind": g.kind, "params": g.params,
                                        "seed": g.seed, "edges": len(g.edges)}
+        self.g = g
         return g
 
 
 # ---------------------------------------------------------------- output
-
-def _outdir(res: _Resolver) -> str:
-    out = res.get("out", ".")
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _write(out, name, text, files):
-    atomic_write_text(os.path.join(out, name), text)
-    files.append(name)
-
-
-def _write_table(out, name, columns, fmt, files, status=None):
-    """Named columns as name.csv, or as name.json followed by the run status."""
-    if fmt == "json":
-        doc = dict(columns) if status is None else {**columns, "status": status}
-        _write(out, name + ".json", dumps(doc) + "\n", files)
-    else:
-        _write(out, name + ".csv", csv_text(columns), files)
-
 
 def _spectral_doc(ss):
     return {
@@ -222,73 +216,90 @@ def _listed_files(path) -> set:
         return set()
 
 
-def _write_summary(out, doc, files):
-    """Write summary.json listing `files`, then remove what an earlier summary
-    in `out` listed and this command did not write, so the directory holds
-    exactly the listed files."""
-    path = os.path.join(out, "summary.json")
-    stale = _listed_files(path) - set(files) - {"summary.json"}
-    doc = dict(doc)
-    doc["files"] = sorted(files)
-    atomic_write_text(path, dumps(doc) + "\n")
-    for name in stale:
-        if os.path.isfile(os.path.join(out, name)):
-            os.remove(os.path.join(out, name))
+class _Output:
+    """Every file of one command in its --out directory, each written through
+    atomic_write_text: tables as the command makes them, then at commit the
+    inputs it read and summary.json."""
+
+    def __init__(self, out):
+        os.makedirs(out, exist_ok=True)
+        self.out = out
+        self.files: list[str] = []
+
+    def _write(self, name, text):
+        atomic_write_text(os.path.join(self.out, name), text)
+        self.files.append(name)
+
+    def table(self, name, columns, fmt, status=None):
+        """Named columns as name.csv, or as name.json followed by the run status."""
+        if fmt == "json":
+            doc = dict(columns) if status is None else {**columns, "status": status}
+            self._write(name + ".json", dumps(doc) + "\n")
+        else:
+            self._write(name + ".csv", csv_text(columns))
+
+    def commit(self, res, blocks):
+        """Write the inputs res read, then summary.json (the command's resolved
+        configuration, the dataset's spectrum, `blocks`, the files), then remove
+        what an earlier summary listed that this command did not write."""
+        doc = {"command": "-".join(res.args.variant), "config": res.resolved}
+        if res.ds is not None:
+            self._write("dataset.json", dataset_to_json(res.ds) + "\n")
+            doc["spectral"] = _spectral_doc(res.ds.spectral)
+        if res.g is not None:
+            self._write("graph.json", graph_to_json(res.g) + "\n")
+        path = os.path.join(self.out, "summary.json")
+        stale = _listed_files(path) - set(self.files) - {"summary.json"}
+        doc.update(blocks, files=sorted(self.files))
+        atomic_write_text(path, dumps(doc) + "\n")
+        for name in stale:
+            if os.path.isfile(os.path.join(self.out, name)):
+                os.remove(os.path.join(self.out, name))
 
 
 # ---------------------------------------------------------------- commands
 
-def _cmd_gen(res: _Resolver) -> int:
-    out = _outdir(res)
-    ds = res.dataset()
-    files: list[str] = []
-    _write(out, "dataset.json", dataset_to_json(ds) + "\n", files)
-    _write_summary(out, {"command": "gen", "config": res.resolved,
-                         "spectral": _spectral_doc(ds.spectral)}, files)
-    return EXIT_OK
+def _cmd_gen(res: _Resolver, output: _Output):
+    res.dataset()
+    return {}, EXIT_OK
 
 
 def _predictions(res, pred, n, d, x_min_sq, x_max_sq):
-    """summary.json's theory block for pred, and its cost block, None without
-    --epsilon or when g* does not contract."""
+    """summary.json's theory block for pred, and its cost block as {"cost": ...},
+    empty without --epsilon or when g* does not contract."""
     theory = {"m": pred.m, "eta_opt": pred.eta_opt, "g_opt": pred.g_opt, "branch": pred.branch,
               "g_orthogonal_bound": orthogonal_rate(pred.m, n, x_min_sq, x_max_sq)}
     epsilon = res.get("epsilon")
     if epsilon is None or not 0 < pred.g_opt < 1:
-        return theory, None
+        return theory, {}
     cm = cost_model(pred.m, n, d, float(epsilon), pred.g_opt, gm_am_factor(x_min_sq, x_max_sq))
-    return theory, {"epsilon": cm.epsilon, "t_eps": cm.t_eps, "total_cost": cm.total_cost,
-                    "cost_scaling": cm.cost_scaling}
+    return theory, {"cost": {"epsilon": cm.epsilon, "t_eps": cm.t_eps,
+                             "total_cost": cm.total_cost, "cost_scaling": cm.cost_scaling}}
 
 
-def _cmd_theory(res: _Resolver) -> int:
-    out = _outdir(res)
-    files: list[str] = []
+def _cmd_theory(res: _Resolver, output: _Output):
     lambda1 = res.get("lambda1")
     lambdan = res.get("lambdan")
     n = res.get("n")
     d = res.get("d")
-    ds = None
     x_min_sq = x_max_sq = 1.0  # unit norms when only the spectrum is given
     if lambda1 is None or lambdan is None:
         ds = res.dataset()
         lambda1, lambdan, n, d = ds.spectral.lambda_max, ds.spectral.lambda_min_nz, ds.n, ds.d
         norms = ds.row_norms_sq()
         x_min_sq, x_max_sq = float(norms.min()), float(norms.max())
+    else:  # no dataset is read, so none may be given
+        for key in ("preset", "dataset", "kind", "rho", "normalize", "data_seed"):
+            if res._raw(key) is not None:
+                raise CliError(f"--{key.replace('_', '-')} gives a dataset, which theory "
+                               "with --lambda1 and --lambdan does not read")
     if n is None:
         raise CliError("theory needs --n (or a dataset/preset)")
     n = int(n)
     m = float(res.get("m", n))
     pred = optimal_rate(m, n, float(lambda1), float(lambdan))
     theory, cost = _predictions(res, pred, n, int(d) if d else 1, x_min_sq, x_max_sq)
-    doc = {"command": "theory", "config": res.resolved, "theory": theory}
-    if cost:
-        doc["cost"] = cost
-    if ds is not None:
-        doc["spectral"] = _spectral_doc(ds.spectral)
-        _write(out, "dataset.json", dataset_to_json(ds) + "\n", files)
-    _write_summary(out, doc, files)
-    return EXIT_OK
+    return {"theory": theory, **cost}, EXIT_OK
 
 
 def _fit_curve(curve, tail=False, rel_se=None):
@@ -325,9 +336,8 @@ def _require_unit_norm_for_eta_star(ds, m, remedy):
         raise CliError(f"eta* assumes unit-norm rows, and this dataset's are not; {remedy}")
 
 
-def _cmd_run_solver(res: _Resolver) -> int:
+def _cmd_run_solver(res: _Resolver, output: _Output):
     solver = res.args.solver
-    out = _outdir(res)
     fmt = res.get("format", "csv")
     master_seed = int(res.get("seed", 0))
     ds = res.dataset()
@@ -356,26 +366,21 @@ def _cmd_run_solver(res: _Resolver) -> int:
     cfg = SolverConfig(eta=eta, m=m, sampler=sampler, max_iters=iters,
                        stop_tol=stop_tol, seed=master_seed, w0=_w0(res, ds.d))
     ens = run_ensemble(ds, cfg, runs=runs)
+    norms = ds.row_norms_sq()  # --epsilon is checked here, before the first table
+    theory, cost = _predictions(res, pred, n, ds.d, float(norms.min()), float(norms.max()))
 
-    files: list[str] = []
-    _write(out, "dataset.json", dataset_to_json(ds) + "\n", files)
     width = max(3, len(str(runs - 1)))
     for k, tr in enumerate(ens.traces):
         columns = {c: getattr(tr, c) for c in _SOLVER_COLUMNS}
-        _write_table(out, f"run_{k:0{width}d}", columns, fmt, files, tr.status)
+        output.table(f"run_{k:0{width}d}", columns, fmt, tr.status)
     if runs > 1:
         curve = ens.mean_curve
-        _write_table(out, "mean", {"t": np.arange(len(curve)), "mean_err_sq_range": curve}, fmt, files)
+        output.table("mean", {"t": np.arange(len(curve)), "mean_err_sq_range": curve}, fmt)
     fit, window = _fit_curve(ens.mean_curve, rel_se=ens.rel_se)
     statuses: dict[str, int] = {}
     for tr in ens.traces:
         statuses[tr.status] = statuses.get(tr.status, 0) + 1
-    norms = ds.row_norms_sq()
-    theory, cost = _predictions(res, pred, n, ds.d, float(norms.min()), float(norms.max()))
     doc = {
-        "command": f"run-{solver}",
-        "config": res.resolved,
-        "spectral": _spectral_doc(ss),
         "theory": theory,
         "empirical": {
             "g_hat": fit.rate if fit else None,
@@ -385,13 +390,9 @@ def _cmd_run_solver(res: _Resolver) -> int:
             "statuses": statuses,
             "seeds": [tr.config.seed for tr in ens.traces],
         },
+        **cost,
     }
-    if cost:
-        doc["cost"] = cost
-    _write_summary(out, doc, files)
-    if statuses.get(STATUS_DIVERGED):
-        return EXIT_DIVERGED
-    return EXIT_OK
+    return doc, EXIT_DIVERGED if statuses.get(STATUS_DIVERGED) else EXIT_OK
 
 
 def _dgd_doc(ds, g, eta, mu):
@@ -432,9 +433,8 @@ def _band_check(doc, trace):
     return fit, window
 
 
-def _cmd_run_dgd(res: _Resolver) -> int:
-    out = _outdir(res)
-    fmt = res.get("format", "csv")
+def _dgd_point(res: _Resolver):
+    """The dataset, graph, step and penalty weight of run dgd or spectrum, and their _dgd_doc."""
     ds = res.dataset()
     g = res.graph(ds)
     mu = float(res.get("mu", 1.0))
@@ -442,20 +442,19 @@ def _cmd_run_dgd(res: _Resolver) -> int:
     dgd_doc = _dgd_doc(ds, g, eta, mu)
     # resolved step first, then the run options: summary.json keeps this order
     res.resolved.update(eta=eta, mu=mu, mu_iter=eta * mu)
+    return ds, g, eta, mu, dgd_doc
+
+
+def _cmd_run_dgd(res: _Resolver, output: _Output):
+    fmt = res.get("format", "csv")
+    ds, g, eta, mu, dgd_doc = _dgd_point(res)
     trace = run_dgd(ds, g, eta, mu, max_iters=int(res.get("iters", 10_000)),
                     stop_tol=float(res.get("stop_tol", 1e-16)), W0=_w0(res, (ds.n, ds.d)))
     fit, window = _band_check(dgd_doc, trace)
-    files: list[str] = []
-    _write(out, "dataset.json", dataset_to_json(ds) + "\n", files)
-    _write(out, "graph.json", graph_to_json(g) + "\n", files)
-    columns = {c: getattr(trace, c) for c in _DGD_COLUMNS}
-    _write_table(out, "trace", columns, fmt, files, trace.status)
+    output.table("trace", {c: getattr(trace, c) for c in _DGD_COLUMNS}, fmt, trace.status)
     err0 = trace.mean_err_sq_range[0]
     sp0 = trace.global_spread[0]
     doc = {
-        "command": "run-dgd",
-        "config": res.resolved,
-        "spectral": _spectral_doc(ds.spectral),
         "dgd": dgd_doc,
         "empirical": {
             "status": trace.status,
@@ -468,25 +467,19 @@ def _cmd_run_dgd(res: _Resolver) -> int:
             "final_spread_rel": (trace.global_spread[-1] / sp0) if sp0 > 0 else None,
         },
     }
-    _write_summary(out, doc, files)
     if trace.status == STATUS_DIVERGED:
-        return EXIT_DIVERGED
-    if dgd_doc["band_check"] != "pass":
-        return EXIT_INVALID
-    return EXIT_OK
+        return doc, EXIT_DIVERGED
+    return doc, EXIT_OK if dgd_doc["band_check"] == "pass" else EXIT_INVALID
 
 
 def _parse_values(raw, fallback):
     if raw is None:
         return [float(v) for v in fallback] if fallback else None
-    if isinstance(raw, (list, tuple)):
-        return [float(v) for v in raw]
-    return [float(v) for v in str(raw).split(",") if v != ""]
+    return [float(v) for v in raw.split(",") if v != ""]
 
 
-def _cmd_sweep(res: _Resolver) -> int:
+def _cmd_sweep(res: _Resolver, output: _Output):
     param = res.args.param
-    out = _outdir(res)
     fmt = res.get("format", "csv") if param == "mu" else None  # only mu sweeps write traces
     master_seed = int(res.get("seed", 0))
     if param != "mu":
@@ -505,7 +498,6 @@ def _cmd_sweep(res: _Resolver) -> int:
         _require_unit_norm_for_eta_star(ds, min(values), "give --runs 0 for predictions only")
     iters = int(res.get("iters", 60 if param != "mu" else 10_000))
     stop_tol = float(res.get("stop_tol", 0.0 if param != "mu" else 1e-16))
-    files: list[str] = []
     rows = []
 
     if param in ("m", "eta"):
@@ -555,48 +547,23 @@ def _cmd_sweep(res: _Resolver) -> int:
             trace = run_dgd(ds, g, eta, v, max_iters=iters, stop_tol=stop_tol, W0=W0)
             fit, _ = _band_check(dgd, trace)
             columns = {c: getattr(trace, c) for c in _DGD_COLUMNS}
-            _write_table(out, f"trace_{i:03d}", columns, fmt, files, trace.status)
+            output.table(f"trace_{i:03d}", columns, fmt, trace.status)
             rows.append([v, eta, eta * v, dgd.get("sigma_min"), dgd.get("sigma_max"),
                          dgd["rate_lower"], dgd.get("rate_spectral"), dgd.get("stable"),
                          math.sqrt(fit.rate) if fit else None, dgd["band_check"], trace.status])
-        _write(out, "graph.json", graph_to_json(g) + "\n", files)
 
-    _write(out, "dataset.json", dataset_to_json(ds) + "\n", files)
     columns = {name: [row[i] for row in rows] for i, name in enumerate(header)}
-    _write(out, "sweep.csv", csv_text(columns), files)
-    doc = {
-        "command": f"sweep-{param}",
-        "config": res.resolved,
-        "spectral": _spectral_doc(ss),
-        "rows": [dict(zip(header, row)) for row in rows],
-    }
-    _write_summary(out, doc, files)
+    output.table("sweep", columns, "csv")
+    doc = {"rows": [dict(zip(header, row)) for row in rows]}
     if STATUS_DIVERGED in columns["status"]:
-        return EXIT_DIVERGED
+        return doc, EXIT_DIVERGED
     if any(band != "pass" for band in columns.get("band_check", ())):
-        return EXIT_INVALID
-    return EXIT_OK
+        return doc, EXIT_INVALID
+    return doc, EXIT_OK
 
 
-def _cmd_spectrum(res: _Resolver) -> int:
-    out = _outdir(res)
-    ds = res.dataset()
-    g = res.graph(ds)
-    mu = float(res.get("mu", 1.0))
-    eta = float(res.get("eta", stable_eta(ds, g, mu)))
-    dgd_doc = _dgd_doc(ds, g, eta, mu)
-    res.resolved.update(eta=eta, mu=mu, mu_iter=eta * mu)
-    files: list[str] = []
-    _write(out, "dataset.json", dataset_to_json(ds) + "\n", files)
-    _write(out, "graph.json", graph_to_json(g) + "\n", files)
-    doc = {
-        "command": "spectrum",
-        "config": res.resolved,
-        "spectral": _spectral_doc(ds.spectral),
-        "dgd": dgd_doc,
-    }
-    _write_summary(out, doc, files)
-    return EXIT_OK
+def _cmd_spectrum(res: _Resolver, output: _Output):
+    return {"dgd": _dgd_point(res)[-1]}, EXIT_OK
 
 
 # ---------------------------------------------------------------- parser
@@ -680,10 +647,18 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        handler, _, names = _VARIANTS[args.variant]
-        return handler(_Resolver(args, _COMMON + names))
+        if args.config:  # its flags go after the variant words, so the command line's win
+            k = len(args.variant)
+            args = parser.parse_args([*argv[:k], *_config_flags(args.config, args.variant),
+                                      *argv[k:]])
+        res = _Resolver(args)
+        output = _Output(res.get("out", "."))  # before the handler: config keeps its key order
+        blocks, status = _VARIANTS[res.args.variant][0](res, output)
+        output.commit(res, blocks)
+        return status
     except (ValueError, OSError) as exc:  # CliError included
         print(f"gdlab: error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -58,6 +58,19 @@ class TestTheoryCommand:
                      "--m", "4", "--out", out]) == 0
         assert read_summary(out)["theory"]["g_orthogonal_bound"] == 0.75
 
+    @pytest.mark.parametrize("option", [
+        ["--dataset", "dataset.json"], ["--kind", "gaussian"], ["--rho", "0.5"],
+        ["--normalize"], ["--data-seed", "3"], ["--preset", "orthonormal32"],
+    ])
+    def test_spectrum_form_refuses_dataset_options(self, tmp_path, capsys, option):
+        # with --lambda1 and --lambdan no dataset is read, so none may be given
+        out = str(tmp_path)
+        rc = main(["theory", "--n", "16", "--lambda1", "1", "--lambdan", "0.25", *option,
+                   "--out", out])
+        assert rc == 1
+        assert option[0] in capsys.readouterr().err
+        assert os.listdir(out) == []
+
 
 class TestGenCommand:
     def test_writes_loadable_dataset(self, tmp_path):
@@ -336,16 +349,18 @@ ACCEPTED = {
     ("spectrum",): D + G + ["--eta", "--mu"],
 }
 GEN = ["--n", "4", "--d", "4", "--kind", "gaussian", "--normalize"]
-# a run of each variant on a generated dataset, and a generated graph where it takes one
+# a successful run of each variant on a generated dataset, and a generated graph where it
+# takes one (200 rounds to the cap: enough for the band check's fit)
 READS_ARGV = {
     ("gen",): GEN,
     ("theory",): GEN + ["--m", "2", "--epsilon", "0.1"],
     ("run", "gd"): GEN + ["--iters", "5"],
     ("run", "sgd"): GEN + ["--m", "2", "--runs", "2", "--iters", "5"],
-    ("run", "dgd"): GEN + ["--graph-kind", "ring", "--iters", "20"],
+    ("run", "dgd"): GEN + ["--graph-kind", "ring", "--iters", "200", "--stop-tol", "0"],
     ("sweep", "m"): GEN + ["--values", "2", "--runs", "2", "--iters", "5"],
     ("sweep", "eta"): GEN + ["--values", "0.5", "--runs", "2", "--iters", "5"],
-    ("sweep", "mu"): GEN + ["--graph-kind", "ring", "--values", "1", "--iters", "20"],
+    ("sweep", "mu"): GEN + ["--graph-kind", "ring", "--values", "1", "--iters", "200",
+                            "--stop-tol", "0"],
     ("spectrum",): GEN + ["--graph-kind", "ring"],
 }
 
@@ -420,6 +435,36 @@ class TestOptionTable:
         assert set(os.listdir(out)) == {"dataset.json", "run_000.json", "run_001.json",
                                         "mean.json", "summary.json"}
 
+    @pytest.mark.parametrize("argv, cfg", [
+        (["gen", "--n", "4", "--d", "4", "--kind", "gaussian"], {"normalize": "false"}),
+        (["run", "gd", "--preset", "gaussian8"], {"format": "xml"}),
+        (["run", "gd", "--preset", "gaussian8"], {"iters": 12.5}),
+    ])
+    def test_config_values_are_parsed_as_flags(self, tmp_path, argv, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(path), "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_config_booleans_and_lists(self, tmp_path):
+        # true/false stand for --name/--no-name, a list for a comma string;
+        # the command line still wins
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"normalize": True, "values": [2, 4]}))
+        argv = ["sweep", "m", "--n", "8", "--d", "8", "--kind", "gaussian", "--runs", "0",
+                "--config", str(path)]
+        out = str(tmp_path / "config")
+        assert main([*argv, "--out", out]) == 0
+        config = read_summary(out)["config"]
+        assert (config["normalize"], config["values"]) == (True, [2.0, 4.0])
+        assert config["dataset_spec"]["normalized"] is True
+        out = str(tmp_path / "flags")
+        assert main([*argv, "--no-normalize", "--values", "3", "--out", out]) == 0
+        config = read_summary(out)["config"]
+        assert (config["normalize"], config["values"]) == (False, [3.0])
+        assert config["dataset_spec"]["normalized"] is False
+
     def test_readme_commands_parse(self):
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
         with open(readme) as fh:
@@ -469,6 +514,7 @@ class TestChecksAndStatuses:
         ["sweep", "eta", "--preset", "gaussian8", "--runs", "3", "--iters", "5",
          "--values", "0.5,0"],
         ["run", "gd", "--preset", "gaussian8", "--eta", "0"],
+        ["run", "sgd", "--preset", "gaussian8", "--iters", "3", "--runs", "2", "--epsilon", "2"],
     ])
     def test_invalid_value_writes_nothing(self, tmp_path, argv):
         # every value is checked before the first file is written
@@ -568,6 +614,49 @@ class TestChecksAndStatuses:
         rc = main(["gen", "--preset", "ring16", "--data-seed", "5", "--out", str(tmp_path)])
         assert rc == 1
         assert not os.path.exists(os.path.join(str(tmp_path), "dataset.json"))
+
+
+# a failing run of each variant, which fails after its inputs are read
+FAILS_ARGV = {
+    ("gen",): ["--n", "8", "--d", "4", "--kind", "orthonormal"],
+    ("theory",): ["--preset", "orthonormal32", "--m", "40"],
+    ("run", "gd"): ["--preset", "gaussian8", "--eta", "0"],
+    ("run", "sgd"): ["--preset", "gaussian8", "--iters", "3", "--runs", "2", "--epsilon", "2"],
+    ("run", "dgd"): ["--preset", "ring16", "--mu", "-1"],
+    ("sweep", "m"): ["--preset", "orthonormal32", "--runs", "0", "--values", "4,0"],
+    ("sweep", "eta"): ["--preset", "gaussian8", "--runs", "5", "--values", "0.5,-1"],
+    ("sweep", "mu"): ["--preset", "gaussian8", "--graph-kind", "ring", "--values", "1,-1",
+                      "--iters", "50"],
+    ("spectrum",): ["--preset", "ring16", "--mu", "0"],
+}
+
+
+def snapshot(out):
+    files = {}
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            files[name] = fh.read()
+    return files
+
+
+class TestOutput:
+    """summary.json lists exactly the files in --out, and a failing command
+    leaves --out as it was."""
+
+    @pytest.mark.parametrize("variant", sorted(READS_ARGV), ids="_".join)
+    def test_summary_lists_the_directory(self, tmp_path, variant):
+        out = str(tmp_path)
+        assert main([*variant, *READS_ARGV[variant], "--out", out]) == 0
+        listed, present = listed_and_present(out)
+        assert listed == present
+
+    @pytest.mark.parametrize("variant", sorted(FAILS_ARGV), ids="_".join)
+    def test_failing_command_leaves_out_unchanged(self, tmp_path, variant):
+        out = str(tmp_path)
+        assert main([*variant, *READS_ARGV[variant], "--seed", "3", "--out", out]) == 0
+        before = snapshot(out)
+        assert main([*variant, *FAILS_ARGV[variant], "--out", out]) == 1
+        assert snapshot(out) == before
 
 
 class TestOneCurvatureSolve:
