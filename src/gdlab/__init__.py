@@ -38,7 +38,6 @@ from .solvers import (
 )
 from .distributed import (
     CommGraph,
-    ConsensusMetrics,
     DgdTrace,
     GraphConnectError,
     OperatorSpectrum,

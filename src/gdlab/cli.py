@@ -150,12 +150,16 @@ class _Resolver:
     def dataset(self):
         path = self._raw("dataset")  # never a preset value: presets hold generation specs
         self.resolved["dataset"] = path
-        seed = self.get("data_seed", None, record=False)
         if path or (self.preset_name and "dataset" in self.preset and self._raw("n") is None):
-            if seed is not None:
-                raise CliError("--data-seed applies only to a dataset generated from --n/--d/--kind")
+            for key in ("n", "d", "kind", "rho", "normalize", "data_seed"):
+                value = self._raw(key)
+                if value is not None:
+                    flag = "no-normalize" if value is False else key.replace("_", "-")
+                    raise CliError(f"--{flag} applies only to a dataset generated "
+                                   "from --n/--d/--kind")
             ds = load_dataset(path) if path else presets_mod.build_dataset(self.preset_name)
         else:
+            seed = self.get("data_seed", None, record=False)
             n = self.get("n")
             d = self.get("d")
             kind = self.get("kind")
@@ -222,11 +226,12 @@ class _Output:
     inputs it read and summary.json."""
 
     def __init__(self, out):
-        os.makedirs(out, exist_ok=True)
         self.out = out
         self.files: list[str] = []
 
     def _write(self, name, text):
+        if not self.files:  # made at the first write: a command failing before it leaves none
+            os.makedirs(self.out, exist_ok=True)
         atomic_write_text(os.path.join(self.out, name), text)
         self.files.append(name)
 
@@ -251,7 +256,7 @@ class _Output:
         path = os.path.join(self.out, "summary.json")
         stale = _listed_files(path) - set(self.files) - {"summary.json"}
         doc.update(blocks, files=sorted(self.files))
-        atomic_write_text(path, dumps(doc) + "\n")
+        self._write("summary.json", dumps(doc) + "\n")
         for name in stale:
             if os.path.isfile(os.path.join(self.out, name)):
                 os.remove(os.path.join(self.out, name))
@@ -412,19 +417,19 @@ def _dgd_doc(ds, g, eta, mu):
     return doc
 
 
-def _band_check(doc, trace):
+def _band_check(doc, trace, stop_tol):
     """Add the band check of a DGD run to its _dgd_doc: the fitted
     error-norm rate lies in [rate_lower - 0.02, 1), both rate bounds contract
     (rate_lower < 1, and rate_spectral < 1 when the spectrum was computed),
-    and a run with a stopping tolerance converged; a band at or above 1, or
-    a run cut at its round cap, shows no convergence.  Returns the tail fit
-    and its window.
+    and a run with a stopping tolerance (stop_tol > 0) converged; a band at
+    or above 1, or a run cut at its round cap, shows no convergence.  Returns
+    the tail fit and its window.
     """
     fit, window = _fit_curve(trace.mean_err_sq_range, tail=True)
     r_hat = math.sqrt(fit.rate) if fit else None
     rate_lower, rate_spectral = doc["rate_lower"], doc.get("rate_spectral")
     contracting = rate_lower < 1.0 and (rate_spectral is None or rate_spectral < 1.0)
-    reached = trace.status == STATUS_CONVERGED or not trace.stop_tol > 0
+    reached = trace.status == STATUS_CONVERGED or not stop_tol > 0
     band = contracting and reached and r_hat is not None and rate_lower - 0.02 <= r_hat < 1.0
     doc["band_check"] = "pass" if band else "fail"
     doc["spectral_match"] = None
@@ -448,9 +453,11 @@ def _dgd_point(res: _Resolver):
 def _cmd_run_dgd(res: _Resolver, output: _Output):
     fmt = res.get("format", "csv")
     ds, g, eta, mu, dgd_doc = _dgd_point(res)
-    trace = run_dgd(ds, g, eta, mu, max_iters=int(res.get("iters", 10_000)),
-                    stop_tol=float(res.get("stop_tol", 1e-16)), W0=_w0(res, (ds.n, ds.d)))
-    fit, window = _band_check(dgd_doc, trace)
+    iters = int(res.get("iters", 10_000))
+    stop_tol = float(res.get("stop_tol", 1e-16))
+    [trace] = run_dgd(ds, g, [eta], [mu], max_iters=iters, stop_tol=stop_tol,
+                      W0=_w0(res, (ds.n, ds.d)))
+    fit, window = _band_check(dgd_doc, trace, stop_tol)
     output.table("trace", {c: getattr(trace, c) for c in _DGD_COLUMNS}, fmt, trace.status)
     err0 = trace.mean_err_sq_range[0]
     sp0 = trace.global_spread[0]
@@ -487,8 +494,6 @@ def _cmd_sweep(res: _Resolver, output: _Output):
     ds = res.dataset()
     ss = ds.spectral
     n, d = ds.n, ds.d
-    norms = ds.row_norms_sq()
-    c_norms = gm_am_factor(float(norms.min()), float(norms.max()))
     values = _parse_values(res.get("values"), res.preset.get("sweep_values"))
     if not values:
         raise CliError(f"sweep {param} needs --values")
@@ -514,6 +519,8 @@ def _cmd_sweep(res: _Resolver, output: _Output):
         if param == "m":
             header = ["m", "eta_opt", "g_opt", "branch", "t_eps", "total_cost",
                       "cost_scaling", "g_hat_measured", "status"]
+            norms = ds.row_norms_sq()
+            c_norms = gm_am_factor(float(norms.min()), float(norms.max()))
             for v in values:
                 pred = optimal_rate(v, n, ss.lambda_max, ss.lambda_min_nz)
                 cm = cost_model(v, n, d, epsilon, pred.g_opt, c_norms)
@@ -543,11 +550,11 @@ def _cmd_sweep(res: _Resolver, output: _Output):
         # every point's step and spectrum before the first run checks every value
         etas = [stable_eta(ds, g, v) if eta_flag is None else float(eta_flag) for v in values]
         docs = [_dgd_doc(ds, g, eta, v) for eta, v in zip(etas, values)]
-        for i, (v, eta, dgd) in enumerate(zip(values, etas, docs)):
-            trace = run_dgd(ds, g, eta, v, max_iters=iters, stop_tol=stop_tol, W0=W0)
-            fit, _ = _band_check(dgd, trace)
-            columns = {c: getattr(trace, c) for c in _DGD_COLUMNS}
-            output.table(f"trace_{i:03d}", columns, fmt, trace.status)
+        traces = run_dgd(ds, g, etas, values, max_iters=iters, stop_tol=stop_tol, W0=W0)
+        for i, (v, eta, dgd, trace) in enumerate(zip(values, etas, docs, traces)):
+            fit, _ = _band_check(dgd, trace, stop_tol)
+            output.table(f"trace_{i:03d}", {c: getattr(trace, c) for c in _DGD_COLUMNS}, fmt,
+                         trace.status)
             rows.append([v, eta, eta * v, dgd.get("sigma_min"), dgd.get("sigma_max"),
                          dgd["rate_lower"], dgd.get("rate_spectral"), dgd.get("stable"),
                          math.sqrt(fit.rate) if fit else None, dgd["band_check"], trace.status])

@@ -13,10 +13,12 @@ weight mu and forms the coupling eta * mu itself.  Near an exact fit the error
 obeys delta W <- (I - Q) delta W with Q = eta blockdiag(x_i x_i^T) + eta mu (L kron I),
 so stability and rates are read off Q's spectrum.
 
-Rounds run one at a time through the solvers' loop, which measures them in
-blocks: consensus_metrics takes a stack of states and computes the products
-the trace needs (B W, the residuals, the Gram matrix of the spread) once per
-block, with each state's values bitwise those it gets alone.
+Each (eta, mu) point is an independent linear recursion, so run_dgd advances
+its points as one stack of states through the solvers' loop: dgd_step takes
+the stack a round at a time with each state's own eta and mu, and
+consensus_metrics measures a block of stacked states at once, computing the
+products the trace needs (B W, the residuals, the Gram matrix of the spread)
+once per block.  Each point's trace is bitwise the one it gets alone.
 """
 
 from __future__ import annotations
@@ -171,17 +173,6 @@ def incidence(g: CommGraph) -> np.ndarray:
     return B
 
 
-@dataclass
-class ConsensusMetrics:
-    """Per-state metrics of a stack of K states; every field has K rows."""
-
-    mean_err_sq_range: np.ndarray  # (K,) node mean of the range-projected squared error
-    edge_spread: np.ndarray  # (K,) largest parameter difference across an edge
-    global_spread: np.ndarray  # (K,) largest parameter difference between any two nodes
-    residual_sq: np.ndarray  # (K,) sum of squared per-node residuals x_i . w_i - y_i
-    edge_diff_sq: np.ndarray  # (K,) sum of squared edge differences, v^T (L kron I) v
-
-
 def _global_spread(S: np.ndarray) -> np.ndarray:
     # center rows first: the spread is translation-invariant, and removing the
     # common offset keeps the Gram cancellation at the spread's own scale
@@ -191,10 +182,11 @@ def _global_spread(S: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(d2.max(axis=(1, 2)), 0.0))
 
 
-def consensus_metrics(S: np.ndarray, ds: Dataset, B: np.ndarray) -> ConsensusMetrics:
-    """Metrics of a stack S of K states (K x n x d; one n x d state is the
-    K = 1 case): mean range-projected error, max edge/global parameter
-    spread, and the two terms of the penalized loss.
+def consensus_metrics(S: np.ndarray, ds: Dataset, B: np.ndarray, mu):
+    """The trace columns of a stack S of K states (K x n x d; one n x d state
+    is the K = 1 case), K values each: mean range-projected error, max
+    edge/global parameter spread, and the penalized loss at penalty weight mu
+    (one value, or K: each state's own).
 
     B is the graph's incidence matrix, built once per run by the caller.
     Each state's values are bitwise those of the same state evaluated alone:
@@ -209,13 +201,11 @@ def consensus_metrics(S: np.ndarray, ds: Dataset, B: np.ndarray) -> ConsensusMet
     node_err = np.sum(comp * comp, axis=2)
     diffs = B @ S
     resid = row_inner(ds.X, S) - ds.y
-    return ConsensusMetrics(
-        mean_err_sq_range=node_err.mean(axis=1),
-        edge_spread=np.linalg.norm(diffs, axis=2).max(axis=1, initial=0.0),
-        global_spread=_global_spread(S),
-        residual_sq=(resid[:, None, :] @ resid[:, :, None])[:, 0, 0],
-        edge_diff_sq=np.sum(diffs * diffs, axis=(1, 2)),
-    )
+    residual_sq = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
+    return (node_err.mean(axis=1),
+            np.linalg.norm(diffs, axis=2).max(axis=1, initial=0.0),
+            _global_spread(S),
+            residual_sq + mu * np.sum(diffs * diffs, axis=(1, 2)))
 
 
 @dataclass
@@ -226,10 +216,9 @@ class DgdTrace:
     mean_err_sq_range: np.ndarray
     edge_spread: np.ndarray
     global_spread: np.ndarray
-    penalized_loss: np.ndarray  # residual_sq + mu * edge_diff_sq: the module docstring's loss
+    penalized_loss: np.ndarray  # the module docstring's loss at the run's mu
     status: str
     W_final: np.ndarray
-    stop_tol: float  # the run's stopping tolerance; 0 ran to max_iters
     states: np.ndarray | None = None
 
 
@@ -241,28 +230,34 @@ def _coupling(eta: float, mu: float) -> float:
     return coupling
 
 
-def dgd_step(ds: Dataset, B: np.ndarray, eta: float, mu: float,
-             W: np.ndarray) -> np.ndarray:
-    """One synchronous round; every node reads only the previous iterate."""
+def dgd_step(ds: Dataset, B: np.ndarray, eta, mu, W: np.ndarray) -> np.ndarray:
+    """One synchronous round of W (n x d), or of each state k of a stack W
+    (S x n x d) at its own eta[k] and mu[k]; nodes read only the previous iterate."""
+    eta, coupling = (np.asarray(a)[..., None, None] for a in (eta, np.multiply(eta, mu)))
     e = row_inner(ds.X, W) - ds.y
-    return W - eta * e[:, None] * ds.X - (eta * mu) * (B.T @ (B @ W))
+    return W - eta * e[..., None] * ds.X - coupling * (B.T @ (B @ W))
 
 
-def run_dgd(ds: Dataset, g: CommGraph, eta: float, mu: float,
-            max_iters: int = 1000, stop_tol: float = 0.0,
-            W0: np.ndarray | None = None, record_states: bool = False) -> DgdTrace:
-    """Synchronous distributed GD rounds until stop_tol, divergence, or max_iters.
+def run_dgd(ds: Dataset, g: CommGraph, etas, mus, max_iters: int = 1000,
+            stop_tol: float = 0.0, W0: np.ndarray | None = None,
+            record_states: bool = False) -> list[DgdTrace]:
+    """Synchronous distributed GD rounds from W0, one run per point (etas[k],
+    mus[k]), each until stop_tol, divergence, or max_iters; one trace per point.
 
-    stop_tol is relative to the initial mean projected error; zero runs the
-    full max_iters.  Divergence (error above 1e12 times initial, or a
-    non-finite metric) is recorded as a status, not raised.  The trace rows
-    are measured a block of states at a time; a run that stops inside a
-    block takes up to one block minus one extra dgd_step calls, whose states
-    are dropped.
+    The points advance as one stack, each trace bitwise the one its point
+    gets alone.  stop_tol is relative to the initial mean projected error;
+    zero runs the full max_iters.  Divergence (error above 1e12 times
+    initial, or a non-finite metric) is recorded as a status, not raised.
+    The trace rows are measured a block of states at a time; a point that
+    stops inside a block takes up to one block minus one extra rounds, whose
+    states are dropped.
     """
     if ds.n != g.n:
         raise ValueError(f"one sample per node required: dataset n={ds.n}, graph n={g.n}")
-    _coupling(eta, mu)
+    if len(etas) != len(mus) or not len(etas):
+        raise ValueError(f"need one eta per mu, and a point: {len(etas)} etas, {len(mus)} mus")
+    for eta, mu in zip(etas, mus):
+        _coupling(eta, mu)
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1: {max_iters}")
     W = np.zeros((ds.n, ds.d)) if W0 is None else np.array(W0, dtype=float)
@@ -270,28 +265,22 @@ def run_dgd(ds: Dataset, g: CommGraph, eta: float, mu: float,
         raise ValueError(f"W0 must have shape ({ds.n}, {ds.d})")
     B = incidence(g)
 
-    # the loop's state is (W stacked as its one member,)
+    # the loop's state is (W, eta, mu), one row per running point
     def metrics(states):
-        met = consensus_metrics(np.concatenate([s[0] for s in states]), ds, B)
-        loss = met.residual_sq + mu * met.edge_diff_sq
-        return met.mean_err_sq_range, met.edge_spread, met.global_spread, loss
+        S, _, mu = states[0] if len(states) == 1 else map(np.concatenate, zip(*states))
+        return consensus_metrics(S, ds, B, mu)
 
     def step(state, _):
-        return (dgd_step(ds, B, eta, mu, state[0][0])[None],)
+        W, eta, mu = state
+        return dgd_step(ds, B, eta, mu, W), eta, mu
 
-    (errs, edge_spreads, global_spreads, losses), _, (status,), (W,), states = _drive(
-        (W[None],), step, metrics, max_iters, stop_tol, record_states)
-    return DgdTrace(
-        t=np.arange(errs.shape[1]),
-        mean_err_sq_range=errs[0],
-        edge_spread=edge_spreads[0],
-        global_spread=global_spreads[0],
-        penalized_loss=losses[0],
-        status=status,
-        W_final=W,
-        stop_tol=stop_tol,
-        states=states[0] if states is not None else None,
-    )
+    x0 = (np.tile(W, (len(etas), 1, 1)), np.array(etas, dtype=float), np.array(mus, dtype=float))
+    cols, lengths, statuses, finals, kept = _drive(
+        x0, step, metrics, max_iters, stop_tol, record_states)
+    # consensus_metrics's four columns come in DgdTrace's field order
+    return [DgdTrace(np.arange(L), *(col[k, :L] for col in cols), statuses[k], finals[k],
+                     kept[k, :L] if kept is not None else None)
+            for k, L in enumerate(lengths.tolist())]
 
 
 @dataclass(frozen=True)

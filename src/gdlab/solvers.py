@@ -6,14 +6,15 @@ error projected onto range(H), the quadratic loss, and the realized batch
 size.  Runs are bit-reproducible from (dataset, config).
 
 Every solver, the distributed one included, runs through one loop (_drive)
-that steps one state at a time and computes the trace rows of a block of
-states with one metrics call, so a row costs a few large numpy calls rather
-than many small ones.  An ensemble runs as one stack: its runs advance
-together as a runs x d array of iterates, each run leaving the stack at its
-own stop.  Run k still draws from its own Generator(derive_seed(seed, k)) in
-the order a single run draws, and every product is a stack of per-run
-vector products, so each run's trace is bitwise the one it gets alone and
-the seed-to-trace map is unchanged; run_gd and run_sgd are the one-run case.
+that steps a stack of runs and computes the trace rows of a block of states
+with one metrics call, so a row costs a few large numpy calls rather than
+many small ones.  An ensemble, like distributed GD's (eta, mu) points, runs
+as one stack: its runs advance together as a runs x d array of iterates,
+each run leaving the stack at its own stop.  Run k still draws from its
+own Generator(derive_seed(seed, k)) in the order a single run draws, and
+every product is a stack of per-run vector products, so each run's trace
+is bitwise the one it gets alone and the seed-to-trace map is unchanged;
+run_gd and run_sgd are the one-run case.
 """
 
 from __future__ import annotations

@@ -183,7 +183,7 @@ def test_criterion_6_spectral_verification():
                 sp = dgd_operator_spectrum(ds, g, eta, mu)
                 ok &= sp.sigma_min > 0
                 ok &= sp.sigma_min <= eta * lam_min + 1e-10
-                tr = run_dgd(ds, g, eta, mu, max_iters=15_000, W0=W0)
+                [tr] = run_dgd(ds, g, [eta], [mu], max_iters=15_000, W0=W0)
                 a, b = default_fit_window(tr.mean_err_sq_range)
                 fit = estimate_rate(tr.mean_err_sq_range, (max(b // 2, 5), b))
                 r_hat = float(np.sqrt(fit.rate))
@@ -216,8 +216,8 @@ def test_criterion_7_null_space_invariance():
     drifts["sgd"] = float(np.max(np.abs(comps - comps[0])))
 
     g = make_graph("ring", 4)
-    trd = run_dgd(ds, g, eta=0.3, mu=0.5, max_iters=100,
-                  W0=np.tile(w0, (4, 1)), record_states=True)
+    [trd] = run_dgd(ds, g, [0.3], [0.5], max_iters=100,
+                    W0=np.tile(w0, (4, 1)), record_states=True)
     comps = (trd.states - ds.w_star) @ u
     drifts["dgd"] = float(np.max(np.abs(comps - comps[0])))
 

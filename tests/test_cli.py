@@ -12,7 +12,10 @@ import pytest
 
 from gdlab import cli
 from gdlab.cli import build_parser, main
-from gdlab.problem import load_dataset
+from gdlab.presets import build_dataset
+from gdlab.problem import dataset_from_rows, dataset_to_json, gen_dataset, load_dataset
+
+DATASET_FILE = "<a dataset file>"  # stands for a dataset file the test writes
 
 
 def read_summary(out):
@@ -247,6 +250,23 @@ class TestSweepCommand:
         assert all(r["stable"] for r in s["rows"])
         assert os.path.exists(os.path.join(out, "trace_000.csv"))
         assert os.path.exists(os.path.join(out, "trace_001.csv"))
+
+    def test_eta_and_mu_sweeps_take_a_zero_row(self, tmp_path):
+        # only sweep m's cost model needs every row norm positive
+        X = gen_dataset(6, 8, "gaussian", normalize=True, seed=3).X.copy()
+        X[2] = 0.0
+        dataset = str(tmp_path / "zero_row.json")
+        with open(dataset, "w") as fh:
+            fh.write(dataset_to_json(dataset_from_rows(X)))
+        for runs in ("0", "5"):
+            out = str(tmp_path / f"eta_{runs}")
+            assert main(["sweep", "eta", "--dataset", dataset, "--runs", runs,
+                         "--values", "0.5,1", "--out", out]) == 0
+            assert len(read_summary(out)["rows"]) == 2
+        out = str(tmp_path / "mu")
+        assert main(["sweep", "mu", "--dataset", dataset, "--graph-kind", "ring",
+                     "--values", "0.5,5", "--out", out]) == 0
+        assert [r["status"] for r in read_summary(out)["rows"]] == ["converged", "converged"]
 
     def test_sweep_m_with_measurement(self, tmp_path):
         out = str(tmp_path)
@@ -515,11 +535,29 @@ class TestChecksAndStatuses:
          "--values", "0.5,0"],
         ["run", "gd", "--preset", "gaussian8", "--eta", "0"],
         ["run", "sgd", "--preset", "gaussian8", "--iters", "3", "--runs", "2", "--epsilon", "2"],
+        # generation options with a preset's or a file's dataset
+        ["gen", "--preset", "gaussian8", "--kind", "spiked"],
+        ["gen", "--preset", "gaussian8", "--rho", "0.5"],
+        ["gen", "--preset", "gaussian8", "--no-normalize"],
+        ["gen", "--preset", "gaussian8", "--d", "4"],
+        ["run", "gd", "--dataset", DATASET_FILE, "--kind", "orthonormal"],
+        ["run", "gd", "--dataset", DATASET_FILE, "--n", "8"],
+        ["sweep", "mu", "--dataset", DATASET_FILE, "--graph-kind", "ring", "--values", "1",
+         "--iters", "50", "--normalize"],
     ])
-    def test_invalid_value_writes_nothing(self, tmp_path, argv):
+    def test_invalid_value_writes_nothing(self, tmp_path, tmp_path_factory, argv):
         # every value is checked before the first file is written
+        dataset = tmp_path_factory.mktemp("input") / "dataset.json"
+        dataset.write_text(dataset_to_json(build_dataset("gaussian8")))
+        argv = [str(dataset) if a == DATASET_FILE else a for a in argv]
         assert main([*argv, "--out", str(tmp_path)]) == 1
         assert os.listdir(str(tmp_path)) == []
+
+    def test_failing_command_makes_no_out(self, tmp_path):
+        out = tmp_path / "new"
+        assert main(["run", "sgd", "--preset", "gaussian8", "--iters", "3", "--runs", "2",
+                     "--epsilon", "2", "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_sweep_status_column(self, tmp_path):
         out = str(tmp_path)
@@ -579,7 +617,7 @@ class TestChecksAndStatuses:
         out = str(tmp_path / "sgd")
         assert main(["run", "sgd", "--preset", "cond4x16", "--m", "3", "--out", out]) == 1
         assert "--eta" in capsys.readouterr().err
-        assert os.listdir(out) == []
+        assert not os.path.exists(out)
         out = str(tmp_path / "eta")
         assert main(["run", "sgd", "--preset", "cond4x16", "--m", "3", "--eta", "0.05",
                      "--runs", "4", "--iters", "20", "--out", out]) == 0
@@ -592,7 +630,7 @@ class TestChecksAndStatuses:
         argv = ["sweep", "m", "--preset", "cond4x16", "--values", "3,8,16"]
         assert main(argv + ["--runs", "20", "--out", out]) == 1
         assert "--runs 0" in capsys.readouterr().err
-        assert os.listdir(out) == []
+        assert not os.path.exists(out)
         out = str(tmp_path / "predicted")
         assert main(argv + ["--runs", "0", "--out", out]) == 0
         assert len(read_summary(out)["rows"]) == 3

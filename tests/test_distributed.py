@@ -27,7 +27,7 @@ from gdlab.problem import (
     hessian,
     spectral_summary,
 )
-from gdlab.solvers import _BLOCK, default_fit_window, estimate_rate
+from gdlab.solvers import _BLOCK, DIVERGENCE_FACTOR, default_fit_window, estimate_rate
 
 
 def two_unit_nodes():
@@ -113,6 +113,31 @@ class TestMakeGraph:
         back = graph_from_json(graph_to_json(g))
         assert back == g
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_every_kind_is_connected_and_canonical(self, data):
+        kind = data.draw(st.sampled_from(["complete", "ring", "path", "grid", "k_ring",
+                                          "erdos_renyi"]))
+        kw = {}
+        if kind == "grid":
+            kw["rows"] = data.draw(st.integers(1, 5))
+            kw["cols"] = data.draw(st.integers(2 if kw["rows"] == 1 else 1, 5))
+            n = kw["rows"] * kw["cols"]
+        else:
+            n = data.draw(st.integers(3 if kind == "k_ring" else 2, 14))
+        if kind == "k_ring":
+            kw["k"] = data.draw(st.integers(1, (n - 1) // 2))
+        if kind == "erdos_renyi":
+            kw["p"] = data.draw(st.floats(0.5, 1.0))
+        g = make_graph(kind, n, seed=data.draw(st.integers(0, 2**16)), **kw)
+        assert g.n == n
+        assert list(g.edges) == sorted(set(g.edges))
+        assert all(0 <= i < j < n for i, j in g.edges)
+        L = laplacian(g)
+        assert np.linalg.matrix_rank(L) == n - 1  # connected: one zero eigenvalue
+        B = incidence(g)
+        assert np.array_equal(B.T @ B, L)
+
 
 class TestLaplacian:
     def test_triangle(self):
@@ -149,13 +174,13 @@ class TestRunDgd:
         # round; sum mode factor 1 - eta = 0.5
         ds = two_unit_nodes()
         g = make_graph("path", 2)
-        tr = run_dgd(ds, g, eta=0.5, mu=0.5, max_iters=3,
-                     W0=np.array([[1.0], [-1.0]]))
+        [tr] = run_dgd(ds, g, [0.5], [0.5], max_iters=3,
+                       W0=np.array([[1.0], [-1.0]]))
         assert tr.global_spread[0] == 2.0
         assert tr.global_spread[1] == 0.0
         assert tr.mean_err_sq_range[1] == 0.0
-        tr_sum = run_dgd(ds, g, eta=0.5, mu=0.5, max_iters=3,
-                         W0=np.array([[1.0], [1.0]]))
+        [tr_sum] = run_dgd(ds, g, [0.5], [0.5], max_iters=3,
+                           W0=np.array([[1.0], [1.0]]))
         assert np.allclose(tr_sum.W_final.ravel(), [0.125, 0.125], atol=1e-15)
 
     def test_interpolating_consensus_is_exact_fixed_point(self):
@@ -164,7 +189,7 @@ class TestRunDgd:
         W = np.tile(ds.w_star, (5, 1))
         W_next = dgd_step(ds, incidence(g), 0.3, 0.1, W)
         assert np.array_equal(W_next, W)
-        tr = run_dgd(ds, g, eta=0.3, mu=0.1, max_iters=5, W0=W)
+        [tr] = run_dgd(ds, g, [0.3], [0.1], max_iters=5, W0=W)
         assert np.all(tr.mean_err_sq_range == 0.0)
         assert np.all(tr.global_spread == 0.0)
 
@@ -177,7 +202,7 @@ class TestRunDgd:
         rng = np.random.default_rng(42)
         W0 = rng.standard_normal((4, 8))
         T = 3600
-        tr = run_dgd(ds, g, eta=0.05, mu=8.0, max_iters=T, W0=W0)
+        [tr] = run_dgd(ds, g, [0.05], [8.0], max_iters=T, W0=W0)
         crossed = np.nonzero(tr.global_spread <= 1e-8 * tr.global_spread[0])[0]
         assert len(crossed) > 0
         assert np.all(np.diff(tr.mean_err_sq_range) < 0)
@@ -189,14 +214,14 @@ class TestRunDgd:
     def test_divergence_recorded(self):
         ds = two_unit_nodes()
         g = make_graph("path", 2)
-        tr = run_dgd(ds, g, eta=3.0, mu=0.1, max_iters=500,
-                     W0=np.array([[1.0], [-1.0]]))
+        [tr] = run_dgd(ds, g, [3.0], [0.1], max_iters=500,
+                       W0=np.array([[1.0], [-1.0]]))
         assert tr.status == "diverged"
 
     def test_dimension_mismatch(self):
         ds = gen_dataset(4, 4, "gaussian", seed=1)
         with pytest.raises(ValueError, match="one sample per node"):
-            run_dgd(ds, make_graph("ring", 5), 0.1, 0.1)
+            run_dgd(ds, make_graph("ring", 5), [0.1], [0.1])
 
     @pytest.mark.parametrize("eta,mu", [(float("nan"), 0.1), (float("inf"), 0.1),
                                         (0.1, float("nan")), (0.1, float("inf")),
@@ -208,7 +233,7 @@ class TestRunDgd:
         ds = gen_dataset(4, 4, "gaussian", seed=1)
         g = make_graph("ring", 4)
         with pytest.raises(ValueError, match="finite"):
-            run_dgd(ds, g, eta, mu, max_iters=10)
+            run_dgd(ds, g, [eta], [mu], max_iters=10)
         with pytest.raises(ValueError, match="finite"):
             dgd_operator_spectrum(ds, g, eta, mu)
         with pytest.raises(ValueError, match="finite"):
@@ -225,7 +250,7 @@ class TestRunDgd:
 
         monkeypatch.setattr(gdlab.distributed, "incidence", counted)
         ds = gen_dataset(5, 8, "gaussian", seed=40)
-        tr = run_dgd(ds, make_graph("ring", 5), eta=0.3, mu=0.1, max_iters=50)
+        [tr] = run_dgd(ds, make_graph("ring", 5), [0.3], [0.1], max_iters=50)
         assert len(tr.t) == 51
         assert len(builds) == 1
 
@@ -234,10 +259,11 @@ class TestConsensusMetrics:
     def test_consensus_at_fit_point_is_zero(self):
         ds = gen_dataset(4, 6, "gaussian", seed=50)
         g = make_graph("ring", 4)
-        met = consensus_metrics(np.tile(ds.w_star, (4, 1)), ds, incidence(g))
-        assert met.mean_err_sq_range == 0.0
-        assert met.edge_spread == 0.0
-        assert met.global_spread == 0.0
+        err, edge_spread, global_spread, _ = consensus_metrics(
+            np.tile(ds.w_star, (4, 1)), ds, incidence(g), 1.0)
+        assert err == 0.0
+        assert edge_spread == 0.0
+        assert global_spread == 0.0
 
     def test_two_nodes_offset_along_unit_direction(self):
         ds = gen_dataset(2, 4, "gaussian", seed=51)
@@ -245,8 +271,8 @@ class TestConsensusMetrics:
         u = np.array([1.0, 0.0, 0.0, 0.0])
         delta = 0.3
         W = np.vstack([ds.w_star + delta * u, ds.w_star - delta * u])
-        met = consensus_metrics(W, ds, incidence(g))
-        assert met.global_spread == pytest.approx(2 * delta, rel=1e-12)
+        _, _, global_spread, _ = consensus_metrics(W, ds, incidence(g), 1.0)
+        assert global_spread == pytest.approx(2 * delta, rel=1e-12)
 
     def test_global_spread_dominates_edge_spread(self):
         ds = gen_dataset(6, 5, "gaussian", seed=52)
@@ -254,8 +280,9 @@ class TestConsensusMetrics:
         B = incidence(g)
         rng = np.random.default_rng(53)
         for _ in range(10):
-            met = consensus_metrics(rng.standard_normal((6, 5)), ds, B)
-            assert met.global_spread >= met.edge_spread - 1e-12
+            _, edge_spread, global_spread, _ = consensus_metrics(
+                rng.standard_normal((6, 5)), ds, B, 1.0)
+            assert global_spread >= edge_spread - 1e-12
 
     def test_trace_rows_match_single_state_metrics_bitwise(self):
         # rows measured a block at a time equal the per-state formulas on
@@ -265,8 +292,8 @@ class TestConsensusMetrics:
         B = incidence(g)
         mu = 0.1
         W0 = np.random.default_rng(55).standard_normal((6, 9))
-        tr = run_dgd(ds, g, eta=0.3, mu=mu, max_iters=_BLOCK + 40, W0=W0,
-                     record_states=True)
+        [tr] = run_dgd(ds, g, [0.3], [mu], max_iters=_BLOCK + 40, W0=W0,
+                       record_states=True)
         assert len(tr.states) == len(tr.t) == _BLOCK + 41
         assert np.array_equal(tr.W_final, tr.states[-1])
         for t, W in enumerate(tr.states):
@@ -282,10 +309,7 @@ class TestConsensusMetrics:
                    float(resid @ resid + mu * np.sum(diffs * diffs)))
             assert row == (tr.mean_err_sq_range[t], tr.edge_spread[t],
                            tr.global_spread[t], tr.penalized_loss[t])
-            met = consensus_metrics(W, ds, B)
-            assert row == (met.mean_err_sq_range[0], met.edge_spread[0],
-                           met.global_spread[0],
-                           met.residual_sq[0] + mu * met.edge_diff_sq[0])
+            assert row == tuple(col[0] for col in consensus_metrics(W, ds, B, mu))
 
 
 class TestOperatorSpectrum:
@@ -378,6 +402,75 @@ class TestOnePenaltyConvention:
         assert sp.stable
 
 
+def one_point_loop(ds, g, eta, mu, max_iters, stop_tol, W0):
+    """One point's run as a plain loop of 2-D rounds, each state measured
+    alone: its rows, status, final state and states."""
+    B = incidence(g)
+    W = W0
+    rows = [[col[0] for col in consensus_metrics(W, ds, B, mu)]]
+    states = [W]
+    err0 = rows[0][0]
+    if stop_tol > 0 and err0 <= stop_tol * err0:
+        return rows, "converged", W, states
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iters):
+            W_next = dgd_step(ds, B, eta, mu, W)
+            row = [col[0] for col in consensus_metrics(W_next, ds, B, mu)]
+            if not np.all(np.isfinite(row)):
+                return rows, "diverged", W, states
+            W = W_next
+            rows.append(row)
+            states.append(W)
+            if stop_tol > 0 and row[0] <= stop_tol * err0:
+                return rows, "converged", W, states
+            if not row[0] <= DIVERGENCE_FACTOR * err0:
+                return rows, "diverged", W, states
+    return rows, "max-iters", W, states
+
+
+@st.composite
+def point_stacks(draw):
+    """A small dataset and graph, 1-4 points (eta from 0.1 to 5 times the
+    stable step, so some diverge), a stop_tol, a round cap across blocks, and
+    a W0 at unit scale or at 1e150, where a diverging point's loss overflows
+    before its error passes the divergence factor."""
+    ds, g, _ = draw(small_configs())
+    mus = [10.0 ** draw(st.floats(-2.0, 1.0)) for _ in range(draw(st.integers(1, 4)))]
+    etas = [stable_eta(ds, g, mu) * 10.0 ** draw(st.floats(-1.0, 0.7)) for mu in mus]
+    scale = draw(st.sampled_from([1.0, 1e150]))
+    W0 = scale * np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal((ds.n, ds.d))
+    return (ds, g, etas, mus, draw(st.integers(1, 400)),
+            draw(st.sampled_from([0.0, 1e-8, 1e-3])), W0)
+
+
+class TestPointStack:
+    @settings(max_examples=60, deadline=None)
+    @given(point_stacks())
+    def test_each_point_is_its_plain_loop(self, config):
+        ds, g, etas, mus, max_iters, stop_tol, W0 = config
+        traces = run_dgd(ds, g, etas, mus, max_iters=max_iters, stop_tol=stop_tol, W0=W0,
+                         record_states=True)
+        assert len(traces) == len(etas)
+        for tr, eta, mu in zip(traces, etas, mus):
+            rows, status, W_final, states = one_point_loop(ds, g, eta, mu, max_iters,
+                                                           stop_tol, W0)
+            cols = np.array(rows).T
+            assert np.array_equal(tr.t, np.arange(len(rows)))
+            for got, want in zip((tr.mean_err_sq_range, tr.edge_spread, tr.global_spread,
+                                  tr.penalized_loss), cols):
+                assert np.array_equal(got, want)
+            assert tr.status == status
+            assert np.array_equal(tr.W_final, W_final)
+            assert np.array_equal(tr.states, np.array(states))
+
+    def test_points_must_pair_up(self):
+        ds = gen_dataset(4, 4, "gaussian", seed=1)
+        g = make_graph("ring", 4)
+        for etas, mus in (([0.1, 0.2], [0.1]), ([], [])):
+            with pytest.raises(ValueError, match="one eta per mu"):
+                run_dgd(ds, g, etas, mus)
+
+
 class TestDistributedInvariants:
     DATASETS = [("orthonormal", {}, 81), ("gaussian", {"normalize": True}, 82),
                 ("spiked", {"rho": 0.9, "normalize": True}, 83)]
@@ -399,7 +492,7 @@ class TestDistributedInvariants:
         rng = np.random.default_rng(71)
         W0 = rng.standard_normal((4, 6))
         T = 20
-        tr = run_dgd(ds, g, eta=0.2, mu=0.5, max_iters=T, W0=W0)
+        [tr] = run_dgd(ds, g, [0.2], [0.5], max_iters=T, W0=W0)
         A = dense_round_operator(ds, g, 0.2, 0.5)
         delta = np.linalg.matrix_power(A, T) @ (W0 - ds.w_star).reshape(-1)
         assert np.allclose(tr.W_final - ds.w_star, delta.reshape(4, 6),
@@ -413,8 +506,8 @@ class TestDistributedInvariants:
         u /= np.linalg.norm(u)
         w0 = ds.w_star + rp.project(rng.standard_normal(8)) + u
         g = make_graph("ring", 4)
-        tr = run_dgd(ds, g, eta=0.3, mu=0.1, max_iters=100,
-                     W0=np.tile(w0, (4, 1)), record_states=True)
+        [tr] = run_dgd(ds, g, [0.3], [0.1], max_iters=100,
+                       W0=np.tile(w0, (4, 1)), record_states=True)
         comps = (tr.states - ds.w_star) @ u  # (T+1, n)
         assert np.max(np.abs(comps - comps[0])) <= 1e-12
 
@@ -426,8 +519,8 @@ class TestDistributedInvariants:
         W0 = rng.standard_normal((8, 8))
         for mu in (0.1, 1.0, 10.0):
             eta = stable_eta(ds, g, mu)
-            tr = run_dgd(ds, g, eta, mu, max_iters=80_000,
-                         stop_tol=1e-16, W0=W0)
+            [tr] = run_dgd(ds, g, [eta], [mu], max_iters=80_000,
+                           stop_tol=1e-16, W0=W0)
             assert tr.status == "converged"
             assert tr.global_spread[-1] <= 1e-8 * tr.global_spread[0]
 
@@ -440,7 +533,7 @@ class TestDistributedInvariants:
         for mu in (0.1, 1.0):
             eta = stable_eta(ds, g, mu)
             sp = dgd_operator_spectrum(ds, g, eta, mu)
-            tr = run_dgd(ds, g, eta, mu, max_iters=20_000, W0=W0)
+            [tr] = run_dgd(ds, g, [eta], [mu], max_iters=20_000, W0=W0)
             a, b = default_fit_window(tr.mean_err_sq_range)
             fit = estimate_rate(tr.mean_err_sq_range, (max(b // 2, 5), b))
             r_hat = np.sqrt(fit.rate)
