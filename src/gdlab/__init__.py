@@ -47,7 +47,6 @@ from .distributed import (
     graph_to_json,
     incidence,
     is_connected,
-    laplacian,
     load_graph,
     make_graph,
     run_dgd,

@@ -26,9 +26,15 @@ A JSON config file (--config) holds option values keyed by the long name with
 _ for - (stop_tol, w0_seed, format), parsed as flags (true/false for --name/
 --no-name, a list as a comma string) placed before the command line's, which
 win; a key that is not an option of the command is a validation failure.
-Exit status: 0 success, 1 validation failure, which writes no file (or a
-failed band check of run dgd or sweep mu, after every file is written),
-2 diverged runs.
+A validation failure exits 1 and writes no file.  Otherwise main alone sets
+the exit status once every file is written: 2 if a run diverged, else 1 if a
+verdict failed, else 0.  summary.json lists each check in `verdicts` as
+{name, observed, bound, margin, ok} (a sweep's with its row), margin being
+the signed distance to the nearest bound, positive inside it and null when
+nothing was measured; each failed one prints a stderr line with its margin.
+A run dgd or sweep mu point checks converged, contracting, rate_band and,
+when its spectrum was computed, spectral_match; sweep mu's sweep.csv has a
+pass/fail column for each.
 
 Penalty convention for dgd, shared with gdlab.distributed, which takes --mu
 unchanged: mu weighs the penalty in sum_i (x_i . w_i - y_i)^2 + mu sum_<i,j>
@@ -44,6 +50,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -72,14 +79,13 @@ from .solvers import (
 from .theory import (_validate_eta_m, cost_model, g_eigen, gm_am_factor, optimal_rate,
                      orthogonal_rate)
 
-EXIT_OK = 0
-EXIT_INVALID = 1
-EXIT_DIVERGED = 2
-
 _STATUS_WORST_FIRST = (STATUS_DIVERGED, STATUS_MAX_ITERS, STATUS_CONVERGED)
 _FIT_MAX_REL_SE = 0.05
 _SOLVER_COLUMNS = ("t", "err_sq_range", "loss", "batch_size")
 _DGD_COLUMNS = ("t", "mean_err_sq_range", "edge_spread", "global_spread", "penalized_loss")
+_DGD_VERDICTS = ("converged", "contracting", "rate_band", "spectral_match")
+_SPECTRAL_KEYS = ("lambda_max", "lambda_min_nz", "rank", "trace", "condition_number", "m_star",
+                  "tol", "eigenvalues")
 
 
 class CliError(ValueError):
@@ -164,7 +170,9 @@ class _Resolver:
             d = self.get("d")
             kind = self.get("kind")
             if n is None or d is None or kind is None:
-                raise CliError("need --preset, --dataset, or --n/--d/--kind")
+                raise CliError("--n with --preset asks for a generated dataset, which also "
+                               "needs --d and --kind" if self.preset_name else
+                               "need --preset, --dataset, or --n/--d/--kind")
             if seed is None:
                 seed = self.get("seed", 0, record=False)
             ds = gen_dataset(int(n), int(d), kind, rho=self.get("rho", 0.0),
@@ -196,19 +204,6 @@ class _Resolver:
 
 
 # ---------------------------------------------------------------- output
-
-def _spectral_doc(ss):
-    return {
-        "lambda_max": ss.lambda_max,
-        "lambda_min_nz": ss.lambda_min_nz,
-        "rank": ss.rank,
-        "trace": ss.trace,
-        "condition_number": ss.condition_number,
-        "m_star": ss.m_star,
-        "tol": ss.tol,
-        "eigenvalues": ss.eigenvalues,
-    }
-
 
 def _listed_files(path) -> set:
     """Plain file names an existing summary lists; none if it is absent or unreadable."""
@@ -243,19 +238,19 @@ class _Output:
         else:
             self._write(name + ".csv", csv_text(columns))
 
-    def commit(self, res, blocks):
+    def commit(self, res, blocks, verdicts):
         """Write the inputs res read, then summary.json (the command's resolved
-        configuration, the dataset's spectrum, `blocks`, the files), then remove
-        what an earlier summary listed that this command did not write."""
+        configuration, the dataset's spectrum, `blocks`, the verdicts, the files),
+        then remove what an earlier summary listed that this command did not write."""
         doc = {"command": "-".join(res.args.variant), "config": res.resolved}
         if res.ds is not None:
             self._write("dataset.json", dataset_to_json(res.ds) + "\n")
-            doc["spectral"] = _spectral_doc(res.ds.spectral)
+            doc["spectral"] = {k: getattr(res.ds.spectral, k) for k in _SPECTRAL_KEYS}
         if res.g is not None:
             self._write("graph.json", graph_to_json(res.g) + "\n")
         path = os.path.join(self.out, "summary.json")
         stale = _listed_files(path) - set(self.files) - {"summary.json"}
-        doc.update(blocks, files=sorted(self.files))
+        doc.update(blocks, verdicts=verdicts, files=sorted(self.files))
         self._write("summary.json", dumps(doc) + "\n")
         for name in stale:
             if os.path.isfile(os.path.join(self.out, name)):
@@ -266,18 +261,20 @@ class _Output:
 
 def _cmd_gen(res: _Resolver, output: _Output):
     res.dataset()
-    return {}, EXIT_OK
+    return {}, [], []
 
 
 def _predictions(res, pred, n, d, x_min_sq, x_max_sq):
     """summary.json's theory block for pred, and its cost block as {"cost": ...},
-    empty without --epsilon or when g* does not contract."""
+    empty without --epsilon or when g* does not contract.  A zero row leaves
+    the norm factor, so the orthogonal bound and the cost scaling, undefined (None)."""
+    c = gm_am_factor(x_min_sq, x_max_sq) if x_min_sq > 0 else None
     theory = {"m": pred.m, "eta_opt": pred.eta_opt, "g_opt": pred.g_opt, "branch": pred.branch,
-              "g_orthogonal_bound": orthogonal_rate(pred.m, n, x_min_sq, x_max_sq)}
+              "g_orthogonal_bound": orthogonal_rate(pred.m, n, x_min_sq, x_max_sq) if c else None}
     epsilon = res.get("epsilon")
     if epsilon is None or not 0 < pred.g_opt < 1:
         return theory, {}
-    cm = cost_model(pred.m, n, d, float(epsilon), pred.g_opt, gm_am_factor(x_min_sq, x_max_sq))
+    cm = cost_model(pred.m, n, d, float(epsilon), pred.g_opt, c)
     return theory, {"cost": {"epsilon": cm.epsilon, "t_eps": cm.t_eps,
                              "total_cost": cm.total_cost, "cost_scaling": cm.cost_scaling}}
 
@@ -304,7 +301,7 @@ def _cmd_theory(res: _Resolver, output: _Output):
     m = float(res.get("m", n))
     pred = optimal_rate(m, n, float(lambda1), float(lambdan))
     theory, cost = _predictions(res, pred, n, int(d) if d else 1, x_min_sq, x_max_sq)
-    return {"theory": theory, **cost}, EXIT_OK
+    return {"theory": theory, **cost}, [], []
 
 
 def _fit_curve(curve, tail=False, rel_se=None):
@@ -382,9 +379,7 @@ def _cmd_run_solver(res: _Resolver, output: _Output):
         curve = ens.mean_curve
         output.table("mean", {"t": np.arange(len(curve)), "mean_err_sq_range": curve}, fmt)
     fit, window = _fit_curve(ens.mean_curve, rel_se=ens.rel_se)
-    statuses: dict[str, int] = {}
-    for tr in ens.traces:
-        statuses[tr.status] = statuses.get(tr.status, 0) + 1
+    statuses = [tr.status for tr in ens.traces]
     doc = {
         "theory": theory,
         "empirical": {
@@ -392,12 +387,12 @@ def _cmd_run_solver(res: _Resolver, output: _Output):
             "r_hat_norm": math.sqrt(fit.rate) if fit else None,
             "fit_residual": fit.residual if fit else None,
             "fit_window": list(window) if window else None,
-            "statuses": statuses,
+            "statuses": Counter(statuses),
             "seeds": [tr.config.seed for tr in ens.traces],
         },
         **cost,
     }
-    return doc, EXIT_DIVERGED if statuses.get(STATUS_DIVERGED) else EXIT_OK
+    return doc, statuses, []
 
 
 def _dgd_doc(ds, g, eta, mu):
@@ -417,50 +412,69 @@ def _dgd_doc(ds, g, eta, mu):
     return doc
 
 
-def _band_check(doc, trace, stop_tol):
-    """Add the band check of a DGD run to its _dgd_doc: the fitted
-    error-norm rate lies in [rate_lower - 0.02, 1), both rate bounds contract
-    (rate_lower < 1, and rate_spectral < 1 when the spectrum was computed),
-    and a run with a stopping tolerance (stop_tol > 0) converged; a band at
-    or above 1, or a run cut at its round cap, shows no convergence.  Returns
-    the tail fit and its window.
-    """
-    fit, window = _fit_curve(trace.mean_err_sq_range, tail=True)
-    r_hat = math.sqrt(fit.rate) if fit else None
-    rate_lower, rate_spectral = doc["rate_lower"], doc.get("rate_spectral")
-    contracting = rate_lower < 1.0 and (rate_spectral is None or rate_spectral < 1.0)
-    reached = trace.status == STATUS_CONVERGED or not stop_tol > 0
-    band = contracting and reached and r_hat is not None and rate_lower - 0.02 <= r_hat < 1.0
-    doc["band_check"] = "pass" if band else "fail"
-    doc["spectral_match"] = None
-    if rate_spectral is not None and r_hat is not None and rate_spectral > 0:
-        doc["spectral_match"] = abs(r_hat - rate_spectral) <= 0.01 * rate_spectral
-    return fit, window
+def _verdict(name, observed, bound, margin, ok):
+    """A check's entry: margin is the signed distance of observed to the nearest
+    bound, positive inside, None when nothing was measured."""
+    return {"name": name, "observed": observed, "bound": bound, "margin": margin, "ok": bool(ok)}
 
 
-def _dgd_point(res: _Resolver):
-    """The dataset, graph, step and penalty weight of run dgd or spectrum, and their _dgd_doc."""
+def _dgd_verdicts(doc, trace, r_hat, stop_tol):
+    """The checks of one DGD point, its _dgd_doc and trace: converged (a run with
+    stop_tol > 0 reached it), contracting (rate_lower < 1, and rate_spectral < 1
+    when computed), rate_band (the fitted error-norm rate r_hat in
+    [rate_lower - 0.02, 1)) and, only when the spectrum was computed,
+    spectral_match (r_hat within 1% of rate_spectral)."""
+    err = trace.mean_err_sq_range
+    rel = err[-1] / err[0] if err[0] > 0 else None
+    tol = stop_tol if stop_tol > 0 else None
+    lower, spectral = doc["rate_lower"], doc.get("rate_spectral")
+    worst = lower if spectral is None else max(lower, spectral)
+    band = [lower - 0.02, 1.0]
+    verdicts = [
+        _verdict("converged", rel, tol, tol - rel if tol and rel is not None else None,
+                 tol is None or trace.status == STATUS_CONVERGED),
+        _verdict("contracting", worst, 1.0, 1.0 - worst, worst < 1.0),
+        _verdict("rate_band", r_hat, band,
+                 None if r_hat is None else min(r_hat - band[0], band[1] - r_hat),
+                 r_hat is not None and band[0] <= r_hat < band[1]),
+    ]
+    if spectral is not None:
+        dev = None if r_hat is None else abs(r_hat - spectral)
+        verdicts.append(_verdict("spectral_match", dev, 0.01 * spectral,
+                                 None if dev is None else 0.01 * spectral - dev,
+                                 dev is not None and dev <= 0.01 * spectral))
+    return verdicts
+
+
+def _dgd_points(res: _Resolver, output: _Output, mus, names):
+    """The DGD points of run dgd and sweep mu, at penalty weights mus: each
+    point's step (--eta, or stable_eta at its mu) and _dgd_doc, all before one
+    run_dgd call, then per point its tail fit, its verdicts and its trace table
+    names[k].  Returns (eta, _dgd_doc, trace, fit, fit window, verdicts) per point."""
+    fmt = res.get("format", "csv")
     ds = res.dataset()
     g = res.graph(ds)
-    mu = float(res.get("mu", 1.0))
-    eta = float(res.get("eta", stable_eta(ds, g, mu)))
-    dgd_doc = _dgd_doc(ds, g, eta, mu)
-    # resolved step first, then the run options: summary.json keeps this order
-    res.resolved.update(eta=eta, mu=mu, mu_iter=eta * mu)
-    return ds, g, eta, mu, dgd_doc
+    eta_flag = res.get("eta")
+    etas = [stable_eta(ds, g, mu) if eta_flag is None else float(eta_flag) for mu in mus]
+    docs = [_dgd_doc(ds, g, eta, mu) for eta, mu in zip(etas, mus)]
+    iters = int(res.get("iters", 10_000))
+    stop_tol = float(res.get("stop_tol", 1e-16))
+    traces = run_dgd(ds, g, etas, mus, max_iters=iters, stop_tol=stop_tol,
+                     W0=_w0(res, (ds.n, ds.d)))
+    points = []
+    for eta, doc, trace, name in zip(etas, docs, traces, names):
+        fit, window = _fit_curve(trace.mean_err_sq_range, tail=True)
+        output.table(name, {c: getattr(trace, c) for c in _DGD_COLUMNS}, fmt, trace.status)
+        r_hat = math.sqrt(fit.rate) if fit else None
+        points.append((eta, doc, trace, fit, window, _dgd_verdicts(doc, trace, r_hat, stop_tol)))
+    return points
 
 
 def _cmd_run_dgd(res: _Resolver, output: _Output):
-    fmt = res.get("format", "csv")
-    ds, g, eta, mu, dgd_doc = _dgd_point(res)
-    iters = int(res.get("iters", 10_000))
-    stop_tol = float(res.get("stop_tol", 1e-16))
-    [trace] = run_dgd(ds, g, [eta], [mu], max_iters=iters, stop_tol=stop_tol,
-                      W0=_w0(res, (ds.n, ds.d)))
-    fit, window = _band_check(dgd_doc, trace, stop_tol)
-    output.table("trace", {c: getattr(trace, c) for c in _DGD_COLUMNS}, fmt, trace.status)
-    err0 = trace.mean_err_sq_range[0]
-    sp0 = trace.global_spread[0]
+    mu = float(res.get("mu", 1.0))
+    [(eta, dgd_doc, trace, fit, window, verdicts)] = _dgd_points(res, output, [mu], ["trace"])
+    res.resolved.update(eta=eta, mu_iter=eta * mu)
+    err, spread = trace.mean_err_sq_range, trace.global_spread
     doc = {
         "dgd": dgd_doc,
         "empirical": {
@@ -470,107 +484,107 @@ def _cmd_run_dgd(res: _Resolver, output: _Output):
             "g_hat": fit.rate if fit else None,
             "fit_residual": fit.residual if fit else None,
             "fit_window": list(window) if window else None,
-            "final_err_rel": (trace.mean_err_sq_range[-1] / err0) if err0 > 0 else None,
-            "final_spread_rel": (trace.global_spread[-1] / sp0) if sp0 > 0 else None,
+            "final_err_rel": (err[-1] / err[0]) if err[0] > 0 else None,
+            # against the peak: the zero start is a consensus state, of spread 0
+            "final_spread_rel": (spread[-1] / spread.max()) if spread.max() > 0 else None,
         },
     }
-    if trace.status == STATUS_DIVERGED:
-        return doc, EXIT_DIVERGED
-    return doc, EXIT_OK if dgd_doc["band_check"] == "pass" else EXIT_INVALID
+    return doc, [trace.status], verdicts
 
 
-def _parse_values(raw, fallback):
-    if raw is None:
-        return [float(v) for v in fallback] if fallback else None
-    return [float(v) for v in raw.split(",") if v != ""]
+def _sweep_values(res):
+    """--values, or the preset's sweep values, as floats; at least one."""
+    raw = res.get("values")
+    values = [float(v) for v in (raw.split(",") if raw is not None
+                                 else res.preset.get("sweep_values", ())) if v != ""]
+    if not values:
+        raise CliError(f"sweep {res.args.param} needs --values")
+    res.resolved["values"] = values
+    return values
+
+
+def _sweep_table(output, header, rows):
+    """sweep.csv, a row per swept value, and summary.json's rows as dicts."""
+    output.table("sweep", {name: [row[i] for row in rows] for i, name in enumerate(header)}, "csv")
+    return {"rows": [dict(zip(header, row)) for row in rows]}
 
 
 def _cmd_sweep(res: _Resolver, output: _Output):
     param = res.args.param
-    fmt = res.get("format", "csv") if param == "mu" else None  # only mu sweeps write traces
     master_seed = int(res.get("seed", 0))
-    if param != "mu":
-        epsilon = res.resolved["epsilon"] = float(res.get("epsilon", 0.01))
+    epsilon = res.resolved["epsilon"] = float(res.get("epsilon", 0.01))
     ds = res.dataset()
     ss = ds.spectral
     n, d = ds.n, ds.d
-    values = _parse_values(res.get("values"), res.preset.get("sweep_values"))
-    if not values:
-        raise CliError(f"sweep {param} needs --values")
-    res.resolved["values"] = values
-    runs = int(res.get("runs", 0)) if param != "mu" else 0
+    values = _sweep_values(res)
+    runs = int(res.get("runs", 0))
     if param == "m" and runs > 0:
         _require_unit_norm_for_eta_star(ds, min(values), "give --runs 0 for predictions only")
-    iters = int(res.get("iters", 60 if param != "mu" else 10_000))
-    stop_tol = float(res.get("stop_tol", 0.0 if param != "mu" else 1e-16))
+    iters = int(res.get("iters", 60))
+    stop_tol = float(res.get("stop_tol", 0.0))
     rows = []
 
-    if param in ("m", "eta"):
-        fixed_m = float(res.get("m", max(1.0, n / 4))) if param == "eta" else None
+    def measure(eta_v, m_v):
+        cfg = SolverConfig(eta=eta_v, m=m_v, sampler="bernoulli",
+                           max_iters=iters, stop_tol=stop_tol, seed=master_seed)
+        ens = run_ensemble(ds, cfg, runs=runs)
+        fit, window = _fit_curve(ens.mean_curve, rel_se=ens.rel_se)
+        status = min((tr.status for tr in ens.traces), key=_STATUS_WORST_FIRST.index)
+        return (fit.rate if fit else None), status
 
-        def measure(eta_v, m_v):
-            cfg = SolverConfig(eta=eta_v, m=m_v, sampler="bernoulli",
-                               max_iters=iters, stop_tol=stop_tol, seed=master_seed)
-            ens = run_ensemble(ds, cfg, runs=runs)
-            fit, window = _fit_curve(ens.mean_curve, rel_se=ens.rel_se)
-            status = min((tr.status for tr in ens.traces), key=_STATUS_WORST_FIRST.index)
-            return (fit.rate if fit else None), status
+    if param == "m":
+        header = ["m", "eta_opt", "g_opt", "branch", "t_eps", "total_cost",
+                  "cost_scaling", "g_hat_measured", "status"]
+        norms = ds.row_norms_sq()  # a zero row leaves the norm factor undefined
+        c_norms = gm_am_factor(float(norms.min()), float(norms.max())) if norms.min() > 0 else None
+        for v in values:
+            pred = optimal_rate(v, n, ss.lambda_max, ss.lambda_min_nz)
+            cm = cost_model(v, n, d, epsilon, pred.g_opt, c_norms)
+            measured = status = None
+            if runs > 0:
+                measured, status = measure(pred.eta_opt, v)
+            rows.append([v, pred.eta_opt, pred.g_opt, pred.branch,
+                         cm.t_eps, cm.total_cost, cm.cost_scaling, measured, status])
+    else:
+        fixed_m = float(res.get("m", max(1.0, n / 4)))
+        header = ["eta", "m", "g_pred", "g_hat_measured", "status"]
+        for v in values:  # every value before the first point
+            _validate_eta_m(v, fixed_m, n)
+        for v in values:
+            g_pred = max(g_eigen(fixed_m, n, v, ss.lambda_max),
+                         g_eigen(fixed_m, n, v, ss.lambda_min_nz))
+            measured = status = None
+            if runs > 0:
+                measured, status = measure(v, fixed_m)
+            rows.append([v, fixed_m, g_pred, measured, status])
+        res.resolved["m"] = fixed_m
+    return _sweep_table(output, header, rows), [row[-1] for row in rows], []
 
-        if param == "m":
-            header = ["m", "eta_opt", "g_opt", "branch", "t_eps", "total_cost",
-                      "cost_scaling", "g_hat_measured", "status"]
-            norms = ds.row_norms_sq()
-            c_norms = gm_am_factor(float(norms.min()), float(norms.max()))
-            for v in values:
-                pred = optimal_rate(v, n, ss.lambda_max, ss.lambda_min_nz)
-                cm = cost_model(v, n, d, epsilon, pred.g_opt, c_norms)
-                measured = status = None
-                if runs > 0:
-                    measured, status = measure(pred.eta_opt, v)
-                rows.append([v, pred.eta_opt, pred.g_opt, pred.branch,
-                             cm.t_eps, cm.total_cost, cm.cost_scaling, measured, status])
-        else:
-            header = ["eta", "m", "g_pred", "g_hat_measured", "status"]
-            for v in values:  # every value before the first point
-                _validate_eta_m(v, fixed_m, n)
-            for v in values:
-                g_pred = max(g_eigen(fixed_m, n, v, ss.lambda_max),
-                             g_eigen(fixed_m, n, v, ss.lambda_min_nz))
-                measured = status = None
-                if runs > 0:
-                    measured, status = measure(v, fixed_m)
-                rows.append([v, fixed_m, g_pred, measured, status])
-            res.resolved["m"] = fixed_m
-    else:  # mu sweep
-        g = res.graph(ds)
-        W0 = _w0(res, (n, d))
-        header = ["mu", "eta", "mu_iter", "sigma_min", "sigma_max", "rate_lower",
-                  "rate_spectral", "stable", "r_hat_norm", "band_check", "status"]
-        eta_flag = res.get("eta")
-        # every point's step and spectrum before the first run checks every value
-        etas = [stable_eta(ds, g, v) if eta_flag is None else float(eta_flag) for v in values]
-        docs = [_dgd_doc(ds, g, eta, v) for eta, v in zip(etas, values)]
-        traces = run_dgd(ds, g, etas, values, max_iters=iters, stop_tol=stop_tol, W0=W0)
-        for i, (v, eta, dgd, trace) in enumerate(zip(values, etas, docs, traces)):
-            fit, _ = _band_check(dgd, trace, stop_tol)
-            output.table(f"trace_{i:03d}", {c: getattr(trace, c) for c in _DGD_COLUMNS}, fmt,
-                         trace.status)
-            rows.append([v, eta, eta * v, dgd.get("sigma_min"), dgd.get("sigma_max"),
-                         dgd["rate_lower"], dgd.get("rate_spectral"), dgd.get("stable"),
-                         math.sqrt(fit.rate) if fit else None, dgd["band_check"], trace.status])
 
-    columns = {name: [row[i] for row in rows] for i, name in enumerate(header)}
-    output.table("sweep", columns, "csv")
-    doc = {"rows": [dict(zip(header, row)) for row in rows]}
-    if STATUS_DIVERGED in columns["status"]:
-        return doc, EXIT_DIVERGED
-    if any(band != "pass" for band in columns.get("band_check", ())):
-        return doc, EXIT_INVALID
-    return doc, EXIT_OK
+def _cmd_sweep_mu(res: _Resolver, output: _Output):
+    res.get("seed", 0)  # recorded, as by every sweep
+    values = _sweep_values(res)
+    points = _dgd_points(res, output, values, [f"trace_{i:03d}" for i in range(len(values))])
+    header = ["mu", "eta", "mu_iter", "sigma_min", "sigma_max", "rate_lower", "rate_spectral",
+              "stable", "r_hat_norm", *_DGD_VERDICTS, "status"]
+    rows, verdicts = [], []
+    for i, (mu, (eta, dgd, trace, fit, _, checks)) in enumerate(zip(values, points)):
+        passed = {v["name"]: "pass" if v["ok"] else "fail" for v in checks}
+        rows.append([mu, eta, eta * mu, dgd.get("sigma_min"), dgd.get("sigma_max"),
+                     dgd["rate_lower"], dgd.get("rate_spectral"), dgd.get("stable"),
+                     math.sqrt(fit.rate) if fit else None, *map(passed.get, _DGD_VERDICTS),
+                     trace.status])
+        verdicts += [{"row": i, **v} for v in checks]
+    return _sweep_table(output, header, rows), [row[-1] for row in rows], verdicts
 
 
 def _cmd_spectrum(res: _Resolver, output: _Output):
-    return {"dgd": _dgd_point(res)[-1]}, EXIT_OK
+    ds = res.dataset()
+    g = res.graph(ds)
+    mu = float(res.get("mu", 1.0))
+    eta = float(res.get("eta", stable_eta(ds, g, mu)))
+    res.resolved.update(eta=eta, mu=mu, mu_iter=eta * mu)
+    return {"dgd": _dgd_doc(ds, g, eta, mu)}, [], []
 
 
 # ---------------------------------------------------------------- parser
@@ -628,7 +642,7 @@ _VARIANTS = {
     ("run", "dgd"): (_cmd_run_dgd, "distributed gradient descent", _DGD + ("mu",)),
     ("sweep", "m"): (_cmd_sweep, "batch sizes at eta*(m)", _SWEEP),
     ("sweep", "eta"): (_cmd_sweep, "learning rates at one batch size", _SWEEP + ("m",)),
-    ("sweep", "mu"): (_cmd_sweep, "distributed penalty weights", _DGD + ("values",)),
+    ("sweep", "mu"): (_cmd_sweep_mu, "distributed penalty weights", _DGD + ("values",)),
     ("spectrum",): (_cmd_spectrum, "distributed round-operator spectrum", _D + _G + ("eta", "mu")),
 }
 
@@ -663,12 +677,17 @@ def main(argv=None) -> int:
                                       *argv[k:]])
         res = _Resolver(args)
         output = _Output(res.get("out", "."))  # before the handler: config keeps its key order
-        blocks, status = _VARIANTS[res.args.variant][0](res, output)
-        output.commit(res, blocks)
-        return status
+        blocks, statuses, verdicts = _VARIANTS[res.args.variant][0](res, output)
+        output.commit(res, blocks, verdicts)
     except (ValueError, OSError) as exc:  # CliError included
         print(f"gdlab: error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return 1
+    failed = [v for v in verdicts if not v["ok"]]
+    for v in failed:
+        row = f" (row {v['row']})" if "row" in v else ""
+        print(f"gdlab: check {v['name']}{row} failed: observed {json.dumps(v['observed'])}, "
+              f"bound {json.dumps(v['bound'])}, margin {json.dumps(v['margin'])}", file=sys.stderr)
+    return 2 if STATUS_DIVERGED in statuses else 1 if failed else 0
 
 
 if __name__ == "__main__":

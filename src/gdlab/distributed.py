@@ -53,15 +53,8 @@ class CommGraph:
     params: dict
     seed: int
 
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=int)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
     def max_degree(self) -> int:
-        return int(self.degrees().max())
+        return int(np.bincount(np.array(self.edges, dtype=int).ravel(), minlength=self.n).max())
 
 
 def is_connected(n: int, edges) -> bool:
@@ -149,19 +142,8 @@ def make_graph(kind: str, n: int, seed: int = 0, *, rows: int | None = None,
     return CommGraph(n=n, edges=edges, kind=kind, params=params, seed=seed)
 
 
-def laplacian(g: CommGraph) -> np.ndarray:
-    """Degree-minus-adjacency matrix; v^T (L kron I) v sums squared edge differences."""
-    L = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        L[i, i] += 1.0
-        L[j, j] += 1.0
-        L[i, j] -= 1.0
-        L[j, i] -= 1.0
-    return L
-
-
 def incidence(g: CommGraph) -> np.ndarray:
-    """Signed edge-node incidence B (E x n); B^T B = laplacian(g).
+    """Signed edge-node incidence B (E x n); B^T B is the Laplacian L, exactly.
 
     The penalty is applied as B^T (B W), which is exactly zero on consensus
     states instead of accumulating rounding from degree-weighted sums.
@@ -310,7 +292,8 @@ def dgd_operator_spectrum(ds: Dataset, g: CommGraph, eta: float, mu: float) -> O
     n, d = ds.n, ds.d
     if n * d > DENSE_GUARD:
         raise ValueError(f"too large for dense eigensolve: n*d = {n * d} > {DENSE_GUARD}")
-    Q = _coupling(eta, mu) * np.kron(laplacian(g), np.eye(d))
+    B = incidence(g)
+    Q = _coupling(eta, mu) * np.kron(B.T @ B, np.eye(d))
     for i in range(n):
         Q[i * d:(i + 1) * d, i * d:(i + 1) * d] += eta * np.outer(ds.X[i], ds.X[i])
     evals = np.linalg.eigvalsh(Q)

@@ -46,7 +46,7 @@ class CostModel:
     epsilon: float
     t_eps: float
     total_cost: float
-    cost_scaling: float | None  # m / log(n / (n - c m)); None when c m >= n
+    cost_scaling: float | None  # m / log(n / (n - c m)); None when c m >= n or c is None
 
 
 def _validate_eta_m(eta: float, m: float, n: int) -> None:
@@ -185,12 +185,13 @@ def orthogonal_rate(m: float, n: int, x_min_sq: float, x_max_sq: float) -> float
 
 
 def cost_model(m: float, n: int, d: int, epsilon: float, g: float,
-               c: float = 1.0) -> CostModel:
+               c: float | None = 1.0) -> CostModel:
     """Iterations to reach relative error epsilon and the induced cost scaling.
 
     t_eps = log(1/epsilon) / log(1/g) with a floor of one iteration (g -> 0
     solves in a single step); total_cost = m d t_eps.  cost_scaling =
-    m / log(n / (n - c m)) is omitted (None) when c m >= n.
+    m / log(n / (n - c m)) is omitted (None) when c m >= n or c is None
+    (a zero row, whose norm factor is undefined).
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"target error must lie in (0, 1): epsilon={epsilon}")
@@ -203,7 +204,7 @@ def cost_model(m: float, n: int, d: int, epsilon: float, g: float,
     else:
         t_eps = max(1.0, math.log(1.0 / epsilon) / math.log(1.0 / g))
     total_cost = m * d * t_eps
-    if c * m < n:
+    if c is not None and c * m < n:
         cost_scaling = m / math.log(n / (n - c * m))
     else:
         cost_scaling = None

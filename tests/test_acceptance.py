@@ -157,7 +157,8 @@ def test_criterion_5_dgd_convergence_and_band(crit5_run):
                 and emp["final_spread_rel"] < 1e-8
                 and r_hat is not None
                 and rate_lower - 0.02 <= r_hat < 1.0
-                and s["dgd"]["band_check"] == "pass")
+                and [v["name"] for v in s["verdicts"] if v["ok"]]
+                == ["converged", "contracting", "rate_band", "spectral_match"])
         ok &= cell
         details.append(f"mu={mu}: r_hat={r_hat:.6f}, lower={rate_lower:.6f}")
     report(5, "ring16 converges with consensus for mu in {0.1, 1, 10}", ok,

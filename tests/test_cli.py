@@ -1,18 +1,23 @@
 """Tests for the command-line experiment runner."""
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import re
 import shlex
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdlab import cli
 from gdlab.cli import build_parser, main
-from gdlab.presets import build_dataset
+from gdlab.presets import PRESETS, build_dataset
 from gdlab.problem import dataset_from_rows, dataset_to_json, gen_dataset, load_dataset
 
 DATASET_FILE = "<a dataset file>"  # stands for a dataset file the test writes
@@ -21,6 +26,15 @@ DATASET_FILE = "<a dataset file>"  # stands for a dataset file the test writes
 def read_summary(out):
     with open(os.path.join(out, "summary.json")) as fh:
         return json.load(fh)
+
+
+def zero_row_dataset(path):
+    """A dataset file of six unit-norm gaussian rows in R^8, one set to zero."""
+    X = gen_dataset(6, 8, "gaussian", normalize=True, seed=3).X.copy()
+    X[2] = 0.0
+    with open(path, "w") as fh:
+        fh.write(dataset_to_json(dataset_from_rows(X)))
+    return str(path)
 
 
 class TestTheoryCommand:
@@ -143,8 +157,9 @@ class TestRunCommand:
                    "--mu", "1", "--iters", "20000", "--w0-seed", "5", "--out", out])
         assert rc == 0
         s = read_summary(out)
-        assert s["dgd"]["band_check"] == "pass"
-        assert s["dgd"]["spectral_match"] is True
+        assert [(v["name"], v["ok"]) for v in s["verdicts"]] == [
+            ("converged", True), ("contracting", True), ("rate_band", True),
+            ("spectral_match", True)]
         assert s["dgd"]["sigma_min"] > 0
         header = open(os.path.join(out, "trace.csv")).readline().strip()
         assert header == "t,mean_err_sq_range,edge_spread,global_spread,penalized_loss"
@@ -253,11 +268,7 @@ class TestSweepCommand:
 
     def test_eta_and_mu_sweeps_take_a_zero_row(self, tmp_path):
         # only sweep m's cost model needs every row norm positive
-        X = gen_dataset(6, 8, "gaussian", normalize=True, seed=3).X.copy()
-        X[2] = 0.0
-        dataset = str(tmp_path / "zero_row.json")
-        with open(dataset, "w") as fh:
-            fh.write(dataset_to_json(dataset_from_rows(X)))
+        dataset = zero_row_dataset(tmp_path / "zero_row.json")
         for runs in ("0", "5"):
             out = str(tmp_path / f"eta_{runs}")
             assert main(["sweep", "eta", "--dataset", dataset, "--runs", runs,
@@ -338,6 +349,36 @@ class TestConfigAndErrors:
     def test_bad_flag_is_validation_failure(self, tmp_path):
         rc = main(["run", "gd", "--bogus-flag", "1"])
         assert rc == 1
+
+    # each of --iters and --stop-tol: a value on the command line, in --config
+    # and in the preset, each present or not
+    @settings(max_examples=40, deadline=None)
+    @given(st.fixed_dictionaries({
+        "iters": st.tuples(*[st.none() | st.integers(1, 30)] * 3),
+        "stop_tol": st.tuples(*[st.none() | st.floats(0.0, 1e-2)] * 3),
+    }))
+    def test_precedence_is_command_line_config_preset_default(self, placed):
+        defaults = {"iters": 200, "stop_tol": 0.0}  # run gd's
+        preset = {"dataset": dict(n=4, d=4, kind="gaussian", normalize=True, seed=1)}
+        argv, config = ["run", "gd", "--preset", "probe"], {}
+        for key, (line, in_config, in_preset) in placed.items():
+            if line is not None:
+                argv.append(f"--{key.replace('_', '-')}={line!r}")
+            if in_config is not None:
+                config[key] = in_config
+            if in_preset is not None:
+                preset[key] = in_preset
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.dict(PRESETS, {"probe": preset}):
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            out = os.path.join(tmp, "out")
+            assert main([*argv, "--config", path, "--out", out]) == 0
+            recorded = read_summary(out)["config"]
+        for key, values in placed.items():
+            expected = next((v for v in values if v is not None), defaults[key])
+            assert recorded[key] == expected, key
 
     def test_resolved_config_is_embedded(self, tmp_path):
         out = str(tmp_path)
@@ -494,6 +535,11 @@ class TestOptionTable:
             build_parser().parse_args(shlex.split(line.split("#")[0]))
 
 
+def verdicts(out):
+    """summary.json's verdicts by name (a run's, which names each once)."""
+    return {v["name"]: v for v in read_summary(out)["verdicts"]}
+
+
 def listed_and_present(out):
     s = read_summary(out)
     return set(s["files"]), set(os.listdir(out)) - {"summary.json"}
@@ -508,7 +554,7 @@ class TestChecksAndStatuses:
         assert rc == 1
         dgd = read_summary(out)["dgd"]
         assert dgd["rate_lower"] == 1.0
-        assert dgd["band_check"] == "fail"
+        assert not verdicts(out)["contracting"]["ok"]
 
     @pytest.mark.parametrize("argv", [
         ["run", "dgd", "--mu", "2"],
@@ -565,7 +611,7 @@ class TestChecksAndStatuses:
                    "--values", "0.5,5", "--iters", "4000", "--w0-seed", "2", "--out", out])
         assert rc == 0
         lines = open(os.path.join(out, "sweep.csv")).read().splitlines()
-        assert lines[0].endswith(",band_check,status")
+        assert lines[0].endswith(",r_hat_norm,converged,contracting,rate_band,spectral_match,status")
         assert [ln.rsplit(",", 1)[1] for ln in lines[1:]] == ["max-iters", "max-iters"]
         assert [r["status"] for r in read_summary(out)["rows"]] == ["max-iters", "max-iters"]
 
@@ -576,12 +622,100 @@ class TestChecksAndStatuses:
         out = str(tmp_path / "sweep")
         assert main(["sweep", "mu", *common, "--values", "0.5,5", "--out", out]) == 1
         rows = read_summary(out)["rows"]
-        assert [(r["status"], r["band_check"]) for r in rows] == [("max-iters", "fail")] * 2
+        assert [(r["status"], r["converged"]) for r in rows] == [("max-iters", "fail")] * 2
         out = str(tmp_path / "run")
         assert main(["run", "dgd", *common, "--mu", "5", "--out", out]) == 1
         s = read_summary(out)
         assert s["empirical"]["status"] == "max-iters"
-        assert s["dgd"]["band_check"] == "fail"
+        assert not verdicts(out)["converged"]["ok"]
+
+    def test_max_iters_under_stop_tol_fails_converged_alone(self, tmp_path):
+        # cut at its cap far from 1e-16, the run still contracts at a rate
+        # inside the band: converged fails, with a negative margin, and
+        # nothing else does
+        out = str(tmp_path)
+        assert main(["run", "dgd", "--preset", "gaussian8", "--graph-kind", "ring", "--mu", "5",
+                     "--iters", "4000", "--w0-seed", "2", "--stop-tol", "1e-16",
+                     "--out", out]) == 1
+        checks = verdicts(out)
+        assert [name for name, v in checks.items() if not v["ok"]] == ["converged"]
+        assert checks["converged"]["margin"] < 0 < checks["rate_band"]["margin"]
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "dgd", "--preset", "ring16", "--mu", "1e300", "--iters", "50"],
+        ["sweep", "mu", "--preset", "gaussian8", "--graph-kind", "ring", "--values", "0.5,5",
+         "--iters", "4000", "--w0-seed", "2", "--stop-tol", "1e-16"],
+    ])
+    def test_each_failed_verdict_prints_its_margin(self, tmp_path, capsys, argv):
+        out = str(tmp_path)
+        assert main([*argv, "--out", out]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        failed = [v for v in read_summary(out)["verdicts"] if not v["ok"]]
+        assert len(lines) == len(failed) == 2
+        for line, v in zip(lines, failed):
+            row = f" (row {v['row']})" if "row" in v else ""
+            assert line.startswith(f"gdlab: check {v['name']}{row} failed: ")
+            assert line.endswith(f", margin {json.dumps(v['margin'])}")
+
+    def test_skipped_spectrum_has_no_spectral_match(self, tmp_path):
+        # n * d = 4480 is past the dense guard
+        common = ["--n", "70", "--d", "64", "--kind", "gaussian", "--normalize",
+                  "--graph-kind", "ring", "--iters", "50", "--stop-tol", "0"]
+        out = str(tmp_path / "run")
+        main(["run", "dgd", *common, "--out", out])
+        assert read_summary(out)["dgd"]["skipped"] is True
+        assert list(verdicts(out)) == ["converged", "contracting", "rate_band"]
+        out = str(tmp_path / "sweep")
+        main(["sweep", "mu", *common, "--values", "1", "--out", out])
+        [row] = read_summary(out)["rows"]
+        assert row["spectral_match"] is None
+        assert "spectral_match" not in {v["name"] for v in read_summary(out)["verdicts"]}
+
+    def test_spectral_match_gates_the_exit(self, tmp_path, monkeypatch):
+        # a round-operator rate 2% off fails spectral_match alone
+        spectrum = cli.dgd_operator_spectrum
+
+        def off(*args):
+            sp = spectrum(*args)
+            return dataclasses.replace(sp, rate_spectral=0.98 * sp.rate_spectral)
+
+        monkeypatch.setattr(cli, "dgd_operator_spectrum", off)
+        out = str(tmp_path)
+        assert main(["run", "dgd", "--preset", "gaussian8", "--graph-kind", "ring", "--mu", "1",
+                     "--iters", "20000", "--w0-seed", "5", "--out", out]) == 1
+        assert [name for name, v in verdicts(out).items() if not v["ok"]] == ["spectral_match"]
+
+    def test_zero_start_spread_is_measured_against_its_peak(self, tmp_path):
+        out = str(tmp_path)
+        main(["run", "dgd", "--preset", "gaussian8", "--graph-kind", "ring", "--mu", "1",
+              "--iters", "300", "--stop-tol", "0", "--out", out])
+        spread = np.loadtxt(os.path.join(out, "trace.csv"), delimiter=",", skiprows=1)[:, 3]
+        assert spread[0] == 0.0 < spread.max()
+        assert read_summary(out)["empirical"]["final_spread_rel"] == spread[-1] / spread.max()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "gd", "--iters", "5"],
+        ["run", "sgd", "--iters", "5", "--eta", "0.5", "--m", "2"],
+        ["theory"],
+        ["sweep", "m", "--runs", "0", "--values", "1,2"],
+    ])
+    def test_zero_row_leaves_the_norm_factor_null(self, tmp_path, argv):
+        # the orthogonal bound and the cost scaling need every row norm
+        # positive; the rest of the prediction does not
+        dataset = zero_row_dataset(tmp_path / "zero_row.json")
+        out = str(tmp_path / "out")
+        assert main([*argv, "--dataset", dataset, "--epsilon", "0.01", "--out", out]) == 0
+        s = read_summary(out)
+        for block in s["rows"] if "rows" in s else [s["theory"] | s["cost"]]:
+            assert block["cost_scaling"] is None
+            assert block["t_eps"] > 0
+            assert block.get("g_orthogonal_bound") is None
+            assert 0 < block["g_opt"] < 1
+
+    def test_n_with_preset_names_generation(self, tmp_path, capsys):
+        assert main(["gen", "--preset", "ring16", "--n", "4", "--out", str(tmp_path)]) == 1
+        assert ("--n with --preset asks for a generated dataset, which also needs --d and --kind"
+                in capsys.readouterr().err)
 
     def test_ensemble_fit_stops_before_the_noisy_tail(self, tmp_path):
         # the exact mean contraction is 1 - m/n = 0.75; past the window's end
@@ -687,6 +821,9 @@ class TestOutput:
         assert main([*variant, *READS_ARGV[variant], "--out", out]) == 0
         listed, present = listed_and_present(out)
         assert listed == present
+        # every summary has a verdict list; only the DGD runs check anything yet
+        names = [v["name"] for v in read_summary(out)["verdicts"]]
+        assert names == (list(cli._DGD_VERDICTS) if variant[-1] in ("dgd", "mu") else [])
 
     @pytest.mark.parametrize("variant", sorted(FAILS_ARGV), ids="_".join)
     def test_failing_command_leaves_out_unchanged(self, tmp_path, variant):

@@ -14,7 +14,6 @@ from gdlab.distributed import (
     graph_to_json,
     incidence,
     is_connected,
-    laplacian,
     make_graph,
     run_dgd,
     stability_bound,
@@ -34,6 +33,17 @@ def two_unit_nodes():
     """Two scalar samples x = 1 with labels 0; the fit point is w = 0."""
     return Dataset(X=np.array([[1.0], [1.0]]), y=np.zeros(2), w_star=np.zeros(1),
                    kind="custom", seed=0)
+
+
+def laplacian(g):
+    """Degree-minus-adjacency matrix built edge by edge: the oracle for B^T B."""
+    L = np.zeros((g.n, g.n))
+    for i, j in g.edges:
+        L[i, i] += 1.0
+        L[j, j] += 1.0
+        L[i, j] -= 1.0
+        L[j, i] -= 1.0
+    return L
 
 
 def dense_round_operator(ds, g, eta, mu):
@@ -137,6 +147,7 @@ class TestMakeGraph:
         assert np.linalg.matrix_rank(L) == n - 1  # connected: one zero eigenvalue
         B = incidence(g)
         assert np.array_equal(B.T @ B, L)
+        assert g.max_degree() == int(np.diag(L).max())
 
 
 class TestLaplacian:
