@@ -7,8 +7,8 @@ and G for --graph --graph-kind --graph-rows --graph-cols --graph-k
     gen        D: a dataset and its spectral summary
     theory     D --m --lambda1 --lambdan --epsilon: closed-form rate and cost
                (given --lambda1 and --lambdan it reads no dataset: refuses --preset, D but --n --d)
-    run gd     D --eta --runs --iters --stop-tol --w0-seed --epsilon --format
-    run sgd    the run gd options, --m --sampler
+    run gd     D --eta --iters --stop-tol --w0-seed --epsilon --format
+    run sgd    the run gd options, --runs --m --sampler
     run dgd    D G --eta --mu --iters --stop-tol --w0-seed --format
     sweep m    D --values --runs --iters --stop-tol --epsilon: a row per value
     sweep eta  the sweep m options, --m
@@ -76,8 +76,7 @@ from .solvers import (
     estimate_rate,
     run_ensemble,
 )
-from .theory import (_validate_eta_m, cost_model, g_eigen, gm_am_factor, optimal_rate,
-                     orthogonal_rate)
+from .theory import cost_model, g_eigen, gm_am_factor, optimal_rate, orthogonal_rate
 
 _STATUS_WORST_FIRST = (STATUS_DIVERGED, STATUS_MAX_ITERS, STATUS_CONVERGED)
 _FIT_MAX_REL_SE = 0.05
@@ -332,44 +331,52 @@ def _w0(res, shape):
     return None if w0_seed is None else np.random.default_rng(int(w0_seed)).standard_normal(shape)
 
 
-def _require_unit_norm_for_eta_star(ds, m, remedy):
-    """Refuse eta* for batch size m < n on rows that are not unit-norm, which it assumes."""
-    if m < ds.n and not ds.normalized:
-        raise CliError(f"eta* assumes unit-norm rows, and this dataset's are not; {remedy}")
+def _sgd_points(ds, points, runs, remedy, **solver):
+    """The SGD points of run gd|sgd and sweep m|eta, each (eta or None, m).  Each
+    point gets optimal_rate(m) and a validated SolverConfig(eta, m, **solver), at
+    eta* where no eta is given (refused, with remedy, below m = n on rows that are not
+    unit-norm when runs are made), before any runs; then its ensemble of runs (none
+    for None), its fit and its worst status.  Returns (prediction, config, ensemble,
+    fit, fit window, status) per point, the last four None without runs."""
+    ss = ds.spectral
+    made = []
+    for eta, m in points:
+        pred = optimal_rate(m, ds.n, ss.lambda_max, ss.lambda_min_nz)
+        if eta is None and runs is not None and m < ds.n and not ds.normalized:
+            raise CliError(f"eta* assumes unit-norm rows, and this dataset's are not; {remedy}")
+        cfg = SolverConfig(eta=pred.eta_opt if eta is None else float(eta), m=m, **solver)
+        cfg.validate(ds.n)
+        made.append((pred, cfg))
+    out = []
+    for pred, cfg in made:
+        ens = fit = window = status = None
+        if runs is not None:
+            ens = run_ensemble(ds, cfg, runs=runs)
+            fit, window = _fit_curve(ens.mean_curve, rel_se=ens.rel_se)
+            status = min((tr.status for tr in ens.traces), key=_STATUS_WORST_FIRST.index)
+        out.append((pred, cfg, ens, fit, window, status))
+    return out
 
 
 def _cmd_run_solver(res: _Resolver, output: _Output):
-    solver = res.args.solver
     fmt = res.get("format", "csv")
     master_seed = int(res.get("seed", 0))
     ds = res.dataset()
-    ss = ds.spectral
-    n = ds.n
-    if solver == "gd":
-        sampler = "full"
-        m = float(n)
-        # deterministic solver: preset ensemble sizes are for sgd only
-        runs = int(res._raw("runs", 1))
-        res.resolved["runs"] = runs
+    if res.args.solver == "gd":  # deterministic: one run at m = n
+        sampler, m, runs = "full", float(ds.n), 1
     else:
         sampler = res.get("sampler", "bernoulli")
-        m = float(res.get("m", max(1.0, n / 4)))
+        m = float(res.get("m", max(1.0, ds.n / 4)))
         runs = int(res.get("runs", 1))
-    pred = optimal_rate(m, n, ss.lambda_max, ss.lambda_min_nz)
     eta = res.get("eta")
-    if eta is None:
-        _require_unit_norm_for_eta_star(ds, m, "give --eta")
-    eta = pred.eta_opt if eta is None else float(eta)
-    res.resolved["eta"] = eta
-    res.resolved["m"] = m
-    res.resolved["sampler"] = sampler
-    iters = int(res.get("iters", 200))
-    stop_tol = float(res.get("stop_tol", 0.0))
-    cfg = SolverConfig(eta=eta, m=m, sampler=sampler, max_iters=iters,
-                       stop_tol=stop_tol, seed=master_seed, w0=_w0(res, ds.d))
-    ens = run_ensemble(ds, cfg, runs=runs)
+    res.resolved.update(m=m, sampler=sampler)
+    [(pred, cfg, ens, fit, window, status)] = _sgd_points(
+        ds, [(eta, m)], runs, "give --eta", sampler=sampler,
+        max_iters=int(res.get("iters", 200)), stop_tol=float(res.get("stop_tol", 0.0)),
+        seed=master_seed, w0=_w0(res, ds.d))
+    res.resolved["eta"] = cfg.eta
     norms = ds.row_norms_sq()  # --epsilon is checked here, before the first table
-    theory, cost = _predictions(res, pred, n, ds.d, float(norms.min()), float(norms.max()))
+    theory, cost = _predictions(res, pred, ds.n, ds.d, float(norms.min()), float(norms.max()))
 
     width = max(3, len(str(runs - 1)))
     for k, tr in enumerate(ens.traces):
@@ -378,8 +385,6 @@ def _cmd_run_solver(res: _Resolver, output: _Output):
     if runs > 1:
         curve = ens.mean_curve
         output.table("mean", {"t": np.arange(len(curve)), "mean_err_sq_range": curve}, fmt)
-    fit, window = _fit_curve(ens.mean_curve, rel_se=ens.rel_se)
-    statuses = [tr.status for tr in ens.traces]
     doc = {
         "theory": theory,
         "empirical": {
@@ -387,12 +392,12 @@ def _cmd_run_solver(res: _Resolver, output: _Output):
             "r_hat_norm": math.sqrt(fit.rate) if fit else None,
             "fit_residual": fit.residual if fit else None,
             "fit_window": list(window) if window else None,
-            "statuses": Counter(statuses),
+            "statuses": Counter(tr.status for tr in ens.traces),
             "seeds": [tr.config.seed for tr in ens.traces],
         },
         **cost,
     }
-    return doc, statuses, []
+    return doc, [status], []
 
 
 def _dgd_doc(ds, g, eta, mu):
@@ -517,47 +522,29 @@ def _cmd_sweep(res: _Resolver, output: _Output):
     ss = ds.spectral
     n, d = ds.n, ds.d
     values = _sweep_values(res)
-    runs = int(res.get("runs", 0))
-    if param == "m" and runs > 0:
-        _require_unit_norm_for_eta_star(ds, min(values), "give --runs 0 for predictions only")
-    iters = int(res.get("iters", 60))
-    stop_tol = float(res.get("stop_tol", 0.0))
-    rows = []
-
-    def measure(eta_v, m_v):
-        cfg = SolverConfig(eta=eta_v, m=m_v, sampler="bernoulli",
-                           max_iters=iters, stop_tol=stop_tol, seed=master_seed)
-        ens = run_ensemble(ds, cfg, runs=runs)
-        fit, window = _fit_curve(ens.mean_curve, rel_se=ens.rel_se)
-        status = min((tr.status for tr in ens.traces), key=_STATUS_WORST_FIRST.index)
-        return (fit.rate if fit else None), status
-
+    runs = int(res.get("runs", 0)) or None  # 0: predictions only
+    solver = dict(sampler="bernoulli", max_iters=int(res.get("iters", 60)),
+                  stop_tol=float(res.get("stop_tol", 0.0)), seed=master_seed)
     if param == "m":
         header = ["m", "eta_opt", "g_opt", "branch", "t_eps", "total_cost",
                   "cost_scaling", "g_hat_measured", "status"]
+        points = _sgd_points(ds, [(None, v) for v in values], runs,
+                             "give --runs 0 for predictions only", **solver)
         norms = ds.row_norms_sq()  # a zero row leaves the norm factor undefined
         c_norms = gm_am_factor(float(norms.min()), float(norms.max())) if norms.min() > 0 else None
-        for v in values:
-            pred = optimal_rate(v, n, ss.lambda_max, ss.lambda_min_nz)
+        rows = []
+        for v, (pred, _, _, fit, _, status) in zip(values, points):
             cm = cost_model(v, n, d, epsilon, pred.g_opt, c_norms)
-            measured = status = None
-            if runs > 0:
-                measured, status = measure(pred.eta_opt, v)
-            rows.append([v, pred.eta_opt, pred.g_opt, pred.branch,
-                         cm.t_eps, cm.total_cost, cm.cost_scaling, measured, status])
+            rows.append([v, pred.eta_opt, pred.g_opt, pred.branch, cm.t_eps, cm.total_cost,
+                         cm.cost_scaling, fit.rate if fit else None, status])
     else:
-        fixed_m = float(res.get("m", max(1.0, n / 4)))
+        fixed_m = res.resolved["m"] = float(res.get("m", max(1.0, n / 4)))
         header = ["eta", "m", "g_pred", "g_hat_measured", "status"]
-        for v in values:  # every value before the first point
-            _validate_eta_m(v, fixed_m, n)
-        for v in values:
-            g_pred = max(g_eigen(fixed_m, n, v, ss.lambda_max),
-                         g_eigen(fixed_m, n, v, ss.lambda_min_nz))
-            measured = status = None
-            if runs > 0:
-                measured, status = measure(v, fixed_m)
-            rows.append([v, fixed_m, g_pred, measured, status])
-        res.resolved["m"] = fixed_m
+        points = _sgd_points(ds, [(v, fixed_m) for v in values], runs, None, **solver)
+        rows = [[v, fixed_m, max(g_eigen(fixed_m, n, v, ss.lambda_max),
+                                 g_eigen(fixed_m, n, v, ss.lambda_min_nz)),
+                 fit.rate if fit else None, status]
+                for v, (_, _, _, fit, _, status) in zip(values, points)]
     return _sweep_table(output, header, rows), [row[-1] for row in rows], []
 
 
@@ -627,7 +614,7 @@ _OPTIONS = {
 _COMMON = ("config", "preset", "out", "seed")
 _D = ("dataset", "n", "d", "kind", "rho", "normalize", "data_seed")
 _G = ("graph", "graph_kind", "graph_rows", "graph_cols", "graph_k", "graph_p", "graph_seed")
-_RUN = _D + ("eta", "runs", "iters", "stop_tol", "w0_seed", "epsilon", "format")
+_RUN = _D + ("eta", "iters", "stop_tol", "w0_seed", "epsilon", "format")
 _SWEEP = _D + ("values", "runs", "iters", "stop_tol", "epsilon")
 _DGD = _D + _G + ("eta", "iters", "stop_tol", "w0_seed", "format")
 # the nested commands: their sub-command's dest and their help
@@ -638,7 +625,7 @@ _VARIANTS = {
     ("theory",): (_cmd_theory, "closed-form predictions",
                   _D + ("m", "lambda1", "lambdan", "epsilon")),
     ("run", "gd"): (_cmd_run_solver, "full gradient descent", _RUN),
-    ("run", "sgd"): (_cmd_run_solver, "minibatch SGD", _RUN + ("m", "sampler")),
+    ("run", "sgd"): (_cmd_run_solver, "minibatch SGD", _RUN + ("runs", "m", "sampler")),
     ("run", "dgd"): (_cmd_run_dgd, "distributed gradient descent", _DGD + ("mu",)),
     ("sweep", "m"): (_cmd_sweep, "batch sizes at eta*(m)", _SWEEP),
     ("sweep", "eta"): (_cmd_sweep, "learning rates at one batch size", _SWEEP + ("m",)),
@@ -685,8 +672,8 @@ def main(argv=None) -> int:
     failed = [v for v in verdicts if not v["ok"]]
     for v in failed:
         row = f" (row {v['row']})" if "row" in v else ""
-        print(f"gdlab: check {v['name']}{row} failed: observed {json.dumps(v['observed'])}, "
-              f"bound {json.dumps(v['bound'])}, margin {json.dumps(v['margin'])}", file=sys.stderr)
+        print(f"gdlab: check {v['name']}{row} failed: observed {dumps(v['observed'])}, "
+              f"bound {dumps(v['bound'])}, margin {dumps(v['margin'])}", file=sys.stderr)
     return 2 if STATUS_DIVERGED in statuses else 1 if failed else 0
 
 

@@ -270,8 +270,9 @@ class OperatorSpectrum:
     """Spectrum of Q = eta blockdiag(x_i x_i^T) + eta mu (L kron I) off its exact null space.
 
     The exact null space is consensus states whose common component lies in
-    null(H); sigma_min/sigma_max are taken off it.  rate_spectral is the
-    spectral radius of I - Q there, and `stable` requires sigma_max < 2.
+    null(H); sigma_min/sigma_max are taken off it.  rate_spectral, the
+    spectral radius of I - Q there, is max(1 - sigma_min, sigma_max - 1) of
+    the reported extremes, and `stable` requires sigma_max < 2.
     """
 
     sigma_min: float
@@ -298,16 +299,14 @@ def dgd_operator_spectrum(ds: Dataset, g: CommGraph, eta: float, mu: float) -> O
         Q[i * d:(i + 1) * d, i * d:(i + 1) * d] += eta * np.outer(ds.X[i], ds.X[i])
     evals = np.linalg.eigvalsh(Q)
     null_dim = d - ds.spectral.rank
-    nonnull = evals[null_dim:]
     sigma_max = float(evals[-1])
-    sigma_min = float(nonnull[0])
+    sigma_min = float(evals[null_dim])
     if sigma_min < 1e-11 * max(sigma_max, 1.0):
         sigma_min = 0.0
-    rate_spectral = float(np.max(np.abs(1.0 - nonnull)))
     return OperatorSpectrum(
         sigma_min=sigma_min,
         sigma_max=sigma_max,
-        rate_spectral=rate_spectral,
+        rate_spectral=max(1.0 - sigma_min, sigma_max - 1.0),
         stable=sigma_max < 2.0,
     )
 

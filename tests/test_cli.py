@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from gdlab import cli
 from gdlab.cli import build_parser, main
+from gdlab.io import dumps
 from gdlab.presets import PRESETS, build_dataset
 from gdlab.problem import dataset_from_rows, dataset_to_json, gen_dataset, load_dataset
 
@@ -312,6 +313,16 @@ class TestSpectrumCommand:
         s = read_summary(out)
         assert s["dgd"]["skipped"] is True
 
+    def test_rate_lower_meets_sigma_min_at_large_mu(self, tmp_path):
+        # at fixed eta, sigma_min / (eta lambda_min_nz(H)) -> 1 as mu grows (0.99986
+        # on ring16 at mu = 1e4), so rate_lower = 1 - eta lambda_min_nz(H) is pinned
+        # by the spectrum from below and from above
+        out = str(tmp_path)
+        assert main(["spectrum", "--preset", "ring16", "--eta", "0.05", "--mu", "1e4",
+                     "--out", out]) == 0
+        dgd = read_summary(out)["dgd"]
+        assert 0.999 <= dgd["sigma_min"] / (1.0 - dgd["rate_lower"]) <= 1.0 + 1e-8
+
 
 class TestConfigAndErrors:
     def test_config_file_supplies_values(self, tmp_path):
@@ -394,14 +405,14 @@ class TestConfigAndErrors:
 D = ["--dataset", "--n", "--d", "--kind", "--rho", "--normalize", "--data-seed"]
 G = ["--graph", "--graph-kind", "--graph-rows", "--graph-cols", "--graph-k", "--graph-p",
      "--graph-seed"]
-RUN = D + ["--eta", "--runs", "--iters", "--stop-tol", "--w0-seed", "--epsilon", "--format"]
+RUN = D + ["--eta", "--iters", "--stop-tol", "--w0-seed", "--epsilon", "--format"]
 SWEEP = D + ["--values", "--runs", "--iters", "--stop-tol", "--epsilon"]
 # the options of each variant besides --config --preset --out --seed
 ACCEPTED = {
     ("gen",): D,
     ("theory",): D + ["--m", "--lambda1", "--lambdan", "--epsilon"],
     ("run", "gd"): RUN,
-    ("run", "sgd"): RUN + ["--m", "--sampler"],
+    ("run", "sgd"): RUN + ["--runs", "--m", "--sampler"],
     ("run", "dgd"): D + G + ["--eta", "--mu", "--iters", "--stop-tol", "--w0-seed", "--format"],
     ("sweep", "m"): SWEEP,
     ("sweep", "eta"): SWEEP + ["--m"],
@@ -446,7 +457,7 @@ class TestOptionTable:
         common = {"--config", "--preset", "--out", "--seed"}
         for variant, options in ACCEPTED.items():
             assert accepted(parsers[variant]) == common | set(options), variant
-        assert sum(len(accepted(p)) for p in parsers.values()) == 165
+        assert sum(len(accepted(p)) for p in parsers.values()) == 164
 
     @pytest.mark.parametrize("variant", sorted(READS_ARGV), ids="_".join)
     def test_each_accepted_option_is_read(self, tmp_path, monkeypatch, variant):
@@ -470,6 +481,8 @@ class TestOptionTable:
          "--values", "4"],
         ["run", "sgd", "--preset", "gaussian8", "--mu", "5"],
         ["run", "sgd", "--preset", "gaussian8", "--run", "3"],  # no abbreviation of --runs
+        # full-batch GD is deterministic: --runs N would write N identical traces
+        ["run", "gd", "--preset", "gaussian8", "--runs", "2"],
     ])
     def test_unread_flag_writes_nothing(self, tmp_path, argv):
         assert main([*argv, "--out", str(tmp_path)]) == 1
@@ -590,6 +603,8 @@ class TestChecksAndStatuses:
         ["run", "gd", "--dataset", DATASET_FILE, "--n", "8"],
         ["sweep", "mu", "--dataset", DATASET_FILE, "--graph-kind", "ring", "--values", "1",
          "--iters", "50", "--normalize"],
+        # a negative ensemble size, which is no ensemble and no prediction-only sweep
+        ["sweep", "m", "--preset", "orthonormal32", "--runs", "-1", "--values", "4"],
     ])
     def test_invalid_value_writes_nothing(self, tmp_path, tmp_path_factory, argv):
         # every value is checked before the first file is written
@@ -655,7 +670,17 @@ class TestChecksAndStatuses:
         for line, v in zip(lines, failed):
             row = f" (row {v['row']})" if "row" in v else ""
             assert line.startswith(f"gdlab: check {v['name']}{row} failed: ")
-            assert line.endswith(f", margin {json.dumps(v['margin'])}")
+            assert line.endswith(f", margin {dumps(v['margin'])}")
+
+    def test_failed_check_prints_numbers_as_the_summary_holds_them(self, tmp_path, capsys):
+        # 17 significant digits: 1e-16 reads 9.9999999999999998e-17, as in summary.json
+        out = str(tmp_path)
+        assert main(["run", "dgd", "--preset", "ring16", "--eta", "1e-20", "--mu", "1",
+                     "--iters", "50", "--out", out]) == 1
+        failed = [v for v in read_summary(out)["verdicts"] if not v["ok"]]
+        assert capsys.readouterr().err.splitlines() == [
+            f"gdlab: check {v['name']} failed: observed {dumps(v['observed'])}, "
+            f"bound {dumps(v['bound'])}, margin {dumps(v['margin'])}" for v in failed]
 
     def test_skipped_spectrum_has_no_spectral_match(self, tmp_path):
         # n * d = 4480 is past the dense guard

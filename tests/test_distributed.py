@@ -19,6 +19,7 @@ from gdlab.distributed import (
     stability_bound,
     stable_eta,
 )
+from gdlab.presets import build_dataset, build_graph
 from gdlab.problem import (
     Dataset,
     dataset_from_rows,
@@ -334,12 +335,18 @@ class TestOperatorSpectrum:
         assert sp.stable
 
     def test_zero_coupling_reports_zero_sigma_min(self):
-        # a vanishing penalty leaves the per-node null modes at eigenvalue ~0
-        ds = gen_dataset(3, 4, "gaussian", seed=55)
-        g = make_graph("ring", 3)
-        sp = dgd_operator_spectrum(ds, g, eta=0.2, mu=1e-300)
-        assert sp.sigma_min == 0.0
-        assert sp.rate_spectral >= 1.0
+        # a vanishing penalty leaves the per-node null modes at eigenvalue ~0, and so
+        # does an overwhelming one at its stable step; rate_spectral reads the
+        # reported, clamped sigma_min, not the rounding-signed eigenvalue under it
+        ring16 = build_dataset("ring16"), build_graph("ring16")
+        for ds, g, eta, mu in [
+            (gen_dataset(3, 4, "gaussian", seed=55), make_graph("ring", 3), 0.2, 1e-300),
+            (*ring16, stable_eta(*ring16, 1e-300), 1e-300),
+            (*ring16, stable_eta(*ring16, 1e300), 1e300),
+        ]:
+            sp = dgd_operator_spectrum(ds, g, eta=eta, mu=mu)
+            assert sp.sigma_min == 0.0
+            assert sp.rate_spectral == max(1.0 - sp.sigma_min, sp.sigma_max - 1.0) == 1.0, mu
 
     def test_ring4_orthonormal_bound(self):
         ds = gen_dataset(4, 4, "orthonormal", seed=56)
