@@ -11,7 +11,7 @@ and G for --graph --graph-kind --graph-rows --graph-cols --graph-k
     run sgd    the run gd options, --runs --m --sampler
     run dgd    D G --eta --mu --iters --stop-tol --w0-seed --format
     sweep m    D --values --runs --iters --stop-tol --epsilon: a row per value
-    sweep eta  the sweep m options, --m
+    sweep eta  D --values --runs --iters --stop-tol --m
     sweep mu   D G --values --eta --iters --stop-tol --w0-seed --format
     spectrum   D G --eta --mu: dense round-operator spectrum of run dgd
 Any other option, or an abbreviated one, is a validation failure.
@@ -263,15 +263,14 @@ def _cmd_gen(res: _Resolver, output: _Output):
     return {}, [], []
 
 
-def _predictions(res, pred, n, d, x_min_sq, x_max_sq):
-    """summary.json's theory block for pred, and its cost block as {"cost": ...},
-    empty without --epsilon or when g* does not contract.  A zero row leaves
-    the norm factor, so the orthogonal bound and the cost scaling, undefined (None)."""
+def _predictions(pred, n, d, x_min_sq, x_max_sq, epsilon):
+    """summary.json's theory block for pred, and its cost block at epsilon as
+    {"cost": ...}, empty when epsilon is None.  A zero row leaves the norm
+    factor, so the orthogonal bound and the cost scaling, undefined (None)."""
     c = gm_am_factor(x_min_sq, x_max_sq) if x_min_sq > 0 else None
     theory = {"m": pred.m, "eta_opt": pred.eta_opt, "g_opt": pred.g_opt, "branch": pred.branch,
               "g_orthogonal_bound": orthogonal_rate(pred.m, n, x_min_sq, x_max_sq) if c else None}
-    epsilon = res.get("epsilon")
-    if epsilon is None or not 0 < pred.g_opt < 1:
+    if epsilon is None:
         return theory, {}
     cm = cost_model(pred.m, n, d, float(epsilon), pred.g_opt, c)
     return theory, {"cost": {"epsilon": cm.epsilon, "t_eps": cm.t_eps,
@@ -299,7 +298,8 @@ def _cmd_theory(res: _Resolver, output: _Output):
     n = int(n)
     m = float(res.get("m", n))
     pred = optimal_rate(m, n, float(lambda1), float(lambdan))
-    theory, cost = _predictions(res, pred, n, int(d) if d else 1, x_min_sq, x_max_sq)
+    theory, cost = _predictions(pred, n, int(d) if d else 1, x_min_sq, x_max_sq,
+                                res.get("epsilon"))
     return {"theory": theory, **cost}, [], []
 
 
@@ -331,14 +331,16 @@ def _w0(res, shape):
     return None if w0_seed is None else np.random.default_rng(int(w0_seed)).standard_normal(shape)
 
 
-def _sgd_points(ds, points, runs, remedy, **solver):
-    """The SGD points of run gd|sgd and sweep m|eta, each (eta or None, m).  Each
-    point gets optimal_rate(m) and a validated SolverConfig(eta, m, **solver), at
-    eta* where no eta is given (refused, with remedy, below m = n on rows that are not
-    unit-norm when runs are made), before any runs; then its ensemble of runs (none
-    for None), its fit and its worst status.  Returns (prediction, config, ensemble,
-    fit, fit window, status) per point, the last four None without runs."""
+def _sgd_points(ds, points, runs, remedy, epsilon, **solver):
+    """The SGD points of run gd|sgd and sweep m|eta, each (eta or None, m).  Each point
+    gets optimal_rate(m), a validated SolverConfig(eta, m, **solver), at eta* where no
+    eta is given (refused, with remedy, below m = n on rows that are not unit-norm when
+    runs are made), and its _predictions at epsilon, before any runs; then its ensemble
+    of runs (none for None), its fit and its worst status.  Returns (theory, cost, config,
+    ensemble, fit, fit window, status) per point, the last four None without runs."""
     ss = ds.spectral
+    norms = ds.row_norms_sq()
+    x_min_sq, x_max_sq = float(norms.min()), float(norms.max())
     made = []
     for eta, m in points:
         pred = optimal_rate(m, ds.n, ss.lambda_max, ss.lambda_min_nz)
@@ -346,15 +348,15 @@ def _sgd_points(ds, points, runs, remedy, **solver):
             raise CliError(f"eta* assumes unit-norm rows, and this dataset's are not; {remedy}")
         cfg = SolverConfig(eta=pred.eta_opt if eta is None else float(eta), m=m, **solver)
         cfg.validate(ds.n)
-        made.append((pred, cfg))
+        made.append((*_predictions(pred, ds.n, ds.d, x_min_sq, x_max_sq, epsilon), cfg))
     out = []
-    for pred, cfg in made:
+    for theory, cost, cfg in made:
         ens = fit = window = status = None
         if runs is not None:
             ens = run_ensemble(ds, cfg, runs=runs)
             fit, window = _fit_curve(ens.mean_curve, rel_se=ens.rel_se)
             status = min((tr.status for tr in ens.traces), key=_STATUS_WORST_FIRST.index)
-        out.append((pred, cfg, ens, fit, window, status))
+        out.append((theory, cost, cfg, ens, fit, window, status))
     return out
 
 
@@ -370,13 +372,11 @@ def _cmd_run_solver(res: _Resolver, output: _Output):
         runs = int(res.get("runs", 1))
     eta = res.get("eta")
     res.resolved.update(m=m, sampler=sampler)
-    [(pred, cfg, ens, fit, window, status)] = _sgd_points(
+    [(theory, cost, cfg, ens, fit, window, status)] = _sgd_points(
         ds, [(eta, m)], runs, "give --eta", sampler=sampler,
         max_iters=int(res.get("iters", 200)), stop_tol=float(res.get("stop_tol", 0.0)),
-        seed=master_seed, w0=_w0(res, ds.d))
+        seed=master_seed, w0=_w0(res, ds.d), epsilon=res.get("epsilon"))
     res.resolved["eta"] = cfg.eta
-    norms = ds.row_norms_sq()  # --epsilon is checked here, before the first table
-    theory, cost = _predictions(res, pred, ds.n, ds.d, float(norms.min()), float(norms.max()))
 
     width = max(3, len(str(runs - 1)))
     for k, tr in enumerate(ens.traces):
@@ -517,10 +517,10 @@ def _sweep_table(output, header, rows):
 def _cmd_sweep(res: _Resolver, output: _Output):
     param = res.args.param
     master_seed = int(res.get("seed", 0))
-    epsilon = res.resolved["epsilon"] = float(res.get("epsilon", 0.01))
+    epsilon = res.get("epsilon", 0.01) if param == "m" else None
     ds = res.dataset()
     ss = ds.spectral
-    n, d = ds.n, ds.d
+    n = ds.n
     values = _sweep_values(res)
     runs = int(res.get("runs", 0)) or None  # 0: predictions only
     solver = dict(sampler="bernoulli", max_iters=int(res.get("iters", 60)),
@@ -529,22 +529,20 @@ def _cmd_sweep(res: _Resolver, output: _Output):
         header = ["m", "eta_opt", "g_opt", "branch", "t_eps", "total_cost",
                   "cost_scaling", "g_hat_measured", "status"]
         points = _sgd_points(ds, [(None, v) for v in values], runs,
-                             "give --runs 0 for predictions only", **solver)
-        norms = ds.row_norms_sq()  # a zero row leaves the norm factor undefined
-        c_norms = gm_am_factor(float(norms.min()), float(norms.max())) if norms.min() > 0 else None
+                             "give --runs 0 for predictions only", epsilon, **solver)
         rows = []
-        for v, (pred, _, _, fit, _, status) in zip(values, points):
-            cm = cost_model(v, n, d, epsilon, pred.g_opt, c_norms)
-            rows.append([v, pred.eta_opt, pred.g_opt, pred.branch, cm.t_eps, cm.total_cost,
-                         cm.cost_scaling, fit.rate if fit else None, status])
+        for v, (theory, cost, _, _, fit, _, status) in zip(values, points):
+            cm = cost["cost"]
+            rows.append([v, theory["eta_opt"], theory["g_opt"], theory["branch"], cm["t_eps"],
+                         cm["total_cost"], cm["cost_scaling"], fit.rate if fit else None, status])
     else:
         fixed_m = res.resolved["m"] = float(res.get("m", max(1.0, n / 4)))
         header = ["eta", "m", "g_pred", "g_hat_measured", "status"]
-        points = _sgd_points(ds, [(v, fixed_m) for v in values], runs, None, **solver)
+        points = _sgd_points(ds, [(v, fixed_m) for v in values], runs, None, epsilon, **solver)
         rows = [[v, fixed_m, max(g_eigen(fixed_m, n, v, ss.lambda_max),
                                  g_eigen(fixed_m, n, v, ss.lambda_min_nz)),
                  fit.rate if fit else None, status]
-                for v, (_, _, _, fit, _, status) in zip(values, points)]
+                for v, (_, _, _, _, fit, _, status) in zip(values, points)]
     return _sweep_table(output, header, rows), [row[-1] for row in rows], []
 
 
@@ -615,7 +613,7 @@ _COMMON = ("config", "preset", "out", "seed")
 _D = ("dataset", "n", "d", "kind", "rho", "normalize", "data_seed")
 _G = ("graph", "graph_kind", "graph_rows", "graph_cols", "graph_k", "graph_p", "graph_seed")
 _RUN = _D + ("eta", "iters", "stop_tol", "w0_seed", "epsilon", "format")
-_SWEEP = _D + ("values", "runs", "iters", "stop_tol", "epsilon")
+_SWEEP = _D + ("values", "runs", "iters", "stop_tol")
 _DGD = _D + _G + ("eta", "iters", "stop_tol", "w0_seed", "format")
 # the nested commands: their sub-command's dest and their help
 _GROUPS = {"run": ("solver", "run a solver experiment"), "sweep": ("param", "sweep one parameter")}
@@ -627,7 +625,7 @@ _VARIANTS = {
     ("run", "gd"): (_cmd_run_solver, "full gradient descent", _RUN),
     ("run", "sgd"): (_cmd_run_solver, "minibatch SGD", _RUN + ("runs", "m", "sampler")),
     ("run", "dgd"): (_cmd_run_dgd, "distributed gradient descent", _DGD + ("mu",)),
-    ("sweep", "m"): (_cmd_sweep, "batch sizes at eta*(m)", _SWEEP),
+    ("sweep", "m"): (_cmd_sweep, "batch sizes at eta*(m)", _SWEEP + ("epsilon",)),
     ("sweep", "eta"): (_cmd_sweep, "learning rates at one batch size", _SWEEP + ("m",)),
     ("sweep", "mu"): (_cmd_sweep_mu, "distributed penalty weights", _DGD + ("values",)),
     ("spectrum",): (_cmd_spectrum, "distributed round-operator spectrum", _D + _G + ("eta", "mu")),

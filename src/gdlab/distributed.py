@@ -242,6 +242,8 @@ def run_dgd(ds: Dataset, g: CommGraph, etas, mus, max_iters: int = 1000,
         _coupling(eta, mu)
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1: {max_iters}")
+    if not 0 <= stop_tol < math.inf:
+        raise ValueError(f"stop_tol must be finite and >= 0: {stop_tol}")
     W = np.zeros((ds.n, ds.d)) if W0 is None else np.array(W0, dtype=float)
     if W.shape != (ds.n, ds.d):
         raise ValueError(f"W0 must have shape ({ds.n}, {ds.d})")

@@ -65,6 +65,8 @@ class SolverConfig:
             raise ValueError(f"mean batch size must lie in (0, n]: m={self.m}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1: {self.max_iters}")
+        if not 0 <= self.stop_tol < math.inf:
+            raise ValueError(f"stop_tol must be finite and >= 0: {self.stop_tol}")
         if self.sampler not in (SAMPLER_FULL, SAMPLER_BERNOULLI, SAMPLER_FIXED):
             raise ValueError(f"unknown sampler: {self.sampler!r}")
 

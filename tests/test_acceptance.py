@@ -179,12 +179,13 @@ def test_criterion_6_spectral_verification():
         lam_min = spectral_summary(hessian(ds)).lambda_min_nz
         for gkind in ("ring", "path", "complete"):
             g = make_graph(gkind, 8)
-            for mu in (0.1, 1.0, 10.0):
-                eta = stable_eta(ds, g, mu)
+            mus = (0.1, 1.0, 10.0)
+            etas = [stable_eta(ds, g, mu) for mu in mus]
+            traces = run_dgd(ds, g, etas, mus, max_iters=15_000, W0=W0)
+            for eta, mu, tr in zip(etas, mus, traces):
                 sp = dgd_operator_spectrum(ds, g, eta, mu)
                 ok &= sp.sigma_min > 0
                 ok &= sp.sigma_min <= eta * lam_min + 1e-10
-                [tr] = run_dgd(ds, g, [eta], [mu], max_iters=15_000, W0=W0)
                 a, b = default_fit_window(tr.mean_err_sq_range)
                 fit = estimate_rate(tr.mean_err_sq_range, (max(b // 2, 5), b))
                 r_hat = float(np.sqrt(fit.rate))

@@ -56,6 +56,12 @@ class TestTheoryCommand:
         assert rc == 0
         s = read_summary(out)
         assert s["cost"]["t_eps"] > 0
+        # a flat spectrum at m = n has g* = 0, which reaches any epsilon in one step
+        assert main(["theory", "--n", "4", "--lambda1", "1", "--lambdan", "1", "--m", "4",
+                     "--epsilon", "0.1", "--out", out]) == 0
+        s = read_summary(out)
+        assert s["theory"]["g_opt"] == 0
+        assert s["cost"]["t_eps"] == 1
 
     def test_from_preset_dataset(self, tmp_path):
         out = str(tmp_path)
@@ -406,7 +412,7 @@ D = ["--dataset", "--n", "--d", "--kind", "--rho", "--normalize", "--data-seed"]
 G = ["--graph", "--graph-kind", "--graph-rows", "--graph-cols", "--graph-k", "--graph-p",
      "--graph-seed"]
 RUN = D + ["--eta", "--iters", "--stop-tol", "--w0-seed", "--epsilon", "--format"]
-SWEEP = D + ["--values", "--runs", "--iters", "--stop-tol", "--epsilon"]
+SWEEP = D + ["--values", "--runs", "--iters", "--stop-tol"]
 # the options of each variant besides --config --preset --out --seed
 ACCEPTED = {
     ("gen",): D,
@@ -414,7 +420,7 @@ ACCEPTED = {
     ("run", "gd"): RUN,
     ("run", "sgd"): RUN + ["--runs", "--m", "--sampler"],
     ("run", "dgd"): D + G + ["--eta", "--mu", "--iters", "--stop-tol", "--w0-seed", "--format"],
-    ("sweep", "m"): SWEEP,
+    ("sweep", "m"): SWEEP + ["--epsilon"],
     ("sweep", "eta"): SWEEP + ["--m"],
     ("sweep", "mu"): D + G + ["--values", "--eta", "--iters", "--stop-tol", "--w0-seed",
                               "--format"],
@@ -457,7 +463,7 @@ class TestOptionTable:
         common = {"--config", "--preset", "--out", "--seed"}
         for variant, options in ACCEPTED.items():
             assert accepted(parsers[variant]) == common | set(options), variant
-        assert sum(len(accepted(p)) for p in parsers.values()) == 164
+        assert sum(len(accepted(p)) for p in parsers.values()) == 163
 
     @pytest.mark.parametrize("variant", sorted(READS_ARGV), ids="_".join)
     def test_each_accepted_option_is_read(self, tmp_path, monkeypatch, variant):
@@ -483,6 +489,9 @@ class TestOptionTable:
         ["run", "sgd", "--preset", "gaussian8", "--run", "3"],  # no abbreviation of --runs
         # full-batch GD is deterministic: --runs N would write N identical traces
         ["run", "gd", "--preset", "gaussian8", "--runs", "2"],
+        # sweep eta predicts no cost
+        ["sweep", "eta", "--preset", "gaussian8", "--runs", "0", "--values", "0.5",
+         "--epsilon", "0.01"],
     ])
     def test_unread_flag_writes_nothing(self, tmp_path, argv):
         assert main([*argv, "--out", str(tmp_path)]) == 1
@@ -547,6 +556,44 @@ class TestOptionTable:
         for line in lines:
             build_parser().parse_args(shlex.split(line.split("#")[0]))
 
+    def test_readme_option_lines_match_the_parser(self):
+        # each "- `VARIANT`: ..." bullet's first sentence lists the variant's options as
+        # D, G, "the `OTHER VARIANT` options" or a backquoted run of flags
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            section = fh.read().split("Each command takes exactly the options it reads", 1)[1]
+        intro, block = section.split("\n\n")[:2]
+        intro = " ".join(intro.split())
+
+        def flags(pattern):
+            return set(re.search(pattern + " `([^`]*)`", intro)[1].split())
+
+        groups = {"D": flags("D stands for the dataset options"),
+                  "G": flags("G for the graph options")}
+        bullets = {}
+        for item in re.split(r"^- ", block, flags=re.M)[1:]:
+            name, body = re.fullmatch(r"`([^`]+)`: (.*)", " ".join(item.split())).groups()
+            bullets[tuple(name.split())] = re.split(r"\.(?:\s|$)", body)[0]
+
+        def options(variant):
+            found = flags("Every one takes")
+            for part in bullets[variant].split(", "):
+                other = re.fullmatch(r"the `([^`]+)` options", part)
+                listed = re.fullmatch(r"`([^`]+)`", part)
+                if part in groups:
+                    found |= groups[part]
+                elif other:
+                    found |= options(tuple(other[1].split()))
+                else:
+                    assert listed, (variant, part)
+                    found |= set(listed[1].split())
+            return found
+
+        parsers = variant_parsers(build_parser())
+        assert set(bullets) == set(parsers)
+        for variant, parser in parsers.items():
+            assert options(variant) == accepted(parser), variant
+
 
 def verdicts(out):
     """summary.json's verdicts by name (a run's, which names each once)."""
@@ -605,6 +652,17 @@ class TestChecksAndStatuses:
          "--iters", "50", "--normalize"],
         # a negative ensemble size, which is no ensemble and no prediction-only sweep
         ["sweep", "m", "--preset", "orthonormal32", "--runs", "-1", "--values", "4"],
+        # a --stop-tol that is negative or not finite, in each variant that takes one
+        *[[*argv, "--stop-tol", tol] for argv in (
+            ["run", "gd", "--preset", "gaussian8", "--iters", "5"],
+            ["run", "sgd", "--preset", "gaussian8", "--runs", "2", "--iters", "5"],
+            ["run", "dgd", "--preset", "gaussian8", "--graph-kind", "ring", "--iters", "50"],
+            ["sweep", "m", "--preset", "orthonormal32", "--runs", "0", "--values", "4"],
+            ["sweep", "eta", "--preset", "gaussian8", "--runs", "2", "--iters", "5",
+             "--values", "0.5"],
+            ["sweep", "mu", "--preset", "gaussian8", "--graph-kind", "ring", "--values", "1",
+             "--iters", "50"],
+        ) for tol in ("-1", "inf", "nan")],
     ])
     def test_invalid_value_writes_nothing(self, tmp_path, tmp_path_factory, argv):
         # every value is checked before the first file is written
@@ -618,6 +676,24 @@ class TestChecksAndStatuses:
         out = tmp_path / "new"
         assert main(["run", "sgd", "--preset", "gaussian8", "--iters", "3", "--runs", "2",
                      "--epsilon", "2", "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "sgd", "--preset", "gaussian8", "--runs", "2"],
+        ["sweep", "m", "--preset", "orthonormal32", "--runs", "2", "--values", "2,8"],
+    ])
+    def test_bad_epsilon_is_refused_before_any_run(self, tmp_path, monkeypatch, argv):
+        calls = []
+        run_ensemble = cli.run_ensemble
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run_ensemble(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_ensemble", counted)
+        out = tmp_path / "out"
+        assert main([*argv, "--epsilon", "2", "--out", str(out)]) == 1
+        assert calls == []
         assert not out.exists()
 
     def test_sweep_status_column(self, tmp_path):
