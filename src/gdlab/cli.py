@@ -72,6 +72,7 @@ from .solvers import (
     STATUS_MAX_ITERS,
     _FIT_START,
     SolverConfig,
+    check_stopping,
     default_fit_window,
     estimate_rate,
     run_ensemble,
@@ -453,17 +454,19 @@ def _dgd_verdicts(doc, trace, r_hat, stop_tol):
 
 def _dgd_points(res: _Resolver, output: _Output, mus, names):
     """The DGD points of run dgd and sweep mu, at penalty weights mus: each
-    point's step (--eta, or stable_eta at its mu) and _dgd_doc, all before one
-    run_dgd call, then per point its tail fit, its verdicts and its trace table
-    names[k].  Returns (eta, _dgd_doc, trace, fit, fit window, verdicts) per point."""
+    point's step (--eta, or stable_eta at its mu) and _dgd_doc, after the check
+    of --iters and --stop-tol and before one run_dgd call, then per point its
+    tail fit, its verdicts and its trace table names[k].  Returns (eta,
+    _dgd_doc, trace, fit, fit window, verdicts) per point."""
     fmt = res.get("format", "csv")
     ds = res.dataset()
     g = res.graph(ds)
     eta_flag = res.get("eta")
     etas = [stable_eta(ds, g, mu) if eta_flag is None else float(eta_flag) for mu in mus]
-    docs = [_dgd_doc(ds, g, eta, mu) for eta, mu in zip(etas, mus)]
     iters = int(res.get("iters", 10_000))
     stop_tol = float(res.get("stop_tol", 1e-16))
+    check_stopping(iters, stop_tol)  # before the spectra, which can take seconds
+    docs = [_dgd_doc(ds, g, eta, mu) for eta, mu in zip(etas, mus)]
     traces = run_dgd(ds, g, etas, mus, max_iters=iters, stop_tol=stop_tol,
                      W0=_w0(res, (ds.n, ds.d)))
     points = []

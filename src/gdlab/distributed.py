@@ -19,6 +19,13 @@ the stack a round at a time with each state's own eta and mu, and
 consensus_metrics measures a block of stacked states at once, computing the
 products the trace needs (B W, the residuals, the Gram matrix of the spread)
 once per block.  Each point's trace is bitwise the one it gets alone.
+
+The round loop allocates nothing block-sized: run_dgd makes one block buffer
+and one metrics workspace per run, and consensus_metrics writes every
+temporary into slices of it.  A block's temporaries run to a megabyte each;
+above glibc's mmap threshold each fresh one would be a new mapping, faulted
+in page by page on every block, and the loop's speed would follow the
+allocator's state rather than the work.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import numpy as np
 
 from .io import dumps
 from .problem import Dataset, row_inner
-from .solvers import _drive
+from .solvers import _BLOCK, _drive, check_stopping
 
 DENSE_GUARD = 4096
 ER_MAX_ATTEMPTS = 1000
@@ -155,16 +162,17 @@ def incidence(g: CommGraph) -> np.ndarray:
     return B
 
 
-def _global_spread(S: np.ndarray) -> np.ndarray:
-    # center rows first: the spread is translation-invariant, and removing the
-    # common offset keeps the Gram cancellation at the spread's own scale
-    Sc = S - S.mean(axis=1, keepdims=True)
-    sq = np.sum(Sc * Sc, axis=2)
-    d2 = sq[:, :, None] + sq[:, None, :] - 2.0 * (Sc @ Sc.transpose(0, 2, 1))
-    return np.sqrt(np.maximum(d2.max(axis=(1, 2)), 0.0))
+def _metrics_work(K: int, ds: Dataset, B: np.ndarray) -> dict[str, np.ndarray]:
+    """consensus_metrics's buffers for blocks of up to K states: every
+    temporary whose size grows with the block, named by its trailing shape.
+    consensus_metrics writes a buffer again only once its last value is read."""
+    n, d, E, r = ds.n, ds.d, B.shape[0], ds.spectral.basis.shape[1]
+    return {"nd": np.empty((K, n, d)), "nr": np.empty((K, n, r)),
+            "ed": np.empty((K, E, d)), "e": np.empty((K, E)), "n": np.empty((K, n)),
+            "1d": np.empty((K, 1, d)), "nn": np.empty((K, n, n)), "gram": np.empty((K, n, n))}
 
 
-def consensus_metrics(S: np.ndarray, ds: Dataset, B: np.ndarray, mu):
+def consensus_metrics(S: np.ndarray, ds: Dataset, B: np.ndarray, mu, work=None):
     """The trace columns of a stack S of K states (K x n x d; one n x d state
     is the K = 1 case), K values each: mean range-projected error, max
     edge/global parameter spread, and the penalized loss at penalty weight mu
@@ -174,20 +182,48 @@ def consensus_metrics(S: np.ndarray, ds: Dataset, B: np.ndarray, mu):
     Each state's values are bitwise those of the same state evaluated alone:
     the stacked products run the same kernel per state, and every dot
     product is a 1 x 1 matmul.
+
+    work is a workspace of _metrics_work for at least K states, reused across
+    calls; without one, the call makes its own.  run_dgd passes one per run:
+    a block's temporaries run to a megabyte each, and above glibc's mmap
+    threshold each fresh one is a new mapping that faults in page by page on
+    every block.  Every ufunc and matmul writes into a leading slice of a
+    buffer, which changes no bit of the result; S itself is never written.
     """
     S = np.asarray(S, dtype=float)
     if S.shape[-2:] != (ds.n, ds.d) or S.ndim not in (2, 3) or B.shape[1] != ds.n:
         raise ValueError("state, dataset and graph dimensions are inconsistent")
     S = S.reshape(-1, ds.n, ds.d)
-    comp = ds.spectral.coords(S - ds.w_star)
-    node_err = np.sum(comp * comp, axis=2)
-    diffs = B @ S
-    resid = row_inner(ds.X, S) - ds.y
+    K, n = len(S), ds.n
+    if work is None:
+        work = _metrics_work(K, ds, B)
+    w = {name: buf[:K] for name, buf in work.items()}
+    nd = w["nd"]
+    comp = np.matmul(np.subtract(S, ds.w_star, out=nd), ds.spectral.basis, out=w["nr"])
+    node_err = np.add.reduce(np.multiply(comp, comp, out=comp), axis=2, out=w["n"])
+    err = np.add.reduce(node_err, axis=1) / n  # node_err.mean(axis=1)
+    # squared edge differences, shared by the spread (the sqrt of their sum
+    # is np.linalg.norm's) and the penalty
+    diffs_sq = np.matmul(B, S, out=w["ed"])
+    np.multiply(diffs_sq, diffs_sq, out=diffs_sq)
+    edge_sq = np.add.reduce(diffs_sq, axis=2, out=w["e"])
+    edge = np.sqrt(edge_sq, out=edge_sq).max(axis=1, initial=0.0)
+    resid = np.add.reduce(np.multiply(ds.X, S, out=nd), axis=-1, out=w["n"])  # row_inner
+    np.subtract(resid, ds.y, out=resid)
     residual_sq = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
-    return (node_err.mean(axis=1),
-            np.linalg.norm(diffs, axis=2).max(axis=1, initial=0.0),
-            _global_spread(S),
-            residual_sq + mu * np.sum(diffs * diffs, axis=(1, 2)))
+    loss = residual_sq + mu * np.add.reduce(diffs_sq, axis=(1, 2))
+    # global spread: center rows first: the spread is translation-invariant,
+    # and removing the common offset keeps the Gram cancellation at the
+    # spread's own scale; d2 = (sq_i + sq_j) - 2 G_ij in that order
+    center = np.add.reduce(S, axis=1, keepdims=True, out=w["1d"])
+    Sc = np.subtract(S, np.divide(center, n, out=center), out=nd)
+    gram = np.matmul(Sc, Sc.transpose(0, 2, 1), out=w["gram"])
+    sq = np.add.reduce(np.multiply(Sc, Sc, out=Sc), axis=2, out=w["n"])
+    d2 = np.add(sq[:, :, None], sq[:, None, :], out=w["nn"])
+    gram *= 2.0
+    d2 -= gram
+    spread = np.sqrt(np.maximum(d2.reshape(K, -1).max(axis=1), 0.0))
+    return err, edge, spread, loss
 
 
 @dataclass
@@ -212,10 +248,15 @@ def _coupling(eta: float, mu: float) -> float:
     return coupling
 
 
-def dgd_step(ds: Dataset, B: np.ndarray, eta, mu, W: np.ndarray) -> np.ndarray:
+def dgd_step(ds: Dataset, B: np.ndarray, eta, mu, W: np.ndarray, coupling=None) -> np.ndarray:
     """One synchronous round of W (n x d), or of each state k of a stack W
-    (S x n x d) at its own eta[k] and mu[k]; nodes read only the previous iterate."""
-    eta, coupling = (np.asarray(a)[..., None, None] for a in (eta, np.multiply(eta, mu)))
+    (S x n x d) at its own eta[k] and mu[k]; nodes read only the previous iterate.
+
+    A caller that steps many rounds may pass eta and coupling = eta * mu
+    already shaped (S, 1, 1) (or as scalars); mu is then not read.
+    """
+    if coupling is None:
+        eta, coupling = (np.asarray(a)[..., None, None] for a in (eta, np.multiply(eta, mu)))
     e = row_inner(ds.X, W) - ds.y
     return W - eta * e[..., None] * ds.X - coupling * (B.T @ (B @ W))
 
@@ -232,7 +273,8 @@ def run_dgd(ds: Dataset, g: CommGraph, etas, mus, max_iters: int = 1000,
     initial, or a non-finite metric) is recorded as a status, not raised.
     The trace rows are measured a block of states at a time; a point that
     stops inside a block takes up to one block minus one extra rounds, whose
-    states are dropped.
+    states are dropped.  The block buffer and the metrics workspace are
+    allocated once per run, so the round loop makes no block-sized array.
     """
     if ds.n != g.n:
         raise ValueError(f"one sample per node required: dataset n={ds.n}, graph n={g.n}")
@@ -240,25 +282,33 @@ def run_dgd(ds: Dataset, g: CommGraph, etas, mus, max_iters: int = 1000,
         raise ValueError(f"need one eta per mu, and a point: {len(etas)} etas, {len(mus)} mus")
     for eta, mu in zip(etas, mus):
         _coupling(eta, mu)
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1: {max_iters}")
-    if not 0 <= stop_tol < math.inf:
-        raise ValueError(f"stop_tol must be finite and >= 0: {stop_tol}")
+    check_stopping(max_iters, stop_tol)
     W = np.zeros((ds.n, ds.d)) if W0 is None else np.array(W0, dtype=float)
     if W.shape != (ds.n, ds.d):
         raise ValueError(f"W0 must have shape ({ds.n}, {ds.d})")
     B = incidence(g)
+    # _drive measures at most max(_BLOCK, points) states at once
+    cap = max(_BLOCK, len(etas))
+    block = np.empty((cap, ds.n, ds.d))
+    work = _metrics_work(cap, ds, B)
 
-    # the loop's state is (W, eta, mu), one row per running point
+    # the loop's state is (W, eta, eta * mu, mu), one row per running point,
+    # eta and eta * mu shaped (points, 1, 1) for dgd_step
     def metrics(states):
-        S, _, mu = states[0] if len(states) == 1 else map(np.concatenate, zip(*states))
-        return consensus_metrics(S, ds, B, mu)
+        if len(states) == 1:
+            S, mu = states[0][0], states[0][3]
+        else:
+            S = np.concatenate([s[0] for s in states], out=block[:len(states) * len(states[0][0])])
+            mu = np.concatenate([s[3] for s in states])
+        return consensus_metrics(S, ds, B, mu, work)
 
     def step(state, _):
-        W, eta, mu = state
-        return dgd_step(ds, B, eta, mu, W), eta, mu
+        W, eta, coupling, mu = state
+        return dgd_step(ds, B, eta, mu, W, coupling), eta, coupling, mu
 
-    x0 = (np.tile(W, (len(etas), 1, 1)), np.array(etas, dtype=float), np.array(mus, dtype=float))
+    eta, mu = np.array(etas, dtype=float), np.array(mus, dtype=float)
+    shaped = (a[:, None, None] for a in (eta, np.multiply(eta, mu)))
+    x0 = (np.tile(W, (len(etas), 1, 1)), *shaped, mu)
     cols, lengths, statuses, finals, kept = _drive(
         x0, step, metrics, max_iters, stop_tol, record_states)
     # consensus_metrics's four columns come in DgdTrace's field order
@@ -345,14 +395,20 @@ def graph_to_json(g: CommGraph) -> str:
 
 
 def graph_from_json(text: str) -> CommGraph:
+    """The graph of graph_to_json's text, held to make_graph's rules: n >= 2,
+    every endpoint in [0, n), connected."""
     doc = json.loads(text)
-    return CommGraph(
-        n=int(doc["n"]),
-        edges=_canon((int(i), int(j)) for i, j in doc["edges"]),
-        kind=str(doc["kind"]),
-        params=dict(doc["params"]),
-        seed=int(doc["seed"]),
-    )
+    n, kind = int(doc["n"]), str(doc["kind"])
+    edges = [(int(i), int(j)) for i, j in doc["edges"]]
+    if n < 2:
+        raise ValueError(f"invalid graph spec: need n >= 2, got {n}")
+    for e in edges:
+        if not (0 <= e[0] < n and 0 <= e[1] < n):
+            raise ValueError(f"invalid graph spec: edge {list(e)} has a node outside [0, {n})")
+    edges = _canon(edges)
+    if not is_connected(n, edges):
+        raise ValueError(f"invalid graph spec: {kind} on n={n} is not connected")
+    return CommGraph(n=n, edges=edges, kind=kind, params=dict(doc["params"]), seed=int(doc["seed"]))
 
 
 def load_graph(path: str) -> CommGraph:

@@ -34,7 +34,7 @@ def row_inner(A: np.ndarray, w: np.ndarray) -> np.ndarray:
     distributed solver reuse it so an exact-fit state gives bitwise-zero
     residuals.
     """
-    return np.sum(A * w, axis=-1)
+    return np.add.reduce(A * w, axis=-1)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,15 @@ STATUS_MAX_ITERS = "max-iters"
 STATUS_DIVERGED = "diverged"
 
 
+def check_stopping(max_iters: int, stop_tol: float) -> None:
+    """Refuse a run length or stopping tolerance the loop cannot take:
+    max_iters >= 1, stop_tol finite and >= 0."""
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1: {max_iters}")
+    if not 0 <= stop_tol < math.inf:
+        raise ValueError(f"stop_tol must be finite and >= 0: {stop_tol}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver parameters.
@@ -63,10 +72,7 @@ class SolverConfig:
             raise ValueError(f"learning rate must be positive and finite: eta={self.eta}")
         if not 0 < self.m <= n:
             raise ValueError(f"mean batch size must lie in (0, n]: m={self.m}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1: {self.max_iters}")
-        if not 0 <= self.stop_tol < math.inf:
-            raise ValueError(f"stop_tol must be finite and >= 0: {self.stop_tol}")
+        check_stopping(self.max_iters, self.stop_tol)
         if self.sampler not in (SAMPLER_FULL, SAMPLER_BERNOULLI, SAMPLER_FIXED):
             raise ValueError(f"unknown sampler: {self.sampler!r}")
 

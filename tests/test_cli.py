@@ -696,6 +696,42 @@ class TestChecksAndStatuses:
         assert calls == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "dgd", "--preset", "gaussian8", "--graph-kind", "ring"],
+        ["sweep", "mu", "--preset", "gaussian8", "--graph-kind", "ring", "--values", "0.5,5"],
+    ])
+    @pytest.mark.parametrize("bad", [["--iters", "0"], ["--stop-tol", "nan"]])
+    def test_bad_stopping_is_refused_before_any_spectrum(self, tmp_path, monkeypatch, argv, bad):
+        # the dense spectra can take seconds; a bad --iters or --stop-tol
+        # once waited for all of them before run_dgd refused it
+        calls = []
+        spectrum = cli.dgd_operator_spectrum
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return spectrum(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "dgd_operator_spectrum", counted)
+        out = tmp_path / "out"
+        assert main([*argv, *bad, "--out", str(out)]) == 1
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edges", [
+        [[i, (i + 1) % 16] for i in range(16)] + [[0, 20]],   # a node past n
+        [[i, (i + 1) % 16] for i in range(16)] + [[-1, 3]],   # once wrapped to node 15
+        [[i, i + 1] for i in range(15) if i != 7],            # two paths of 8 nodes
+    ])
+    def test_bad_graph_file_is_refused(self, tmp_path, capsys, edges):
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"n": 16, "kind": "ring", "params": {}, "seed": 0,
+                                     "edges": edges}))
+        out = tmp_path / "out"
+        assert main(["run", "dgd", "--preset", "ring16", "--graph", str(graph),
+                     "--out", str(out)]) == 1
+        assert "gdlab: error: invalid graph spec" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_status_column(self, tmp_path):
         out = str(tmp_path)
         rc = main(["sweep", "mu", "--preset", "gaussian8", "--graph-kind", "ring",

@@ -1,11 +1,14 @@
 """Tests for graphs, the Laplacian-coupled solver, and its operator spectrum."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdlab.distributed import (
+    _metrics_work,
     GraphConnectError,
     consensus_metrics,
     dgd_operator_spectrum,
@@ -123,6 +126,19 @@ class TestMakeGraph:
         g = make_graph("erdos_renyi", 9, seed=4, p=0.5)
         back = graph_from_json(graph_to_json(g))
         assert back == g
+
+    @pytest.mark.parametrize("n,edges,message", [
+        (16, [[0, 20]], r"edge \[0, 20\] has a node outside \[0, 16\)"),
+        (16, [[-1, 3]], r"edge \[-1, 3\] has a node outside \[0, 16\)"),
+        (4, [[0, 1], [2, 3]], "not connected"),
+        (1, [], "need n >= 2"),
+    ])
+    def test_loaded_graph_is_held_to_make_graph_rules(self, n, edges, message):
+        # an endpoint outside the nodes once reached incidence, which raised an
+        # IndexError or wrapped -1 round to node n - 1
+        text = json.dumps({"n": n, "kind": "ring", "params": {}, "seed": 0, "edges": edges})
+        with pytest.raises(ValueError, match=f"invalid graph spec: .*{message}"):
+            graph_from_json(text)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -295,6 +311,22 @@ class TestConsensusMetrics:
             _, edge_spread, global_spread, _ = consensus_metrics(
                 rng.standard_normal((6, 5)), ds, B, 1.0)
             assert global_spread >= edge_spread - 1e-12
+
+    def test_shared_workspace_is_bitwise_the_fresh_one(self):
+        # one workspace over blocks of decreasing size: every value equals the
+        # block measured without one, and the input stack is left as it was
+        ds = gen_dataset(6, 9, "gaussian", seed=56)
+        B = incidence(make_graph("ring", 6))
+        rng = np.random.default_rng(57)
+        work = _metrics_work(256, ds, B)
+        for K in (256, 3, 1):
+            S = rng.standard_normal((K, 6, 9))
+            mu = rng.uniform(0.1, 10.0, K)
+            before = S.copy()
+            shared = consensus_metrics(S, ds, B, mu, work)
+            assert np.array_equal(S, before)
+            for got, want in zip(shared, consensus_metrics(S, ds, B, mu)):
+                assert np.array_equal(got, want)
 
     def test_trace_rows_match_single_state_metrics_bitwise(self):
         # rows measured a block at a time equal the per-state formulas on
@@ -480,6 +512,23 @@ class TestPointStack:
             assert tr.status == status
             assert np.array_equal(tr.W_final, W_final)
             assert np.array_equal(tr.states, np.array(states))
+
+    def test_more_points_than_a_block(self):
+        # 300 points make blocks of 300 states, past _BLOCK: the workspace is
+        # sized for them, and every trace is bitwise its point's run alone
+        ds = gen_dataset(5, 7, "gaussian", seed=58)
+        g = make_graph("ring", 5)
+        mus = list(np.geomspace(0.01, 10.0, 300))
+        etas = [stable_eta(ds, g, mu) for mu in mus]
+        W0 = np.random.default_rng(59).standard_normal((5, 7))
+        assert len(mus) > _BLOCK
+        traces = run_dgd(ds, g, etas, mus, max_iters=3, W0=W0)
+        for eta, mu, tr in zip(etas, mus, traces):
+            [alone] = run_dgd(ds, g, [eta], [mu], max_iters=3, W0=W0)
+            for col in ("t", "mean_err_sq_range", "edge_spread", "global_spread",
+                        "penalized_loss", "W_final"):
+                assert np.array_equal(getattr(tr, col), getattr(alone, col))
+            assert tr.status == alone.status
 
     def test_points_must_pair_up(self):
         ds = gen_dataset(4, 4, "gaussian", seed=1)
