@@ -29,9 +29,9 @@ from .solvers import (
     IterationTrace,
     RateFit,
     SolverConfig,
-    default_fit_window,
     derive_seed,
     estimate_rate,
+    fit_rate,
     run_ensemble,
     run_gd,
     run_sgd,

@@ -69,18 +69,13 @@ from .problem import dataset_to_json, gen_dataset, load_dataset
 from .solvers import (
     STATUS_CONVERGED,
     STATUS_DIVERGED,
-    STATUS_MAX_ITERS,
-    _FIT_START,
     SolverConfig,
     check_stopping,
-    default_fit_window,
-    estimate_rate,
+    fit_rate,
     run_ensemble,
 )
 from .theory import cost_model, g_eigen, gm_am_factor, optimal_rate, orthogonal_rate
 
-_STATUS_WORST_FIRST = (STATUS_DIVERGED, STATUS_MAX_ITERS, STATUS_CONVERGED)
-_FIT_MAX_REL_SE = 0.05
 _SOLVER_COLUMNS = ("t", "err_sq_range", "loss", "batch_size")
 _DGD_COLUMNS = ("t", "mean_err_sq_range", "edge_spread", "global_spread", "penalized_loss")
 _DGD_VERDICTS = ("converged", "contracting", "rate_band", "spectral_match")
@@ -153,16 +148,20 @@ class _Resolver:
             self.resolved[key] = v
         return v
 
+    def refuse(self, keys, why):
+        """Refuse the first of keys given as a flag or in --config: `--flag why`."""
+        for key in keys:
+            value = self._raw(key)
+            if value is not None:
+                flag = "no-normalize" if value is False else key.replace("_", "-")
+                raise CliError(f"--{flag} {why}")
+
     def dataset(self):
         path = self._raw("dataset")  # never a preset value: presets hold generation specs
         self.resolved["dataset"] = path
         if path or (self.preset_name and "dataset" in self.preset and self._raw("n") is None):
-            for key in ("n", "d", "kind", "rho", "normalize", "data_seed"):
-                value = self._raw(key)
-                if value is not None:
-                    flag = "no-normalize" if value is False else key.replace("_", "-")
-                    raise CliError(f"--{flag} applies only to a dataset generated "
-                                   "from --n/--d/--kind")
+            self.refuse(("n", "d", "kind", "rho", "normalize", "data_seed"),
+                        "applies only to a dataset generated from --n/--d/--kind")
             ds = load_dataset(path) if path else presets_mod.build_dataset(self.preset_name)
         else:
             seed = self.get("data_seed", None, record=False)
@@ -185,13 +184,18 @@ class _Resolver:
     def graph(self, ds):
         path = self._raw("graph")  # never a preset value: presets hold graph specs
         self.resolved["graph"] = path
+        generation = ("graph_rows", "graph_cols", "graph_k", "graph_p", "graph_seed")
         if path:
+            self.refuse(("graph_kind",) + generation, "applies only to a graph generated from "
+                        "--graph-kind, not to a --graph file")
             g = load_graph(path)
         elif self.get("graph_kind", record=False):
             g = make_graph(self.get("graph_kind"), ds.n, seed=int(self.get("graph_seed", 0) or 0),
                            rows=self.get("graph_rows"), cols=self.get("graph_cols"),
                            k=self.get("graph_k"), p=self.get("graph_p"))
         elif self.preset_name and self.preset.get("graph"):
+            self.refuse(generation, "applies only to a graph generated from --graph-kind, "
+                        "not to the preset's graph")
             g = presets_mod.build_graph(self.preset_name)
         else:
             raise CliError("need --preset with a graph, --graph, or --graph-kind")
@@ -290,40 +294,18 @@ def _cmd_theory(res: _Resolver, output: _Output):
         norms = ds.row_norms_sq()
         x_min_sq, x_max_sq = float(norms.min()), float(norms.max())
     else:  # no dataset is read, so none may be given
-        for key in ("preset", "dataset", "kind", "rho", "normalize", "data_seed"):
-            if res._raw(key) is not None:
-                raise CliError(f"--{key.replace('_', '-')} gives a dataset, which theory "
-                               "with --lambda1 and --lambdan does not read")
+        res.refuse(("preset", "dataset", "kind", "rho", "normalize", "data_seed"),
+                   "gives a dataset, which theory with --lambda1 and --lambdan does not read")
+        if d is not None and d < 1:
+            raise CliError(f"--d must be >= 1: {d}")
     if n is None:
         raise CliError("theory needs --n (or a dataset/preset)")
     n = int(n)
     m = float(res.get("m", n))
     pred = optimal_rate(m, n, float(lambda1), float(lambdan))
-    theory, cost = _predictions(pred, n, int(d) if d else 1, x_min_sq, x_max_sq,
+    theory, cost = _predictions(pred, n, 1 if d is None else d, x_min_sq, x_max_sq,
                                 res.get("epsilon"))
     return {"theory": theory, **cost}, [], []
-
-
-def _fit_curve(curve, tail=False, rel_se=None):
-    """Rate fit with the default window (skip transient, stop pre-underflow).
-
-    tail=True fits the later half, for deterministic distributed runs.  With
-    an ensemble's rel_se the window ends where the mean's relative standard
-    error first exceeds _FIT_MAX_REL_SE: past it the mean rests on the few
-    runs that still carry error, and the fit would follow their noise.
-    """
-    stop = None
-    if rel_se is not None:
-        noisy = np.flatnonzero(rel_se > _FIT_MAX_REL_SE)
-        stop = int(noisy[0]) if len(noisy) else None
-    try:
-        a, b = default_fit_window(curve, stop=stop)
-        if tail:
-            a = max(b // 2, min(_FIT_START, b - 3))
-        fit = estimate_rate(curve, (a, b))
-        return fit, (a, b)
-    except ValueError:
-        return None, None
 
 
 def _w0(res, shape):
@@ -337,8 +319,8 @@ def _sgd_points(ds, points, runs, remedy, epsilon, **solver):
     gets optimal_rate(m), a validated SolverConfig(eta, m, **solver), at eta* where no
     eta is given (refused, with remedy, below m = n on rows that are not unit-norm when
     runs are made), and its _predictions at epsilon, before any runs; then its ensemble
-    of runs (none for None), its fit and its worst status.  Returns (theory, cost, config,
-    ensemble, fit, fit window, status) per point, the last four None without runs."""
+    of runs (none for None), its fit_rate and its worst status.  Returns (theory, cost,
+    config, ensemble, fit, status) per point, the last three None without runs."""
     ss = ds.spectral
     norms = ds.row_norms_sq()
     x_min_sq, x_max_sq = float(norms.min()), float(norms.max())
@@ -352,12 +334,11 @@ def _sgd_points(ds, points, runs, remedy, epsilon, **solver):
         made.append((*_predictions(pred, ds.n, ds.d, x_min_sq, x_max_sq, epsilon), cfg))
     out = []
     for theory, cost, cfg in made:
-        ens = fit = window = status = None
+        ens = fit = status = None
         if runs is not None:
             ens = run_ensemble(ds, cfg, runs=runs)
-            fit, window = _fit_curve(ens.mean_curve, rel_se=ens.rel_se)
-            status = min((tr.status for tr in ens.traces), key=_STATUS_WORST_FIRST.index)
-        out.append((theory, cost, cfg, ens, fit, window, status))
+            fit, status = fit_rate(ens.mean_curve, rel_se=ens.rel_se), ens.status
+        out.append((theory, cost, cfg, ens, fit, status))
     return out
 
 
@@ -373,7 +354,7 @@ def _cmd_run_solver(res: _Resolver, output: _Output):
         runs = int(res.get("runs", 1))
     eta = res.get("eta")
     res.resolved.update(m=m, sampler=sampler)
-    [(theory, cost, cfg, ens, fit, window, status)] = _sgd_points(
+    [(theory, cost, cfg, ens, fit, status)] = _sgd_points(
         ds, [(eta, m)], runs, "give --eta", sampler=sampler,
         max_iters=int(res.get("iters", 200)), stop_tol=float(res.get("stop_tol", 0.0)),
         seed=master_seed, w0=_w0(res, ds.d), epsilon=res.get("epsilon"))
@@ -392,7 +373,7 @@ def _cmd_run_solver(res: _Resolver, output: _Output):
             "g_hat": fit.rate if fit else None,
             "r_hat_norm": math.sqrt(fit.rate) if fit else None,
             "fit_residual": fit.residual if fit else None,
-            "fit_window": list(window) if window else None,
+            "fit_window": list(fit.window) if fit else None,
             "statuses": Counter(tr.status for tr in ens.traces),
             "seeds": [tr.config.seed for tr in ens.traces],
         },
@@ -456,8 +437,8 @@ def _dgd_points(res: _Resolver, output: _Output, mus, names):
     """The DGD points of run dgd and sweep mu, at penalty weights mus: each
     point's step (--eta, or stable_eta at its mu) and _dgd_doc, after the check
     of --iters and --stop-tol and before one run_dgd call, then per point its
-    tail fit, its verdicts and its trace table names[k].  Returns (eta,
-    _dgd_doc, trace, fit, fit window, verdicts) per point."""
+    tail fit_rate, its verdicts and its trace table names[k].  Returns (eta,
+    _dgd_doc, trace, fit, verdicts) per point."""
     fmt = res.get("format", "csv")
     ds = res.dataset()
     g = res.graph(ds)
@@ -471,16 +452,16 @@ def _dgd_points(res: _Resolver, output: _Output, mus, names):
                      W0=_w0(res, (ds.n, ds.d)))
     points = []
     for eta, doc, trace, name in zip(etas, docs, traces, names):
-        fit, window = _fit_curve(trace.mean_err_sq_range, tail=True)
+        fit = fit_rate(trace.mean_err_sq_range, tail=True)
         output.table(name, {c: getattr(trace, c) for c in _DGD_COLUMNS}, fmt, trace.status)
         r_hat = math.sqrt(fit.rate) if fit else None
-        points.append((eta, doc, trace, fit, window, _dgd_verdicts(doc, trace, r_hat, stop_tol)))
+        points.append((eta, doc, trace, fit, _dgd_verdicts(doc, trace, r_hat, stop_tol)))
     return points
 
 
 def _cmd_run_dgd(res: _Resolver, output: _Output):
     mu = float(res.get("mu", 1.0))
-    [(eta, dgd_doc, trace, fit, window, verdicts)] = _dgd_points(res, output, [mu], ["trace"])
+    [(eta, dgd_doc, trace, fit, verdicts)] = _dgd_points(res, output, [mu], ["trace"])
     res.resolved.update(eta=eta, mu_iter=eta * mu)
     err, spread = trace.mean_err_sq_range, trace.global_spread
     doc = {
@@ -491,7 +472,7 @@ def _cmd_run_dgd(res: _Resolver, output: _Output):
             "r_hat_norm": math.sqrt(fit.rate) if fit else None,
             "g_hat": fit.rate if fit else None,
             "fit_residual": fit.residual if fit else None,
-            "fit_window": list(window) if window else None,
+            "fit_window": list(fit.window) if fit else None,
             "final_err_rel": (err[-1] / err[0]) if err[0] > 0 else None,
             # against the peak: the zero start is a consensus state, of spread 0
             "final_spread_rel": (spread[-1] / spread.max()) if spread.max() > 0 else None,
@@ -534,7 +515,7 @@ def _cmd_sweep(res: _Resolver, output: _Output):
         points = _sgd_points(ds, [(None, v) for v in values], runs,
                              "give --runs 0 for predictions only", epsilon, **solver)
         rows = []
-        for v, (theory, cost, _, _, fit, _, status) in zip(values, points):
+        for v, (theory, cost, _, _, fit, status) in zip(values, points):
             cm = cost["cost"]
             rows.append([v, theory["eta_opt"], theory["g_opt"], theory["branch"], cm["t_eps"],
                          cm["total_cost"], cm["cost_scaling"], fit.rate if fit else None, status])
@@ -545,7 +526,7 @@ def _cmd_sweep(res: _Resolver, output: _Output):
         rows = [[v, fixed_m, max(g_eigen(fixed_m, n, v, ss.lambda_max),
                                  g_eigen(fixed_m, n, v, ss.lambda_min_nz)),
                  fit.rate if fit else None, status]
-                for v, (_, _, _, _, fit, _, status) in zip(values, points)]
+                for v, (_, _, _, _, fit, status) in zip(values, points)]
     return _sweep_table(output, header, rows), [row[-1] for row in rows], []
 
 
@@ -556,7 +537,7 @@ def _cmd_sweep_mu(res: _Resolver, output: _Output):
     header = ["mu", "eta", "mu_iter", "sigma_min", "sigma_max", "rate_lower", "rate_spectral",
               "stable", "r_hat_norm", *_DGD_VERDICTS, "status"]
     rows, verdicts = [], []
-    for i, (mu, (eta, dgd, trace, fit, _, checks)) in enumerate(zip(values, points)):
+    for i, (mu, (eta, dgd, trace, fit, checks)) in enumerate(zip(values, points)):
         passed = {v["name"]: "pass" if v["ok"] else "fail" for v in checks}
         rows.append([mu, eta, eta * mu, dgd.get("sigma_min"), dgd.get("sigma_max"),
                      dgd["rate_lower"], dgd.get("rate_spectral"), dgd.get("stable"),

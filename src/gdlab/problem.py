@@ -98,12 +98,15 @@ def gen_dataset(n: int, d: int, kind: str, *, rho: float = 0.0,
                      x_i = sqrt(1-rho) g_i + sqrt(rho) u, so a fraction rho of
                      the curvature trace concentrates on u.
 
-    With `normalize` every row is rescaled to unit norm afterward.  The
+    A nonzero rho is refused for any kind but spiked.  With `normalize`
+    every row is rescaled to unit norm afterward.  The
     planted parameter is standard normal and labels are exact row inner
     products.  Deterministic given `seed`.
     """
     if n <= 0 or d <= 0:
         raise ValueError(f"invalid dimension: n={n}, d={d}")
+    if rho != 0 and kind != "spiked":
+        raise ValueError(f"rho is read only by the spiked kind: kind={kind!r}, rho={rho}")
     rng = np.random.default_rng(seed)
     kind_label = kind
     if kind == "orthonormal":

@@ -29,6 +29,7 @@ from .problem import Dataset
 DIVERGENCE_FACTOR = 1e12
 _FIT_START = 5
 _FIT_FLOOR_REL = 1e-12
+_FIT_MAX_REL_SE = 0.05
 
 SAMPLER_FULL = "full"
 SAMPLER_BERNOULLI = "bernoulli"
@@ -37,6 +38,7 @@ SAMPLER_FIXED = "fixed"
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max-iters"
 STATUS_DIVERGED = "diverged"
+_STATUSES = (STATUS_DIVERGED, STATUS_MAX_ITERS, STATUS_CONVERGED)  # worst first
 
 
 def check_stopping(max_iters: int, stop_tol: float) -> None:
@@ -97,10 +99,12 @@ class IterationTrace:
 
 @dataclass
 class RateFit:
-    """Result of a log-linear rate fit: per-iteration ratio and RMS residual."""
+    """Result of a log-linear rate fit: per-iteration ratio, RMS residual and
+    the window [start, end) fitted."""
 
     rate: float
     residual: float
+    window: tuple[int, int]
 
 
 @dataclass
@@ -109,10 +113,14 @@ class EnsembleResult:
     traces: list[IterationTrace]
     rel_se: np.ndarray  # relative standard error of the mean, sd / (mean sqrt(runs)); 0 for one run
 
+    @property
+    def status(self) -> str:
+        """The worst of the runs' statuses: diverged, then max-iters, then converged."""
+        return min((tr.status for tr in self.traces), key=_STATUSES.index)
+
 
 _BLOCK = 256  # row-states (members x steps) between two metrics calls
 _DRAW_BYTES = 1 << 20  # sample draws held ahead (members x iterations x packed draw)
-_STATUSES = (STATUS_MAX_ITERS, STATUS_CONVERGED, STATUS_DIVERGED)
 
 
 def _take(x, sel):
@@ -164,13 +172,13 @@ def _drive(x, step, metrics, max_iters: int, stop_tol: float, keep_states: bool)
     outs = [_widen(c.T, cap) for c in cols]
     kept = _widen(x[0][:, None], cap) if keep_states else None
     lengths = np.ones(runs, dtype=int)
-    status = np.zeros(runs, dtype=int)  # index into _STATUSES
+    status = np.ones(runs, dtype=int)  # index into _STATUSES: max-iters until a stop
     if stop_tol > 0:
-        status[err0 <= stop_tol * err0] = 1
-    members = np.flatnonzero(status == 0)
+        status[err0 <= stop_tol * err0] = 2
+    members = np.flatnonzero(status == 1)
     ends = []  # (stopped members, their final iterates)
     if len(members) < runs:
-        ends.append((np.flatnonzero(status), x[0][status != 0]))
+        ends.append((np.flatnonzero(status != 1), x[0][status != 1]))
         x = _take(x, members)
     done = 0
     while len(members) and done < max_iters:
@@ -191,7 +199,7 @@ def _drive(x, step, metrics, max_iters: int, stop_tol: float, keep_states: bool)
         a = np.arange(A)
         ok = finite[row, a]
         keep = np.where(hit, row + ok, c)  # rows of this block each member keeps
-        status[members[hit]] = np.where(ok & converged[row, a], 1, 2)[hit]
+        status[members[hit]] = np.where(ok & converged[row, a], 2, 0)[hit]
         if done + 1 + c > cap:
             cap = min(max_iters + 1, max(done + 1 + c, 2 * cap))
             for i, o in enumerate(outs):
@@ -387,21 +395,30 @@ def run_ensemble(ds: Dataset, cfg: SolverConfig, runs: int) -> EnsembleResult:
     return EnsembleResult(mean_curve=mean, traces=traces, rel_se=rel_se)
 
 
-def default_fit_window(curve, stop: int | None = None) -> tuple[int, int]:
-    """Fit window for rate estimation: skip the transient, stop pre-underflow.
+def fit_rate(curve, tail: bool = False, rel_se=None) -> RateFit | None:
+    """The rate fit of every check: estimate_rate over the default window, or
+    None for a curve not starting positive or a window of fewer than 3
+    positive points.
 
-    Returns (start, end) with start at _FIT_START and end at the first point
-    below _FIT_FLOOR_REL times the initial value (eigen-mixture transients
-    and the floating-point floor both bias slope fits).
+    The window starts at _FIT_START, past the eigen-mixture transient, and
+    ends at the first point below _FIT_FLOOR_REL times the initial value,
+    before the floating-point floor, or, given an ensemble's rel_se (one per
+    point), at the first above _FIT_MAX_REL_SE: past it the mean rests on the
+    few runs still carrying error and follows their noise.  tail=True fits
+    the later half, for deterministic distributed runs.
     """
     c = np.asarray(curve, dtype=float)
     if len(c) == 0 or c[0] <= 0:
-        raise ValueError("curve must start positive")
-    below = np.nonzero(c < _FIT_FLOOR_REL * c[0])[0]
-    end = int(below[0]) if len(below) else len(c)
-    if stop is not None:
-        end = min(end, stop)
-    return min(_FIT_START, max(end - 3, 0)), end
+        return None
+    cut = c < _FIT_FLOOR_REL * c[0]
+    if rel_se is not None:
+        cut |= np.asarray(rel_se) > _FIT_MAX_REL_SE
+    end = int(cut.argmax()) if cut.any() else len(c)
+    start = max(end // 2, min(_FIT_START, end - 3)) if tail else min(_FIT_START, max(end - 3, 0))
+    try:
+        return estimate_rate(c, (start, end))
+    except ValueError:
+        return None
 
 
 def estimate_rate(curve, window: tuple[int, int] | None = None) -> RateFit:
@@ -423,4 +440,4 @@ def estimate_rate(curve, window: tuple[int, int] | None = None) -> RateFit:
     slope, intercept = np.polyfit(t, logs, 1)
     fitted = slope * t + intercept
     residual = float(np.sqrt(np.mean((logs - fitted) ** 2)))
-    return RateFit(rate=float(np.exp(slope)), residual=residual)
+    return RateFit(rate=float(np.exp(slope)), residual=residual, window=(start, end))

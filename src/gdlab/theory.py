@@ -195,6 +195,8 @@ def cost_model(m: float, n: int, d: int, epsilon: float, g: float,
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"target error must lie in (0, 1): epsilon={epsilon}")
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1: d={d}")
     if g >= 1.0:
         raise ValueError(f"no convergence for contraction g={g} >= 1")
     if g < 0.0:

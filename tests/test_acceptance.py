@@ -20,7 +20,7 @@ from gdlab.distributed import (
 )
 from gdlab.presets import build_dataset
 from gdlab.problem import gen_dataset, hessian, spectral_summary
-from gdlab.solvers import SolverConfig, default_fit_window, estimate_rate, run_gd, run_sgd
+from gdlab.solvers import SolverConfig, fit_rate, run_gd, run_sgd
 from gdlab.theory import expected_mm, g_eigen, mc_expected_mm, optimal_rate
 
 
@@ -186,8 +186,7 @@ def test_criterion_6_spectral_verification():
                 sp = dgd_operator_spectrum(ds, g, eta, mu)
                 ok &= sp.sigma_min > 0
                 ok &= sp.sigma_min <= eta * lam_min + 1e-10
-                a, b = default_fit_window(tr.mean_err_sq_range)
-                fit = estimate_rate(tr.mean_err_sq_range, (max(b // 2, 5), b))
+                fit = fit_rate(tr.mean_err_sq_range, tail=True)
                 r_hat = float(np.sqrt(fit.rate))
                 rel = abs(r_hat - sp.rate_spectral) / sp.rate_spectral
                 worst_rel = max(worst_rel, rel)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from gdlab import cli
 from gdlab.cli import build_parser, main
 from gdlab.io import dumps
+from gdlab.distributed import graph_to_json, make_graph
 from gdlab.presets import PRESETS, build_dataset
 from gdlab.problem import dataset_from_rows, dataset_to_json, gen_dataset, load_dataset
 
@@ -730,6 +731,33 @@ class TestChecksAndStatuses:
         assert main(["run", "dgd", "--preset", "ring16", "--graph", str(graph),
                      "--out", str(out)]) == 1
         assert "gdlab: error: invalid graph spec" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["theory", "--n", "4", "--lambda1", "1", "--lambdan", "0.5", "--d", "-5",
+          "--epsilon", "0.1"], "--d must be >= 1"),
+        (["theory", "--n", "4", "--lambda1", "1", "--lambdan", "0.5", "--d", "0",
+          "--epsilon", "0.1"], "--d must be >= 1"),
+        (["gen", "--n", "4", "--d", "4", "--kind", "gaussian", "--rho", "0.5"],
+         "rho is read only by the spiked kind"),
+        (["spectrum", "--preset", "gaussian8", "--graph-kind", "ring", "--graph-p", "0.3",
+          "--graph-k", "2", "--graph-rows", "2", "--graph-cols", "4"],
+         "invalid graph spec: ring reads no rows=2, cols=4, k=2, p=0.3"),
+        (["spectrum", "--preset", "ring16", "--graph", "<a graph file>", "--graph-kind",
+          "complete", "--graph-seed", "4", "--graph-p", "0.5"], "--graph-kind applies only"),
+        (["spectrum", "--preset", "ring16", "--graph", "<a graph file>", "--graph-seed", "4"],
+         "--graph-seed applies only"),
+        (["spectrum", "--preset", "ring16", "--graph-seed", "5"], "--graph-seed applies only"),
+        (["run", "dgd", "--preset", "ring16", "--graph-k", "2"], "--graph-k applies only"),
+    ])
+    def test_unread_value_is_refused(self, tmp_path, capsys, argv, flag):
+        # a value the command would ignore, or misuse, exits 1 and names it
+        graph = tmp_path / "graph.json"
+        graph.write_text(graph_to_json(make_graph("ring", 16)))
+        out = tmp_path / "out"
+        argv = [str(graph) if a == "<a graph file>" else a for a in argv]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert flag in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_status_column(self, tmp_path):

@@ -30,7 +30,7 @@ from gdlab.problem import (
     hessian,
     spectral_summary,
 )
-from gdlab.solvers import _BLOCK, DIVERGENCE_FACTOR, default_fit_window, estimate_rate
+from gdlab.solvers import _BLOCK, DIVERGENCE_FACTOR, fit_rate
 
 
 def two_unit_nodes():
@@ -107,6 +107,18 @@ class TestMakeGraph:
     def test_invalid_specs(self, kind, kw):
         with pytest.raises(ValueError, match="invalid graph spec"):
             make_graph(kind, 5, **kw)
+
+    @pytest.mark.parametrize("kind,kw", [
+        ("ring", {"rows": 2, "cols": 2}),
+        ("complete", {"p": 0.5}),
+        ("path", {"k": 1}),
+        ("grid", {"rows": 2, "cols": 2, "k": 1}),
+        ("k_ring", {"k": 1, "p": 0.3}),
+        ("erdos_renyi", {"p": 0.5, "cols": 4}),
+    ])
+    def test_parameters_the_kind_does_not_read(self, kind, kw):
+        with pytest.raises(ValueError, match=f"invalid graph spec: {kind} reads no"):
+            make_graph(kind, 4, **kw)
 
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):
@@ -601,8 +613,7 @@ class TestDistributedInvariants:
             eta = stable_eta(ds, g, mu)
             sp = dgd_operator_spectrum(ds, g, eta, mu)
             [tr] = run_dgd(ds, g, [eta], [mu], max_iters=20_000, W0=W0)
-            a, b = default_fit_window(tr.mean_err_sq_range)
-            fit = estimate_rate(tr.mean_err_sq_range, (max(b // 2, 5), b))
+            fit = fit_rate(tr.mean_err_sq_range, tail=True)
             r_hat = np.sqrt(fit.rate)
             assert 1.0 - eta * lam_min - 0.02 <= r_hat < 1.0
             assert abs(r_hat - sp.rate_spectral) <= 0.01 * sp.rate_spectral

@@ -69,6 +69,12 @@ class TestGenDataset:
         with pytest.raises(ValueError):
             gen_dataset(4, 4, "laplace", seed=0)
 
+    @pytest.mark.parametrize("kind", ["orthonormal", "gaussian"])
+    def test_rho_is_read_only_by_spiked(self, kind):
+        with pytest.raises(ValueError, match="rho is read only by the spiked kind"):
+            gen_dataset(4, 4, kind, rho=0.5, seed=0)
+        assert gen_dataset(4, 4, kind, rho=0.0, seed=0).kind == kind
+
     @pytest.mark.parametrize("kind,extra", KINDS)
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_interpolation_residual(self, kind, extra, seed):

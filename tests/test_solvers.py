@@ -19,9 +19,9 @@ from gdlab.solvers import (
     _BLOCK,
     SolverConfig,
     _drive,
-    default_fit_window,
     derive_seed,
     estimate_rate,
+    fit_rate,
     run_ensemble,
     run_gd,
     run_sgd,
@@ -390,6 +390,28 @@ class TestStackedEnsemble:
         ens = assert_members_are_single_runs(ds, cfg, 30, 3, 1000)
         assert {tr.status for tr in ens.traces} == {"diverged", "max-iters"}
 
+    def test_ensemble_status_is_the_worst(self):
+        # test_some_members_diverge's runs next to converging ones at a smaller step
+        ds = gen_dataset(32, 32, "orthonormal", seed=320)
+        w0 = np.random.default_rng(1).standard_normal(32)
+        cfg = SolverConfig(eta=5.0, m=2.0, sampler="bernoulli", max_iters=400, stop_tol=1e-8,
+                           w0=w0)
+        diverging = run_ensemble(ds, cfg, 30)
+        converging = run_ensemble(ds, replace(cfg, eta=3.0), 30)
+        assert diverging.status == "diverged"
+        assert {tr.status for tr in converging.traces} == {"converged", "max-iters"}
+        assert converging.status == "max-iters"
+        first = {}
+        for tr in diverging.traces + converging.traces:
+            first.setdefault(tr.status, tr)
+        for statuses, worst in [(("converged", "diverged"), "diverged"),
+                                (("diverged", "converged"), "diverged"),
+                                (("converged", "max-iters"), "max-iters"),
+                                (("max-iters", "diverged"), "diverged"),
+                                (("converged",), "converged")]:
+            ens = replace(converging, traces=[first[s] for s in statuses])
+            assert ens.status == worst
+
     @settings(max_examples=150, deadline=None)
     @given(runs=st.integers(1, 8), iters=st.integers(1, 40),
            ds_index=st.integers(0, len(_PROPERTY_DATASETS) - 1),
@@ -427,8 +449,7 @@ class TestEstimateRate:
         ds = dataset_from_rows(X, seed=45)
         pred = optimal_rate(8, 8, 1.0, 0.25)
         tr = run_gd(ds, SolverConfig(eta=pred.eta_opt, m=8, max_iters=40))
-        window = default_fit_window(tr.err_sq_range)
-        fit = estimate_rate(tr.err_sq_range, window)
+        fit = fit_rate(tr.err_sq_range)
         assert abs(fit.rate - pred.g_opt) <= 0.01 * pred.g_opt
 
     def test_window_validation(self):
@@ -439,11 +460,42 @@ class TestEstimateRate:
 
     def test_default_window_skips_transient_and_floor(self):
         curve = [1.0] + [0.5 ** t for t in range(1, 30)] + [1e-300] * 5
-        start, end = default_fit_window(curve)
+        start, end = fit_rate(curve).window
         assert start == 5
         assert end <= 30
         seg = np.asarray(curve[start:end])
         assert np.all(seg >= 1e-12)
+
+    @pytest.mark.parametrize("length, window, tail_window", [
+        (40, (5, 40), (20, 40)),  # the tail half
+        (7, (4, 7), (4, 7)),      # three points left past the transient
+        (3, (0, 3), None),        # the tail half of 3 points holds 2: no fit
+    ])
+    def test_windows(self, length, window, tail_window):
+        # a tail window starts at max(end // 2, min(5, end - 3))
+        curve = 0.9 ** np.arange(length)
+        assert fit_rate(curve).window == window
+        fit = fit_rate(curve, tail=True)
+        assert (fit and fit.window) == tail_window
+        if fit:
+            assert fit.rate == pytest.approx(0.9, rel=1e-12)
+
+    def test_rel_se_ends_the_window_at_the_first_noisy_point(self):
+        curve = 0.5 ** np.arange(30)
+        rel_se = np.zeros(30)
+        rel_se[[12, 20]] = [0.06, 0.5]
+        rel_se[8] = 0.05  # at the bound: not noisy
+        assert fit_rate(curve, rel_se=rel_se).window == (5, 12)
+        assert fit_rate(curve, tail=True, rel_se=rel_se).window == (6, 12)
+        rel_se[:] = np.nan  # a zero mean: no standard error to exceed
+        assert fit_rate(curve, rel_se=rel_se).window == (5, 30)
+
+    @pytest.mark.parametrize("curve", [[], [0.0, 1.0, 0.5, 0.25], [-1.0, 0.5, 0.25],
+                                       [1.0, 0.5], [1.0, 0.5, 1e-13, 1e-14]])
+    def test_no_window_no_fit(self, curve):
+        # empty, a zero or negative start, fewer than 3 points before the floor
+        assert fit_rate(curve) is None
+        assert fit_rate(curve, tail=True) is None
 
 
 class TestSolverInvariants:

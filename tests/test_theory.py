@@ -293,6 +293,9 @@ class TestCostModel:
             cost_model(2, 4, 8, 1.5, 0.5)
         with pytest.raises(ValueError, match="no convergence"):
             cost_model(2, 4, 8, 0.1, 1.0)
+        for d in (0, -5):  # a cost of m d t_eps at d < 1 is none, or negative
+            with pytest.raises(ValueError, match="dimension must be >= 1"):
+                cost_model(2, 4, d, 0.1, 0.5)
 
 
 class TestOracleAgreement:
