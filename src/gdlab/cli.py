@@ -64,7 +64,7 @@ from .distributed import (
     stability_bound,
     stable_eta,
 )
-from .io import atomic_write_text, csv_text, dumps
+from .io import csv_chunks, dumps, write_atomic
 from .problem import dataset_to_json, gen_dataset, load_dataset
 from .solvers import (
     STATUS_CONVERGED,
@@ -221,26 +221,27 @@ def _listed_files(path) -> set:
 
 class _Output:
     """Every file of one command in its --out directory, each written through
-    atomic_write_text: tables as the command makes them, then at commit the
-    inputs it read and summary.json."""
+    write_atomic: tables as the command makes them, then at commit the inputs
+    it read and summary.json."""
 
     def __init__(self, out):
         self.out = out
         self.files: list[str] = []
 
-    def _write(self, name, text):
+    def _write(self, name, parts):
+        """Write `parts`, a list of strings or csv_chunks (never a bare str), to name."""
         if not self.files:  # made at the first write: a command failing before it leaves none
             os.makedirs(self.out, exist_ok=True)
-        atomic_write_text(os.path.join(self.out, name), text)
+        write_atomic(os.path.join(self.out, name), parts)
         self.files.append(name)
 
     def table(self, name, columns, fmt, status=None):
         """Named columns as name.csv, or as name.json followed by the run status."""
         if fmt == "json":
             doc = dict(columns) if status is None else {**columns, "status": status}
-            self._write(name + ".json", dumps(doc) + "\n")
+            self._write(name + ".json", [dumps(doc) + "\n"])
         else:
-            self._write(name + ".csv", csv_text(columns))
+            self._write(name + ".csv", csv_chunks(columns))
 
     def commit(self, res, blocks, verdicts):
         """Write the inputs res read, then summary.json (the command's resolved
@@ -248,14 +249,14 @@ class _Output:
         then remove what an earlier summary listed that this command did not write."""
         doc = {"command": "-".join(res.args.variant), "config": res.resolved}
         if res.ds is not None:
-            self._write("dataset.json", dataset_to_json(res.ds) + "\n")
+            self._write("dataset.json", [dataset_to_json(res.ds) + "\n"])
             doc["spectral"] = {k: getattr(res.ds.spectral, k) for k in _SPECTRAL_KEYS}
         if res.g is not None:
-            self._write("graph.json", graph_to_json(res.g) + "\n")
+            self._write("graph.json", [graph_to_json(res.g) + "\n"])
         path = os.path.join(self.out, "summary.json")
         stale = _listed_files(path) - set(self.files) - {"summary.json"}
         doc.update(blocks, verdicts=verdicts, files=sorted(self.files))
-        self._write("summary.json", dumps(doc) + "\n")
+        self._write("summary.json", [dumps(doc) + "\n"])
         for name in stale:
             if os.path.isfile(os.path.join(self.out, name)):
                 os.remove(os.path.join(self.out, name))
@@ -298,6 +299,8 @@ def _cmd_theory(res: _Resolver, output: _Output):
                    "gives a dataset, which theory with --lambda1 and --lambdan does not read")
         if d is not None and d < 1:
             raise CliError(f"--d must be >= 1: {d}")
+        if n is not None and n < 1:  # before optimal_rate, which would blame --m
+            raise CliError(f"--n must be >= 1: {n}")
     if n is None:
         raise CliError("theory needs --n (or a dataset/preset)")
     n = int(n)
@@ -578,7 +581,7 @@ _OPTIONS = {
     "graph_cols": dict(type=int, help="grid columns"),
     "graph_k": dict(type=int, help="k_ring neighbours on each side"),
     "graph_p": dict(type=float, help="erdos_renyi edge probability"),
-    "graph_seed": dict(type=int, help="graph generation seed (default 0)"),
+    "graph_seed": dict(type=int, help="erdos_renyi graph seed (default 0)"),
     "m": dict(type=float, help="mean batch size"),
     "lambda1": dict(type=float, help="largest nonzero eigenvalue"),
     "lambdan": dict(type=float, help="smallest nonzero eigenvalue"),

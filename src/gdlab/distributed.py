@@ -98,14 +98,16 @@ def make_graph(kind: str, n: int, seed: int = 0, *, rows: int | None = None,
     kinds: complete, ring, path, grid (rows x cols = n), k_ring (each node
     linked to its k nearest neighbors per side, 2k < n), erdos_renyi (each
     pair kept with probability p, resampled until connected).  Deterministic
-    given seed.  A parameter the kind does not read is refused.
+    given seed.  A parameter the kind does not read is refused, and so is a
+    nonzero seed for a kind that draws nothing.
     """
     if n < 2:
         raise ValueError(f"invalid graph spec: need n >= 2, got {n}")
     # the parameters kind reads; an unknown kind reads all, and is refused below
     reads = {"complete": (), "ring": (), "path": (), "grid": ("rows", "cols"), "k_ring": ("k",),
-             "erdos_renyi": ("p",)}.get(kind, ("rows", "cols", "k", "p"))
-    unread = [f"{name}={v}" for name, v in (("rows", rows), ("cols", cols), ("k", k), ("p", p))
+             "erdos_renyi": ("p", "seed")}.get(kind, ("rows", "cols", "k", "p", "seed"))
+    unread = [f"{name}={v}" for name, v in (("rows", rows), ("cols", cols), ("k", k), ("p", p),
+                                            ("seed", seed or None))
               if v is not None and name not in reads]
     if unread:
         raise ValueError(f"invalid graph spec: {kind} reads no {', '.join(unread)}")

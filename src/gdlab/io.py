@@ -2,19 +2,20 @@
 
 Every float that leaves the library (JSON documents, CSV cells) is printed
 with 17 significant digits, which round-trips IEEE binary64 exactly.  Files
-are written through a temp-then-rename step so partially written output is
-never observed.
+are streamed to a temp file and renamed into place, so partially written
+output is never observed and no table is held whole in memory.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 
 import numpy as np
 
-_CSV_CHUNK_ROWS = 4096
+_CSV_CHUNK_ROWS = 1024
 
 
 def f17(x: float) -> str:
@@ -51,12 +52,23 @@ def dumps(obj) -> str:
     return _encode(obj)
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text to `path` via a temp file + rename in the same directory."""
+def write_atomic(path: str, parts) -> None:
+    """Write the strings of `parts`, an iterable such as a list or csv_chunks,
+    to `path`: each is written to a temp file in the same directory as it
+    arrives, and the file is renamed into place once all are.  On any failure
+    the temp file is removed and `path` is left as it was."""
+    if isinstance(parts, str):  # would be written one character at a time
+        raise TypeError("write_atomic takes an iterable of strings, not a str")
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            for part in parts:
+                fh.write(part)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _cell(v) -> str:
@@ -72,27 +84,30 @@ def _cell(v) -> str:
 def _cells(col) -> list[str]:
     """The cells of one column.  float64 and integer arrays (trace columns)
     are converted in one pass; other columns (sweep rows) cell by cell."""
-    if isinstance(col, np.ndarray) and col.dtype == np.float64:
-        bad = ~np.isfinite(col)
-        if bad.any():
-            raise ValueError(f"non-finite value cannot be serialized: {float(col[bad][0])!r}")
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:  # checked by csv_chunks
         return [format(v, ".17g") for v in col.tolist()]
     if isinstance(col, np.ndarray) and np.issubdtype(col.dtype, np.integer):
         return [str(v) for v in col.tolist()]
     return [_cell(v) for v in col]
 
 
-def csv_text(columns) -> str:
-    """CSV document of named equal-length columns ({name: column}): floats at
-    17 significant digits, None as empty cell.
+def csv_chunks(columns):
+    """CSV document of named equal-length columns ({name: column}) in parts:
+    the header line, then one part per _CSV_CHUNK_ROWS rows.  Floats carry 17
+    significant digits, None is an empty cell.
 
-    Rows are formatted in chunks of _CSV_CHUNK_ROWS, column by column, so the
-    cell strings held at once stay small next to the document itself.
+    Every float64 column is checked for non-finite values before the first
+    part, so a bad trace fails before any of it is written; the parts held
+    at once stay small next to the document itself.
     """
     cols = list(columns.values())
+    for col in cols:
+        if isinstance(col, np.ndarray) and col.dtype == np.float64:
+            bad = ~np.isfinite(col)
+            if bad.any():
+                raise ValueError(f"non-finite value cannot be serialized: {float(col[bad][0])!r}")
     length = len(cols[0]) if cols else 0
-    parts = [",".join(columns) + "\n"]
+    yield ",".join(columns) + "\n"
     for a in range(0, length, _CSV_CHUNK_ROWS):
         cells = [_cells(c[a:a + _CSV_CHUNK_ROWS]) for c in cols]
-        parts.append("\n".join(map(",".join, zip(*cells))) + "\n")
-    return "".join(parts)
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"

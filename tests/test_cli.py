@@ -749,6 +749,12 @@ class TestChecksAndStatuses:
          "--graph-seed applies only"),
         (["spectrum", "--preset", "ring16", "--graph-seed", "5"], "--graph-seed applies only"),
         (["run", "dgd", "--preset", "ring16", "--graph-k", "2"], "--graph-k applies only"),
+        (["spectrum", "--preset", "gaussian8", "--graph-kind", "ring", "--graph-seed", "5"],
+         "invalid graph spec: ring reads no seed=5"),
+        # an --n below 1 is named, not the --m that defaults to it
+        (["theory", "--n", "0", "--lambda1", "1", "--lambdan", "0.5"], "--n must be >= 1: 0"),
+        (["theory", "--n", "-3", "--m", "1", "--lambda1", "1", "--lambdan", "0.5"],
+         "--n must be >= 1: -3"),
     ])
     def test_unread_value_is_refused(self, tmp_path, capsys, argv, flag):
         # a value the command would ignore, or misuse, exits 1 and names it

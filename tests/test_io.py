@@ -1,16 +1,41 @@
 """Tests for the deterministic text writers."""
 
+import os
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gdlab.io import csv_text
+from gdlab.cli import _Output
+from gdlab.io import _CSV_CHUNK_ROWS, csv_chunks, f17, write_atomic
+
+
+def csv_text(columns):
+    return "".join(csv_chunks(columns))
 
 
 def parse(text):
     lines = text.splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def reference_csv(columns):
+    """The CSV document built one row and one cell at a time."""
+    def cell(v):
+        if v is None:
+            return ""
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, float):  # np.float64 included
+            return f17(v)
+        return str(v)
+
+    names, cols = list(columns), list(columns.values())
+    rows = [",".join(cell(c[i]) for c in cols) for i in range(len(cols[0]))]
+    return "".join(line + "\n" for line in [",".join(names), *rows])
 
 
 class TestCsvText:
@@ -29,3 +54,71 @@ class TestCsvText:
     def test_integer_and_empty_cells(self):
         text = csv_text({"t": np.arange(3), "g": [0.5, None, 2.0]})
         assert text == "t,g\n0,0.5\n1,\n2,2\n"
+
+    @pytest.mark.parametrize("rows", [0, 1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS,
+                                      _CSV_CHUNK_ROWS + 1])
+    def test_chunks_join_to_the_row_by_row_document(self, rows):
+        rng = np.random.default_rng(rows)
+        columns = {
+            "t": np.arange(rows),
+            "err": rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows),
+            "gap": [None if i % 3 else float(i) / 7 for i in range(rows)],
+            "ok": [i % 2 == 0 for i in range(rows)],
+            "m": [i // 5 for i in range(rows)],
+        }
+        parts = list(csv_chunks(columns))
+        assert len(parts) == 1 + -(-rows // _CSV_CHUNK_ROWS)  # header, then one per chunk
+        assert "".join(parts) == reference_csv(columns)
+
+
+class TestWriteAtomic:
+    def leftovers(self, tmp_path):
+        return sorted(os.listdir(tmp_path))
+
+    def test_nan_past_the_first_chunk_writes_nothing(self, tmp_path):
+        values = np.ones(_CSV_CHUNK_ROWS + 5)
+        values[-1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            write_atomic(str(tmp_path / "t.csv"), csv_chunks({"t": np.arange(len(values)),
+                                                             "v": values}))
+        assert self.leftovers(tmp_path) == []
+
+    def test_failing_parts_leave_no_file(self, tmp_path):
+        def parts():
+            yield "t\n"
+            raise RuntimeError("made mid-write")
+
+        with pytest.raises(RuntimeError, match="made mid-write"):
+            write_atomic(str(tmp_path / "t.csv"), parts())
+        assert self.leftovers(tmp_path) == []
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_atomic(str(path), ["old\n"])
+        with pytest.raises(ValueError):
+            write_atomic(str(path), csv_chunks({"v": [1.0, float("inf")]}))
+        assert self.leftovers(tmp_path) == ["t.csv"]
+        assert path.read_text() == "old\n"
+
+    def test_a_bare_string_is_refused(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_atomic(str(tmp_path / "t.json"), "{}\n")
+        assert self.leftovers(tmp_path) == []
+
+
+def test_writing_a_table_holds_a_small_part_of_it(tmp_path):
+    # the document is streamed: formatting and writing a 100,000-row trace
+    # allocates at most half its size at once (holding it whole, as one
+    # string, its parts and its encoding, takes two to three times it)
+    rng = np.random.default_rng(0)
+    columns = {name: rng.standard_normal(100_000) for name in "abcde"}
+    out = _Output(str(tmp_path))
+    tracemalloc.start()
+    try:
+        out.table("trace", columns, "csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = os.path.getsize(tmp_path / "trace.csv")
+    assert size > 8_000_000
+    assert peak < size / 2
