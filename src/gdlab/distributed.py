@@ -26,6 +26,19 @@ temporary into slices of it.  A block's temporaries run to a megabyte each;
 above glibc's mmap threshold each fresh one would be a new mapping, faulted
 in page by page on every block, and the loop's speed would follow the
 allocator's state rather than the work.
+
+The round itself is bound by numpy's per-call cost, not by arithmetic, and
+a call that broadcasts costs more than one whose operands share a shape: on
+a 3 x 16 x 32 stack, 1.5-1.9 us against 1.0 us for an elementwise product
+(fastest of repeated timings on a 2-vCPU Xeon).  So run_dgd also makes one
+step workspace per run (_step_work): X, y and B tiled once to the number of
+points, plus the round's temporaries, used through leading slices for the A
+points still running.  Its loop state carries each point's eta tiled to
+(A, n) and its coupling eta * mu tiled to (A, n, d), so every call of
+dgd_step(ds, B, eta, coupling, W, work) has operands of the stack's shape
+but one (the residual times each row of X).  B^T is the transposed view of
+the tiled B, never a contiguous copy: each state's product then takes the
+2-D B.T's BLAS path, and its bits.
 """
 
 from __future__ import annotations
@@ -90,6 +103,23 @@ def _canon(edges) -> tuple[tuple[int, int], ...]:
     return tuple(sorted({(min(i, j), max(i, j)) for i, j in edges if i != j}))
 
 
+# the parameters each kind of make_graph reads; a graph records these in its
+# params (erdos_renyi also its draw count, attempts), and its seed only if
+# the kind draws from it
+_READS = {"complete": (), "ring": (), "path": (), "grid": ("rows", "cols"), "k_ring": ("k",),
+          "erdos_renyi": ("p", "seed")}
+
+
+def _refuse_unread(kind: str, given) -> None:
+    """Refuse the values of `given` ((name, value) pairs, None for unset,
+    seed 0 as unset) that kind does not read; an unknown kind reads all."""
+    reads = _READS.get(kind, ("rows", "cols", "k", "p", "seed"))
+    unread = [f"{name}={v}" for name, v in given
+              if v is not None and not (name == "seed" and v == 0) and name not in reads]
+    if unread:
+        raise ValueError(f"invalid graph spec: {kind} reads no {', '.join(unread)}")
+
+
 def make_graph(kind: str, n: int, seed: int = 0, *, rows: int | None = None,
                cols: int | None = None, k: int | None = None,
                p: float | None = None) -> CommGraph:
@@ -103,14 +133,8 @@ def make_graph(kind: str, n: int, seed: int = 0, *, rows: int | None = None,
     """
     if n < 2:
         raise ValueError(f"invalid graph spec: need n >= 2, got {n}")
-    # the parameters kind reads; an unknown kind reads all, and is refused below
-    reads = {"complete": (), "ring": (), "path": (), "grid": ("rows", "cols"), "k_ring": ("k",),
-             "erdos_renyi": ("p", "seed")}.get(kind, ("rows", "cols", "k", "p", "seed"))
-    unread = [f"{name}={v}" for name, v in (("rows", rows), ("cols", cols), ("k", k), ("p", p),
-                                            ("seed", seed or None))
-              if v is not None and name not in reads]
-    if unread:
-        raise ValueError(f"invalid graph spec: {kind} reads no {', '.join(unread)}")
+    # an unknown kind reads all, and is refused below
+    _refuse_unread(kind, (("rows", rows), ("cols", cols), ("k", k), ("p", p), ("seed", seed)))
     params: dict = {}
     if kind == "complete":
         edges = _canon(combinations(range(n), 2))
@@ -257,17 +281,43 @@ def _coupling(eta: float, mu: float) -> float:
     return coupling
 
 
-def dgd_step(ds: Dataset, B: np.ndarray, eta, mu, W: np.ndarray, coupling=None) -> np.ndarray:
+def _step_work(S: int, ds: Dataset, B: np.ndarray) -> list[dict[str, np.ndarray]]:
+    """dgd_step's workspace for stacks of up to S states: X, y and B tiled to
+    S copies, B^T as the transposed view of the tiled B, and the round's
+    temporaries.  Entry A - 1 holds the leading slices [:A] of each, for a
+    stack of A states."""
+    n, d, E = ds.n, ds.d, B.shape[0]
+    Bs = np.tile(B, (S, 1, 1))
+    n1 = np.empty((S, n, 1))
+    full = {"X": np.tile(ds.X, (S, 1, 1)), "y": np.tile(ds.y, (S, 1)), "B": Bs,
+            "Bt": Bs.transpose(0, 2, 1), "n1": n1, "n": n1[..., 0], "nd": np.empty((S, n, d)),
+            "ed": np.empty((S, E, d)), "lap": np.empty((S, n, d))}
+    return [{name: buf[:A] for name, buf in full.items()} for A in range(1, S + 1)]
+
+
+def dgd_step(ds: Dataset, B: np.ndarray, eta, mu, W: np.ndarray, work=None) -> np.ndarray:
     """One synchronous round of W (n x d), or of each state k of a stack W
     (S x n x d) at its own eta[k] and mu[k]; nodes read only the previous iterate.
 
-    A caller that steps many rounds may pass eta and coupling = eta * mu
-    already shaped (S, 1, 1) (or as scalars); mu is then not read.
+    run_dgd passes work, its step workspace of _step_work, with operands
+    already shaped like the stack W of A states: eta tiled to (A, n) and, in
+    mu's place, the coupling eta * mu tiled to (A, n, d).  B is then read
+    from the workspace, and only the returned state is a new array.  Each
+    state's round is bitwise its 2-D call's.
     """
-    if coupling is None:
+    if work is None:
         eta, coupling = (np.asarray(a)[..., None, None] for a in (eta, np.multiply(eta, mu)))
-    e = row_inner(ds.X, W) - ds.y
-    return W - eta * e[..., None] * ds.X - coupling * (B.T @ (B @ W))
+        e = row_inner(ds.X, W) - ds.y
+        return W - eta * e[..., None] * ds.X - coupling * (B.T @ (B @ W))
+    w = work[len(W) - 1]
+    e = np.add.reduce(np.multiply(w["X"], W, out=w["nd"]), axis=-1, out=w["n"])  # row_inner
+    np.subtract(e, w["y"], out=e)
+    np.multiply(eta, e, out=e)
+    grad = np.multiply(w["n1"], w["X"], out=w["nd"])
+    lap = np.matmul(w["Bt"], np.matmul(w["B"], W, out=w["ed"]), out=w["lap"])
+    np.multiply(mu, lap, out=lap)
+    nxt = np.subtract(W, grad)
+    return np.subtract(nxt, lap, out=nxt)
 
 
 def run_dgd(ds: Dataset, g: CommGraph, etas, mus, max_iters: int = 1000,
@@ -282,8 +332,9 @@ def run_dgd(ds: Dataset, g: CommGraph, etas, mus, max_iters: int = 1000,
     initial, or a non-finite metric) is recorded as a status, not raised.
     The trace rows are measured a block of states at a time; a point that
     stops inside a block takes up to one block minus one extra rounds, whose
-    states are dropped.  The block buffer and the metrics workspace are
-    allocated once per run, so the round loop makes no block-sized array.
+    states are dropped.  The block buffer, the metrics workspace and the
+    step workspace are allocated once per run, so a round allocates only
+    its new stack of states and the loop makes no block-sized array.
     """
     if ds.n != g.n:
         raise ValueError(f"one sample per node required: dataset n={ds.n}, graph n={g.n}")
@@ -300,9 +351,10 @@ def run_dgd(ds: Dataset, g: CommGraph, etas, mus, max_iters: int = 1000,
     cap = max(_BLOCK, len(etas))
     block = np.empty((cap, ds.n, ds.d))
     work = _metrics_work(cap, ds, B)
+    steps = _step_work(len(etas), ds, B)
 
     # the loop's state is (W, eta, eta * mu, mu), one row per running point,
-    # eta and eta * mu shaped (points, 1, 1) for dgd_step
+    # eta tiled to (points, n) and eta * mu to (points, n, d) for dgd_step
     def metrics(states):
         if len(states) == 1:
             S, mu = states[0][0], states[0][3]
@@ -313,11 +365,12 @@ def run_dgd(ds: Dataset, g: CommGraph, etas, mus, max_iters: int = 1000,
 
     def step(state, _):
         W, eta, coupling, mu = state
-        return dgd_step(ds, B, eta, mu, W, coupling), eta, coupling, mu
+        return dgd_step(ds, B, eta, coupling, W, steps), eta, coupling, mu
 
     eta, mu = np.array(etas, dtype=float), np.array(mus, dtype=float)
-    shaped = (a[:, None, None] for a in (eta, np.multiply(eta, mu)))
-    x0 = (np.tile(W, (len(etas), 1, 1)), *shaped, mu)
+    n, d = ds.n, ds.d
+    x0 = (np.tile(W, (len(etas), 1, 1)), np.repeat(eta[:, None], n, axis=1),
+          np.tile(np.multiply(eta, mu)[:, None, None], (1, n, d)), mu)
     cols, lengths, statuses, finals, kept = _drive(
         x0, step, metrics, max_iters, stop_tol, record_states)
     # consensus_metrics's four columns come in DgdTrace's field order
@@ -405,19 +458,25 @@ def graph_to_json(g: CommGraph) -> str:
 
 def graph_from_json(text: str) -> CommGraph:
     """The graph of graph_to_json's text, held to make_graph's rules: n >= 2,
-    every endpoint in [0, n), connected."""
+    every endpoint in [0, n), connected, and for a kind make_graph knows, no
+    parameter and no nonzero seed that the kind does not read."""
     doc = json.loads(text)
     n, kind = int(doc["n"]), str(doc["kind"])
     edges = [(int(i), int(j)) for i, j in doc["edges"]]
+    params, seed = dict(doc["params"]), int(doc["seed"])
     if n < 2:
         raise ValueError(f"invalid graph spec: need n >= 2, got {n}")
+    if kind in _READS:
+        recorded = [(name, v) for name, v in params.items()
+                    if not (kind == "erdos_renyi" and name == "attempts")]
+        _refuse_unread(kind, [*recorded, ("seed", seed)])
     for e in edges:
         if not (0 <= e[0] < n and 0 <= e[1] < n):
             raise ValueError(f"invalid graph spec: edge {list(e)} has a node outside [0, {n})")
     edges = _canon(edges)
     if not is_connected(n, edges):
         raise ValueError(f"invalid graph spec: {kind} on n={n} is not connected")
-    return CommGraph(n=n, edges=edges, kind=kind, params=dict(doc["params"]), seed=int(doc["seed"]))
+    return CommGraph(n=n, edges=edges, kind=kind, params=params, seed=seed)
 
 
 def load_graph(path: str) -> CommGraph:

@@ -12,6 +12,7 @@ import contextlib
 import json
 import math
 import os
+from itertools import chain
 
 import numpy as np
 
@@ -81,14 +82,15 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _cells(col) -> list[str]:
-    """The cells of one column.  float64 and integer arrays (trace columns)
-    are converted in one pass; other columns (sweep rows) cell by cell."""
-    if isinstance(col, np.ndarray) and col.dtype == np.float64:  # checked by csv_chunks
-        return [format(v, ".17g") for v in col.tolist()]
+def _column(col) -> tuple[str, list]:
+    """One column's cell format and its values: %.17g for a float64 array
+    (checked finite by csv_chunks), %d for an integer array, and %s for the
+    _cell strings of anything else (sweep rows)."""
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        return "%.17g", col.tolist()
     if isinstance(col, np.ndarray) and np.issubdtype(col.dtype, np.integer):
-        return [str(v) for v in col.tolist()]
-    return [_cell(v) for v in col]
+        return "%d", col.tolist()
+    return "%s", [_cell(v) for v in col]
 
 
 def csv_chunks(columns):
@@ -98,7 +100,9 @@ def csv_chunks(columns):
 
     Every float64 column is checked for non-finite values before the first
     part, so a bad trace fails before any of it is written; the parts held
-    at once stay small next to the document itself.
+    at once stay small next to the document itself.  A part of k rows is
+    one % of a row template repeated k times, applied to its cells in row
+    order ('%.17g' % x prints format(x, '.17g')'s digits).
     """
     cols = list(columns.values())
     for col in cols:
@@ -109,5 +113,6 @@ def csv_chunks(columns):
     length = len(cols[0]) if cols else 0
     yield ",".join(columns) + "\n"
     for a in range(0, length, _CSV_CHUNK_ROWS):
-        cells = [_cells(c[a:a + _CSV_CHUNK_ROWS]) for c in cols]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+        fmts, cells = zip(*(_column(c[a:a + _CSV_CHUNK_ROWS]) for c in cols))
+        row = ",".join(fmts) + "\n"
+        yield (row * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .problem import Dataset, hessian
 
-_MC_CHUNK = 20_000
+_MC_BYTES = 1 << 22  # bytes of one draw stack of a chunk (draws x d x d, or x n x d)
 _TIE_TOL = 1e-9
 
 @dataclass(frozen=True)
@@ -78,9 +78,11 @@ def mc_expected_mm(ds: Dataset, eta: float, m: float, samples: int,
 
     Draws sample masks sigma_i ~ Bernoulli(m/n) i.i.d., forms
     M = I - (eta/m) sum_i sigma_i x_i x_i^T and averages M^T M.  Works for any
-    dataset.  Deterministic given `seed` (fixed-size draw chunks).  Entrywise
-    sums are accumulated relative to the first draw, so a zero-variance case
-    (m = n) reports exactly zero standard error.
+    dataset.  Deterministic given `seed`; draws come in chunks whose stacks
+    of per-draw matrices hold at most about _MC_BYTES each, so memory does
+    not grow with `samples`.  Entrywise sums are accumulated relative to the
+    first draw, so a zero-variance case (m = n) reports exactly zero
+    standard error.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
@@ -92,9 +94,10 @@ def mc_expected_mm(ds: Dataset, eta: float, m: float, samples: int,
     shift = None
     s1 = np.zeros((d, d))
     s2 = np.zeros((d, d))
+    chunk = max(1, _MC_BYTES // (8 * d * max(n, d)))
     done = 0
     while done < samples:
-        c = min(_MC_CHUNK, samples - done)
+        c = min(chunk, samples - done)
         sigma = (rng.random((c, n)) < p).astype(float)
         scaled = sigma[:, :, None] * ds.X[None, :, :]
         T = np.einsum("ia,sib->sab", ds.X, scaled, optimize=True)

@@ -718,15 +718,20 @@ class TestChecksAndStatuses:
         assert calls == []
         assert not out.exists()
 
-    @pytest.mark.parametrize("edges", [
-        [[i, (i + 1) % 16] for i in range(16)] + [[0, 20]],   # a node past n
-        [[i, (i + 1) % 16] for i in range(16)] + [[-1, 3]],   # once wrapped to node 15
-        [[i, i + 1] for i in range(15) if i != 7],            # two paths of 8 nodes
-    ])
-    def test_bad_graph_file_is_refused(self, tmp_path, capsys, edges):
+    RING = [[i, (i + 1) % 16] for i in range(16)]
+
+    @pytest.mark.parametrize("edges, unread", [
+        (RING + [[0, 20]], {}),                               # a node past n
+        (RING + [[-1, 3]], {}),                               # once wrapped to node 15
+        ([[i, i + 1] for i in range(15) if i != 7], {}),      # two paths of 8 nodes
+        (RING, {"seed": 5}),                                  # a ring draws nothing
+        (RING, {"params": {"p": 0.3}}),                       # a ring reads no p
+        (RING, {"params": {"attempts": 1}}),                  # only erdos_renyi's draw records it
+    ], ids=["edges0", "edges1", "edges2", "seed", "param", "attempts"])
+    def test_bad_graph_file_is_refused(self, tmp_path, capsys, edges, unread):
         graph = tmp_path / "graph.json"
         graph.write_text(json.dumps({"n": 16, "kind": "ring", "params": {}, "seed": 0,
-                                     "edges": edges}))
+                                     "edges": edges, **unread}))
         out = tmp_path / "out"
         assert main(["run", "dgd", "--preset", "ring16", "--graph", str(graph),
                      "--out", str(out)]) == 1

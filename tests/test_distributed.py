@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gdlab.distributed import (
     _metrics_work,
+    _step_work,
     GraphConnectError,
     consensus_metrics,
     dgd_operator_spectrum,
@@ -30,7 +31,7 @@ from gdlab.problem import (
     hessian,
     spectral_summary,
 )
-from gdlab.solvers import _BLOCK, DIVERGENCE_FACTOR, fit_rate
+from gdlab.solvers import _BLOCK, DIVERGENCE_FACTOR, _take, fit_rate
 
 
 def two_unit_nodes():
@@ -152,6 +153,25 @@ class TestMakeGraph:
         text = json.dumps({"n": n, "kind": "ring", "params": {}, "seed": 0, "edges": edges})
         with pytest.raises(ValueError, match=f"invalid graph spec: .*{message}"):
             graph_from_json(text)
+
+    @pytest.mark.parametrize("kind,params,seed,unread", [
+        ("ring", {}, 5, "seed=5"),
+        ("complete", {"p": 0.5}, 0, "p=0.5"),
+        ("grid", {"rows": 2, "cols": 2, "k": 1}, 0, "k=1"),
+        ("erdos_renyi", {"p": 0.5, "attempts": 2, "k": 1}, 3, "k=1"),
+    ])
+    def test_loaded_graph_reads_what_its_kind_reads(self, kind, params, seed, unread):
+        # make_graph's per-kind rule; erdos_renyi's attempts is its record of
+        # the draw, and a kind make_graph does not know is taken as written
+        edges = [[i, (i + 1) % 4] for i in range(4)]
+        doc = {"n": 4, "kind": kind, "params": params, "seed": seed, "edges": edges}
+        with pytest.raises(ValueError, match=f"invalid graph spec: {kind} reads no {unread}"):
+            graph_from_json(json.dumps(doc))
+        g = graph_from_json(json.dumps({**doc, "kind": "custom"}))
+        assert (g.params, g.seed) == (params, seed)
+        for g in (make_graph("erdos_renyi", 6, seed=3, p=0.6), make_graph("grid", 6, rows=2, cols=3),
+                  make_graph("k_ring", 6, k=2)):
+            assert graph_from_json(graph_to_json(g)) == g
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -295,6 +315,56 @@ class TestRunDgd:
         [tr] = run_dgd(ds, make_graph("ring", 5), [0.3], [0.1], max_iters=50)
         assert len(tr.t) == 51
         assert len(builds) == 1
+
+
+    def test_step_workspace_built_once_per_run(self, monkeypatch):
+        import gdlab.distributed
+
+        builds = []
+
+        def counted(S, ds, B):
+            builds.append(S)
+            return _step_work(S, ds, B)
+
+        monkeypatch.setattr(gdlab.distributed, "_step_work", counted)
+        ds = gen_dataset(5, 8, "gaussian", seed=40)
+        g = make_graph("ring", 5)
+        mus = [0.1, 1.0, 10.0]
+        traces = run_dgd(ds, g, [stable_eta(ds, g, mu) for mu in mus], mus, max_iters=5000,
+                         stop_tol=1e-2, W0=np.random.default_rng(41).standard_normal((5, 8)))
+        assert len({len(tr.t) for tr in traces}) == 3  # the stack shrank twice
+        assert builds == [3]
+
+
+class TestStepWorkspace:
+    def test_every_round_is_the_2d_step_of_each_state(self):
+        # a 3-point stack on a 28-edge graph, shrunk to points [0, 2] and then
+        # [2] as _drive does: each state's round is bitwise its 2-D dgd_step.
+        # Tiling B^T as a contiguous copy, not the transposed view of the
+        # tiled B, takes another BLAS path and fails here (with numpy's
+        # OpenBLAS 0.3 the two paths' bits differ at d = 4, not at d = 8)
+        ds = gen_dataset(8, 4, "gaussian", seed=91)
+        g = make_graph("complete", 8)
+        assert len(g.edges) == 28
+        B = incidence(g)
+        mus = np.array([0.1, 1.0, 10.0])
+        etas = np.array([stable_eta(ds, g, mu) for mu in mus])
+        work = _step_work(3, ds, B)
+        W0 = np.random.default_rng(92).standard_normal((8, 4))
+        # run_dgd's loop state: eta tiled to (A, n), eta * mu to (A, n, d)
+        x = (np.tile(W0, (3, 1, 1)), np.repeat(etas[:, None], 8, axis=1),
+             np.tile((etas * mus)[:, None, None], (1, 8, 4)))
+        points = np.arange(3)
+        for keep in (None, [True, False, True], [False, True]):
+            if keep is not None:
+                x, points = _take(x, np.array(keep)), points[keep]
+            for _ in range(20):
+                W, eta, coupling = x
+                W_next = dgd_step(ds, B, eta, coupling, W, work)
+                for k, p in enumerate(points):
+                    assert np.array_equal(W_next[k], dgd_step(ds, B, etas[p], mus[p], W[k]))
+                x = (W_next, eta, coupling)
+        assert points.tolist() == [2]
 
 
 class TestConsensusMetrics:
@@ -464,6 +534,64 @@ class TestOnePenaltyConvention:
         sp = dgd_operator_spectrum(ds, g, eta, mu)
         assert sp.sigma_max <= bound + 1e-12
         assert sp.stable
+
+
+class TestPenaltyWeightClaims:
+    """The paper's claims in mu, on the round operator at a fixed eta.
+    Q(mu2) - Q(mu1) = eta (mu2 - mu1) (L kron I) is positive semidefinite
+    for mu1 < mu2, so sigma_min off the exact null space cannot fall as mu
+    grows (Weyl); a consensus state along H's smallest nonzero eigenvector
+    gives sigma_min <= eta lambda_min_nz(H); and Q(mu1) >= (mu1 / mu2) Q(mu2),
+    so sigma_min falls at most in proportion to mu as mu -> 0 and stays
+    positive at every mu > 0: consensus needs no mu -> infinity.
+
+    dgd_operator_spectrum reports a sigma_min below FLOOR max(sigma_max, 1)
+    as 0, so each check reads such a 0 as "at most the floor"."""
+
+    FLOOR = 1e-11
+
+    @st.composite
+    def cases(draw):
+        """small_configs's dataset and graph (n d <= 64), an eta up to the
+        largest stable one for the rows, and a rising mu grid from 1e-4 to 1e4."""
+        ds, g, _ = draw(small_configs())
+        eta = draw(st.floats(0.01, 1.0)) / float(ds.row_norms_sq().max())
+        inner = draw(st.lists(st.floats(-4.0, 4.0), max_size=5))
+        mus = 10.0 ** np.unique([-4.0, 4.0, *inner])
+        spectra = [dgd_operator_spectrum(ds, g, eta, mu) for mu in mus]
+        return mus, eta * ds.spectral.lambda_min_nz, spectra
+
+    def at_most(self, sp, value):
+        """sp's sigma_min may stand for value: equal up to rounding, or 0 with
+        value under the floor."""
+        scale = max(sp.sigma_max, 1.0)
+        return sp.sigma_min >= value - 1e-12 * scale or (
+            sp.sigma_min == 0.0 and value < (self.FLOOR + 1e-12) * scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cases())
+    def test_sigma_min_does_not_fall_as_mu_grows(self, case):
+        _, _, spectra = case
+        for lo, hi in zip(spectra, spectra[1:]):
+            assert self.at_most(hi, lo.sigma_min)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cases())
+    def test_sigma_min_is_at_most_eta_lambda_min(self, case):
+        _, eta_lam, spectra = case
+        for sp in spectra:
+            assert sp.sigma_min <= eta_lam + 1e-12 * sp.sigma_max
+
+    @settings(max_examples=60, deadline=None)
+    @given(cases())
+    def test_sigma_min_is_positive_at_every_mu(self, case):
+        # positive at the grid's best mu, then at least (mu / best) of it
+        # below, and (by the monotone property) at least it above
+        mus, _, spectra = case
+        best = int(np.argmax([sp.sigma_min for sp in spectra]))
+        assert spectra[best].sigma_min > 0
+        for mu, sp in zip(mus[:best], spectra[:best]):
+            assert self.at_most(sp, mu / mus[best] * spectra[best].sigma_min)
 
 
 def one_point_loop(ds, g, eta, mu, max_iters, stop_tol, W0):

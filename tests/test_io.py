@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -69,6 +69,46 @@ class TestCsvText:
         parts = list(csv_chunks(columns))
         assert len(parts) == 1 + -(-rows // _CSV_CHUNK_ROWS)  # header, then one per chunk
         assert "".join(parts) == reference_csv(columns)
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def tables(draw):
+    """Up to six columns of 0, 1, N - 1, N or N + 1 rows (N = _CSV_CHUNK_ROWS):
+    finite float64 arrays with the edge values in their pool, int64, int32
+    and uint8 arrays over their whole range, bool arrays, and lists of None,
+    str, bool, int and float cells.  Long columns pick from a drawn pool."""
+    rows = draw(st.sampled_from([0, 1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS,
+                                 _CSV_CHUNK_ROWS + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(["float64", "int64", "int32", "uint8", "bool", "cells"])
+    columns = {}
+    for i, kind in enumerate(draw(st.lists(kinds, min_size=1, max_size=6))):
+        if kind == "float64":
+            pool = np.array(draw(st.lists(finite, min_size=1, max_size=8)) + EDGE_FLOATS)
+            col = pool[rng.integers(len(pool), size=rows)]
+        elif kind == "bool":
+            col = rng.random(rows) < 0.5
+        elif kind == "cells":
+            pool = draw(st.lists(st.one_of(st.none(), st.text(max_size=5), st.booleans(),
+                                           st.integers(), finite), min_size=1, max_size=8))
+            col = [pool[j] for j in rng.integers(len(pool), size=rows)]
+        else:
+            info = np.iinfo(kind)
+            col = rng.integers(info.min, info.max, size=rows, dtype=kind, endpoint=True)
+        columns[f"c{i}"] = col
+    return columns
+
+
+# not shrunk: shrinking tables of a thousand rows takes minutes, so a
+# failure shows the table as drawn
+@settings(deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(tables())
+def test_chunks_are_the_cell_by_cell_document(columns):
+    assert csv_text(columns) == reference_csv(columns)
 
 
 class TestWriteAtomic:
