@@ -8,42 +8,39 @@ previous iterate,
 
 with L = D - A the (positive semidefinite) graph Laplacian: gradient descent
 with step eta on half of sum_i (x_i . w_i - y_i)^2 + mu sum_<i,j> |w_i - w_j|^2,
-the penalized loss the trace records.  Every function here takes that penalty
-weight mu and forms the coupling eta * mu itself.  Near an exact fit the error
-obeys delta W <- (I - Q) delta W with Q = eta blockdiag(x_i x_i^T) + eta mu (L kron I),
-so stability and rates are read off Q's spectrum.
+the penalized loss the trace records.  Every public function here takes that
+penalty weight mu and forms the coupling eta * mu itself, but for dgd_step,
+the round inside run_dgd, which takes the coupling under that name.  Near an
+exact fit the error obeys delta W <- (I - Q) delta W with
+Q = eta blockdiag(x_i x_i^T) + eta mu (L kron I), so stability and rates are
+read off Q's spectrum.
 
 Each (eta, mu) point is an independent linear recursion, so run_dgd advances
 its points as one stack of states through the solvers' loop: dgd_step takes
-the stack a round at a time with each state's own eta and mu, and
+the stack a round at a time, each state at its own eta and coupling, and
 consensus_metrics measures a block of stacked states at once, computing the
 products the trace needs (B W, the residuals, the Gram matrix of the spread)
 once per block.  Each point's trace is bitwise the one it gets alone.
 
-The round loop allocates nothing block-sized: run_dgd makes one block buffer
-and one metrics workspace per run, and consensus_metrics writes every
-temporary into slices of it.  A block's temporaries run to a megabyte each;
-above glibc's mmap threshold each fresh one would be a new mapping, faulted
-in page by page on every block, and the loop's speed would follow the
-allocator's state rather than the work.
-
-The round itself is bound by numpy's per-call cost, not by arithmetic, and
-a call that broadcasts costs more than one whose operands share a shape: on
-a 3 x 16 x 32 stack, 1.5-1.9 us against 1.0 us for an elementwise product
-(fastest of repeated timings on a 2-vCPU Xeon).  So run_dgd also makes one
-step workspace per run (_step_work): X, y and B tiled once to the number of
-points, plus the round's temporaries, used through leading slices for the A
-points still running.  Its loop state carries each point's eta tiled to
-(A, n) and its coupling eta * mu tiled to (A, n, d), so every call of
-dgd_step(ds, B, eta, coupling, W, work) has operands of the stack's shape
-but one (the residual times each row of X).  B^T is the transposed view of
-the tiled B, never a contiguous copy: each state's product then takes the
-2-D B.T's BLAS path, and its bits.
+run_dgd makes one workspace per run (_workspace), and the round loop
+allocates nothing but each round's new stack, for two reasons.  A block's
+temporaries run to a megabyte each; above glibc's mmap threshold each fresh
+one would be a new mapping, faulted in page by page on every block, and the
+loop's speed would follow the allocator's state rather than the work.  And
+the round is bound by numpy's per-call cost, not by arithmetic, and a call
+that broadcasts costs more than one whose operands share a shape: on a
+3 x 16 x 32 stack, 1.5-1.9 us against 1.0 us for an elementwise product
+(fastest of repeated timings on a 2-vCPU Xeon).  So the workspace holds X,
+y and B tiled once to the number of points, used through leading slices for
+the A points still running, and the loop carries each point's eta tiled to
+(A, n) and its coupling to (A, n, d): every call in dgd_step has operands of
+the stack's shape but one (the residual times each row of X).  B^T is the
+transposed view of the tiled B, never a contiguous copy: each state's
+product then takes the 2-D B.T's BLAS path, and its bits.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -51,8 +48,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .io import dumps
-from .problem import Dataset, row_inner
+from .io import dumps, json_object
+from .problem import Dataset
 from .solvers import _BLOCK, _drive, check_stopping
 
 DENSE_GUARD = 4096
@@ -195,14 +192,23 @@ def incidence(g: CommGraph) -> np.ndarray:
     return B
 
 
-def _metrics_work(K: int, ds: Dataset, B: np.ndarray) -> dict[str, np.ndarray]:
-    """consensus_metrics's buffers for blocks of up to K states: every
-    temporary whose size grows with the block, named by its trailing shape.
-    consensus_metrics writes a buffer again only once its last value is read."""
+def _workspace(ds: Dataset, B: np.ndarray, K: int, points: int) -> dict:
+    """The buffers of one run of `points` points measured in blocks of up to
+    K states: the block buffer; consensus_metrics's temporaries, each named by
+    its trailing shape and written again only once its last value is read;
+    and under "steps", entry A - 1 for a stack of A points: dgd_step's
+    operands X, y and B tiled to A copies, B^T as the transposed view of the
+    tiled B, and the round's temporaries, each a leading slice [:A]."""
     n, d, E, r = ds.n, ds.d, B.shape[0], ds.spectral.basis.shape[1]
-    return {"nd": np.empty((K, n, d)), "nr": np.empty((K, n, r)),
+    Bs = np.tile(B, (points, 1, 1))
+    n1 = np.empty((points, n, 1))
+    step = {"X": np.tile(ds.X, (points, 1, 1)), "y": np.tile(ds.y, (points, 1)), "B": Bs,
+            "Bt": Bs.transpose(0, 2, 1), "n1": n1, "n": n1[..., 0], "nd": np.empty((points, n, d)),
+            "ed": np.empty((points, E, d)), "lap": np.empty((points, n, d))}
+    return {"block": np.empty((K, n, d)), "nd": np.empty((K, n, d)), "nr": np.empty((K, n, r)),
             "ed": np.empty((K, E, d)), "e": np.empty((K, E)), "n": np.empty((K, n)),
-            "1d": np.empty((K, 1, d)), "nn": np.empty((K, n, n)), "gram": np.empty((K, n, n))}
+            "1d": np.empty((K, 1, d)), "nn": np.empty((K, n, n)), "gram": np.empty((K, n, n)),
+            "steps": [{name: buf[:A] for name, buf in step.items()} for A in range(1, points + 1)]}
 
 
 def consensus_metrics(S: np.ndarray, ds: Dataset, B: np.ndarray, mu, work=None):
@@ -216,12 +222,10 @@ def consensus_metrics(S: np.ndarray, ds: Dataset, B: np.ndarray, mu, work=None):
     the stacked products run the same kernel per state, and every dot
     product is a 1 x 1 matmul.
 
-    work is a workspace of _metrics_work for at least K states, reused across
-    calls; without one, the call makes its own.  run_dgd passes one per run:
-    a block's temporaries run to a megabyte each, and above glibc's mmap
-    threshold each fresh one is a new mapping that faults in page by page on
-    every block.  Every ufunc and matmul writes into a leading slice of a
-    buffer, which changes no bit of the result; S itself is never written.
+    work is run_dgd's workspace, for blocks of at least K states; without
+    one, the call makes its own.  Every ufunc and matmul writes into a
+    leading slice of a buffer, which changes no bit of the result; S itself
+    is never written.
     """
     S = np.asarray(S, dtype=float)
     if S.shape[-2:] != (ds.n, ds.d) or S.ndim not in (2, 3) or B.shape[1] != ds.n:
@@ -229,30 +233,29 @@ def consensus_metrics(S: np.ndarray, ds: Dataset, B: np.ndarray, mu, work=None):
     S = S.reshape(-1, ds.n, ds.d)
     K, n = len(S), ds.n
     if work is None:
-        work = _metrics_work(K, ds, B)
-    w = {name: buf[:K] for name, buf in work.items()}
-    nd = w["nd"]
-    comp = np.matmul(np.subtract(S, ds.w_star, out=nd), ds.spectral.basis, out=w["nr"])
-    node_err = np.add.reduce(np.multiply(comp, comp, out=comp), axis=2, out=w["n"])
+        work = _workspace(ds, B, K, 0)
+    nd, node = work["nd"][:K], work["n"][:K]
+    comp = np.matmul(np.subtract(S, ds.w_star, out=nd), ds.spectral.basis, out=work["nr"][:K])
+    node_err = np.add.reduce(np.multiply(comp, comp, out=comp), axis=2, out=node)
     err = np.add.reduce(node_err, axis=1) / n  # node_err.mean(axis=1)
     # squared edge differences, shared by the spread (the sqrt of their sum
     # is np.linalg.norm's) and the penalty
-    diffs_sq = np.matmul(B, S, out=w["ed"])
+    diffs_sq = np.matmul(B, S, out=work["ed"][:K])
     np.multiply(diffs_sq, diffs_sq, out=diffs_sq)
-    edge_sq = np.add.reduce(diffs_sq, axis=2, out=w["e"])
+    edge_sq = np.add.reduce(diffs_sq, axis=2, out=work["e"][:K])
     edge = np.sqrt(edge_sq, out=edge_sq).max(axis=1, initial=0.0)
-    resid = np.add.reduce(np.multiply(ds.X, S, out=nd), axis=-1, out=w["n"])  # row_inner
+    resid = np.add.reduce(np.multiply(ds.X, S, out=nd), axis=-1, out=node)  # row_inner
     np.subtract(resid, ds.y, out=resid)
     residual_sq = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
     loss = residual_sq + mu * np.add.reduce(diffs_sq, axis=(1, 2))
     # global spread: center rows first: the spread is translation-invariant,
     # and removing the common offset keeps the Gram cancellation at the
     # spread's own scale; d2 = (sq_i + sq_j) - 2 G_ij in that order
-    center = np.add.reduce(S, axis=1, keepdims=True, out=w["1d"])
+    center = np.add.reduce(S, axis=1, keepdims=True, out=work["1d"][:K])
     Sc = np.subtract(S, np.divide(center, n, out=center), out=nd)
-    gram = np.matmul(Sc, Sc.transpose(0, 2, 1), out=w["gram"])
-    sq = np.add.reduce(np.multiply(Sc, Sc, out=Sc), axis=2, out=w["n"])
-    d2 = np.add(sq[:, :, None], sq[:, None, :], out=w["nn"])
+    gram = np.matmul(Sc, Sc.transpose(0, 2, 1), out=work["gram"][:K])
+    sq = np.add.reduce(np.multiply(Sc, Sc, out=Sc), axis=2, out=node)
+    d2 = np.add(sq[:, :, None], sq[:, None, :], out=work["nn"][:K])
     gram *= 2.0
     d2 -= gram
     spread = np.sqrt(np.maximum(d2.reshape(K, -1).max(axis=1), 0.0))
@@ -281,41 +284,19 @@ def _coupling(eta: float, mu: float) -> float:
     return coupling
 
 
-def _step_work(S: int, ds: Dataset, B: np.ndarray) -> list[dict[str, np.ndarray]]:
-    """dgd_step's workspace for stacks of up to S states: X, y and B tiled to
-    S copies, B^T as the transposed view of the tiled B, and the round's
-    temporaries.  Entry A - 1 holds the leading slices [:A] of each, for a
-    stack of A states."""
-    n, d, E = ds.n, ds.d, B.shape[0]
-    Bs = np.tile(B, (S, 1, 1))
-    n1 = np.empty((S, n, 1))
-    full = {"X": np.tile(ds.X, (S, 1, 1)), "y": np.tile(ds.y, (S, 1)), "B": Bs,
-            "Bt": Bs.transpose(0, 2, 1), "n1": n1, "n": n1[..., 0], "nd": np.empty((S, n, d)),
-            "ed": np.empty((S, E, d)), "lap": np.empty((S, n, d))}
-    return [{name: buf[:A] for name, buf in full.items()} for A in range(1, S + 1)]
-
-
-def dgd_step(ds: Dataset, B: np.ndarray, eta, mu, W: np.ndarray, work=None) -> np.ndarray:
-    """One synchronous round of W (n x d), or of each state k of a stack W
-    (S x n x d) at its own eta[k] and mu[k]; nodes read only the previous iterate.
-
-    run_dgd passes work, its step workspace of _step_work, with operands
-    already shaped like the stack W of A states: eta tiled to (A, n) and, in
-    mu's place, the coupling eta * mu tiled to (A, n, d).  B is then read
-    from the workspace, and only the returned state is a new array.  Each
-    state's round is bitwise its 2-D call's.
-    """
-    if work is None:
-        eta, coupling = (np.asarray(a)[..., None, None] for a in (eta, np.multiply(eta, mu)))
-        e = row_inner(ds.X, W) - ds.y
-        return W - eta * e[..., None] * ds.X - coupling * (B.T @ (B @ W))
-    w = work[len(W) - 1]
+def dgd_step(W: np.ndarray, eta: np.ndarray, coupling: np.ndarray, work: dict) -> np.ndarray:
+    """One synchronous round, W - eta e x - coupling B^T (B W) with e the
+    per-node residuals, of each state k of the stack W (A x n x d) at its own
+    eta[k] (tiled to A x n) and coupling eta[k] mu[k] (tiled to A x n x d).
+    work, run_dgd's workspace, holds X, y, B and the temporaries; only the
+    returned stack is a new array."""
+    w = work["steps"][len(W) - 1]
     e = np.add.reduce(np.multiply(w["X"], W, out=w["nd"]), axis=-1, out=w["n"])  # row_inner
     np.subtract(e, w["y"], out=e)
     np.multiply(eta, e, out=e)
     grad = np.multiply(w["n1"], w["X"], out=w["nd"])
     lap = np.matmul(w["Bt"], np.matmul(w["B"], W, out=w["ed"]), out=w["lap"])
-    np.multiply(mu, lap, out=lap)
+    np.multiply(coupling, lap, out=lap)
     nxt = np.subtract(W, grad)
     return np.subtract(nxt, lap, out=nxt)
 
@@ -332,9 +313,7 @@ def run_dgd(ds: Dataset, g: CommGraph, etas, mus, max_iters: int = 1000,
     initial, or a non-finite metric) is recorded as a status, not raised.
     The trace rows are measured a block of states at a time; a point that
     stops inside a block takes up to one block minus one extra rounds, whose
-    states are dropped.  The block buffer, the metrics workspace and the
-    step workspace are allocated once per run, so a round allocates only
-    its new stack of states and the loop makes no block-sized array.
+    states are dropped.
     """
     if ds.n != g.n:
         raise ValueError(f"one sample per node required: dataset n={ds.n}, graph n={g.n}")
@@ -348,24 +327,18 @@ def run_dgd(ds: Dataset, g: CommGraph, etas, mus, max_iters: int = 1000,
         raise ValueError(f"W0 must have shape ({ds.n}, {ds.d})")
     B = incidence(g)
     # _drive measures at most max(_BLOCK, points) states at once
-    cap = max(_BLOCK, len(etas))
-    block = np.empty((cap, ds.n, ds.d))
-    work = _metrics_work(cap, ds, B)
-    steps = _step_work(len(etas), ds, B)
+    work = _workspace(ds, B, max(_BLOCK, len(etas)), len(etas))
+    block = work["block"]
 
-    # the loop's state is (W, eta, eta * mu, mu), one row per running point,
-    # eta tiled to (points, n) and eta * mu to (points, n, d) for dgd_step
+    # the loop's state is (W, eta, coupling, mu), one row per running point,
+    # eta tiled to (points, n) and the coupling eta * mu to (points, n, d)
     def metrics(states):
-        if len(states) == 1:
-            S, mu = states[0][0], states[0][3]
-        else:
-            S = np.concatenate([s[0] for s in states], out=block[:len(states) * len(states[0][0])])
-            mu = np.concatenate([s[3] for s in states])
-        return consensus_metrics(S, ds, B, mu, work)
+        S = np.concatenate([s[0] for s in states], out=block[:len(states) * len(states[0][0])])
+        return consensus_metrics(S, ds, B, np.concatenate([s[3] for s in states]), work)
 
     def step(state, _):
         W, eta, coupling, mu = state
-        return dgd_step(ds, B, eta, coupling, W, steps), eta, coupling, mu
+        return dgd_step(W, eta, coupling, work), eta, coupling, mu
 
     eta, mu = np.array(etas, dtype=float), np.array(mus, dtype=float)
     n, d = ds.n, ds.d
@@ -398,9 +371,13 @@ class OperatorSpectrum:
 def dgd_operator_spectrum(ds: Dataset, g: CommGraph, eta: float, mu: float) -> OperatorSpectrum:
     """Dense eigensolve of the nd x nd round operator (guarded at nd <= 4096).
 
-    As the coupling eta * mu vanishes, consensus modes carrying per-node null
-    components approach eigenvalue zero: a sigma_min below 1e-11 sigma_max is
-    reported as 0, signalling that a stronger penalty is required.
+    eigvalsh resolves an eigenvalue of Q only to about n d eps sigma_max, so
+    a sigma_min below that is reported as 0: it cannot be told from the
+    exact null space's zeros.  A 0 says that the slowest mode is beyond the
+    eigensolve, not which way: consensus modes carrying per-node null
+    components approach zero as the coupling eta * mu vanishes, and an
+    overwhelming coupling at its stable step leaves eta lambda_min_nz(H)
+    below the resolution.
     """
     if ds.n != g.n:
         raise ValueError(f"one sample per node required: dataset n={ds.n}, graph n={g.n}")
@@ -415,7 +392,7 @@ def dgd_operator_spectrum(ds: Dataset, g: CommGraph, eta: float, mu: float) -> O
     null_dim = d - ds.spectral.rank
     sigma_max = float(evals[-1])
     sigma_min = float(evals[null_dim])
-    if sigma_min < 1e-11 * max(sigma_max, 1.0):
+    if sigma_min < n * d * np.finfo(float).eps * sigma_max:
         sigma_min = 0.0
     return OperatorSpectrum(
         sigma_min=sigma_min,
@@ -460,10 +437,12 @@ def graph_from_json(text: str) -> CommGraph:
     """The graph of graph_to_json's text, held to make_graph's rules: n >= 2,
     every endpoint in [0, n), connected, and for a kind make_graph knows, no
     parameter and no nonzero seed that the kind does not read."""
-    doc = json.loads(text)
-    n, kind = int(doc["n"]), str(doc["kind"])
-    edges = [(int(i), int(j)) for i, j in doc["edges"]]
-    params, seed = dict(doc["params"]), int(doc["seed"])
+    doc = json_object(text, ("n", "kind", "params", "seed", "edges"), "invalid graph spec")
+    try:
+        n, kind, seed = int(doc["n"]), str(doc["kind"]), int(doc["seed"])
+        params, edges = dict(doc["params"]), [(int(i), int(j)) for i, j in doc["edges"]]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"invalid graph spec: {exc}") from None
     if n < 2:
         raise ValueError(f"invalid graph spec: need n >= 2, got {n}")
     if kind in _READS:

@@ -3,7 +3,8 @@
 Every float that leaves the library (JSON documents, CSV cells) is printed
 with 17 significant digits, which round-trips IEEE binary64 exactly.  Files
 are streamed to a temp file and renamed into place, so partially written
-output is never observed and no table is held whole in memory.
+output is never observed and no table is held whole in memory.  A document
+read back must be a JSON object holding its keys.
 """
 
 from __future__ import annotations
@@ -51,6 +52,18 @@ def _encode(obj) -> str:
 def dumps(obj) -> str:
     """JSON text with all floats at 17 significant digits."""
     return _encode(obj)
+
+
+def json_object(text: str, keys, what: str) -> dict:
+    """The JSON object in text, refused with a ValueError that starts with
+    `what` unless it holds every one of keys."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what}: not a JSON object")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise ValueError(f"{what}: missing {', '.join(missing)}")
+    return doc
 
 
 def write_atomic(path: str, parts) -> None:

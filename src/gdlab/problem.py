@@ -10,14 +10,13 @@ cached on the dataset and shared by the solver, distributed and CLI modules.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .io import dumps
+from .io import dumps, json_object
 
 ROW_NORM_TOL = 1e-12
 _RANK_TOL = 1e-10
@@ -224,17 +223,27 @@ def dataset_to_json(ds: Dataset) -> str:
 
 
 def dataset_from_json(text: str) -> Dataset:
-    doc = json.loads(text)
-    X = np.array(doc["X"], dtype=float)
-    if X.shape != (doc["n"], doc["d"]):
-        raise ValueError("dataset document has inconsistent dimensions")
-    return Dataset(
-        X=X,
-        y=np.array(doc["y"], dtype=float),
-        w_star=np.array(doc["w_star"], dtype=float),
-        kind=str(doc["kind"]),
-        seed=int(doc["seed"]),
-    )
+    """The dataset of dataset_to_json's text, refused unless X is n x d with
+    n, d >= 1, y and w_star have shapes (n,) and (d,), every entry is finite,
+    and w_star fits every label: |y_i - x_i . w_star| is at most
+    d eps sum_j |x_ij w_star_j|, the rounding bound of a d-term inner
+    product.  A file of dataset_to_json fits exactly."""
+    what = "invalid dataset file"
+    doc = json_object(text, ("n", "d", "kind", "seed", "X", "y", "w_star"), what)
+    try:
+        X, y, w_star = (np.array(doc[key], dtype=float) for key in ("X", "y", "w_star"))
+        n, d, kind, seed = int(doc["n"]), int(doc["d"]), str(doc["kind"]), int(doc["seed"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what}: {exc}") from None
+    if min(n, d) < 1 or X.shape != (n, d) or y.shape != (n,) or w_star.shape != (d,):
+        raise ValueError(f"{what}: need n, d >= 1, X of shape (n, d), y (n,) and w_star (d,), "
+                         f"got n={n}, d={d}, X {X.shape}, y {y.shape}, w_star {w_star.shape}")
+    if not all(np.isfinite(a).all() for a in (X, y, w_star)):
+        raise ValueError(f"{what}: X, y and w_star must be finite")
+    gap = np.abs(y - row_inner(X, w_star))
+    if not np.all(gap <= d * np.finfo(float).eps * row_inner(np.abs(X), np.abs(w_star))):
+        raise ValueError(f"{what}: w_star does not fit the labels (largest gap {gap.max():g})")
+    return Dataset(X=X, y=y, w_star=w_star, kind=kind, seed=seed)
 
 
 def load_dataset(path: str) -> Dataset:

@@ -738,6 +738,32 @@ class TestChecksAndStatuses:
         assert "gdlab: error: invalid graph spec" in capsys.readouterr().err
         assert not out.exists()
 
+    DS = json.loads(dataset_to_json(gen_dataset(2, 3, "gaussian", seed=1)))
+
+    @pytest.mark.parametrize("argv, doc, message", [
+        (["run", "dgd", "--preset", "ring16", "--graph"], [], "invalid graph spec: not a JSON object"),
+        (["run", "dgd", "--preset", "ring16", "--graph"], {"n": 8},
+         "invalid graph spec: missing kind, params, seed, edges"),
+        (["run", "gd", "--dataset"], {}, "invalid dataset file: missing n, d, kind, seed, X, y"),
+        (["gen", "--dataset"], {**DS, "y": DS["y"][:1]}, "y (1,)"),
+        (["run", "gd", "--dataset"], {**DS, "y": DS["y"][:1]}, "y (1,)"),
+        (["run", "gd", "--dataset"], {**DS, "w_star": DS["w_star"][:2]}, "w_star (2,)"),
+        (["run", "gd", "--dataset"], {**DS, "X": [[math.nan, 1.0, 2.0], DS["X"][1]]},
+         "invalid dataset file: X, y and w_star must be finite"),
+        (["run", "gd", "--dataset"], {**DS, "y": [DS["y"][0] + 1e-9, DS["y"][1]]},
+         "invalid dataset file: w_star does not fit the labels"),
+    ], ids=["graph-list", "graph-n-only", "dataset-empty", "gen-short-y", "short-y",
+            "short-w_star", "nan", "unfit-labels"])
+    def test_malformed_input_file_is_refused(self, tmp_path, capsys, argv, doc, message):
+        # each once ended in a traceback, a numpy error, or a run on the file
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([*argv, str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gdlab: error: ") and message in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, flag", [
         (["theory", "--n", "4", "--lambda1", "1", "--lambdan", "0.5", "--d", "-5",
           "--epsilon", "0.1"], "--d must be >= 1"),
