@@ -48,7 +48,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .io import dumps, json_object
+from .io import dumps, json_int, json_object
 from .problem import Dataset
 from .solvers import _BLOCK, _drive, check_stopping
 
@@ -434,13 +434,15 @@ def graph_to_json(g: CommGraph) -> str:
 
 
 def graph_from_json(text: str) -> CommGraph:
-    """The graph of graph_to_json's text, held to make_graph's rules: n >= 2,
-    every endpoint in [0, n), connected, and for a kind make_graph knows, no
-    parameter and no nonzero seed that the kind does not read."""
+    """The graph of graph_to_json's text, held to make_graph's rules: n, seed
+    and every endpoint JSON integers, n >= 2, every endpoint in [0, n),
+    connected, and for a kind make_graph knows, no parameter and no nonzero
+    seed that the kind does not read."""
     doc = json_object(text, ("n", "kind", "params", "seed", "edges"), "invalid graph spec")
     try:
-        n, kind, seed = int(doc["n"]), str(doc["kind"]), int(doc["seed"])
-        params, edges = dict(doc["params"]), [(int(i), int(j)) for i, j in doc["edges"]]
+        n, kind, seed = json_int(doc["n"], "n"), str(doc["kind"]), json_int(doc["seed"], "seed")
+        params = dict(doc["params"])
+        edges = [(json_int(i, "an endpoint"), json_int(j, "an endpoint")) for i, j in doc["edges"]]
     except (TypeError, ValueError) as exc:
         raise ValueError(f"invalid graph spec: {exc}") from None
     if n < 2:

@@ -66,6 +66,14 @@ def json_object(text: str, keys, what: str) -> dict:
     return doc
 
 
+def json_int(v, name: str) -> int:
+    """v, refused with a ValueError naming it unless it is a JSON integer: a
+    float, integral or not, and a boolean are refused rather than truncated."""
+    if type(v) is not int:
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return v
+
+
 def write_atomic(path: str, parts) -> None:
     """Write the strings of `parts`, an iterable such as a list or csv_chunks,
     to `path`: each is written to a temp file in the same directory as it

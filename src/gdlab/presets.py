@@ -63,12 +63,7 @@ PRESETS: dict[str, dict] = {
 def _cond4x16_dataset() -> Dataset:
     # rows of a Haar orthogonal matrix scaled columnwise so the curvature
     # spectrum is exactly {1.0 (x8), 0.25 (x8)}
-    rng = np.random.default_rng(416)
-    G = rng.standard_normal((16, 16))
-    Q, R = np.linalg.qr(G)
-    signs = np.sign(np.diag(R))
-    signs[signs == 0] = 1.0
-    Q = Q * signs
+    Q = gen_dataset(16, 16, "orthonormal", seed=416).X
     lam = np.array([1.0] * 8 + [0.25] * 8)
     X = Q * np.sqrt(16 * lam)
     return dataset_from_rows(X, seed=417, kind="cond4x16")

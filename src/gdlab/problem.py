@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .io import dumps, json_object
+from .io import dumps, json_int, json_object
 
 ROW_NORM_TOL = 1e-12
 _RANK_TOL = 1e-10
@@ -174,10 +174,6 @@ class SpectralSummary:
     def residual(self, v: np.ndarray) -> np.ndarray:
         return v - self.project(v)
 
-    def coords(self, v: np.ndarray) -> np.ndarray:
-        """Coefficients of v in the range basis (norm equals projected norm)."""
-        return v @ self.basis
-
 
 def spectral_summary(H: np.ndarray) -> SpectralSummary:
     """Full symmetric eigensolve of H with a relative rank cut at _RANK_TOL * lambda_max."""
@@ -223,16 +219,18 @@ def dataset_to_json(ds: Dataset) -> str:
 
 
 def dataset_from_json(text: str) -> Dataset:
-    """The dataset of dataset_to_json's text, refused unless X is n x d with
-    n, d >= 1, y and w_star have shapes (n,) and (d,), every entry is finite,
-    and w_star fits every label: |y_i - x_i . w_star| is at most
-    d eps sum_j |x_ij w_star_j|, the rounding bound of a d-term inner
-    product.  A file of dataset_to_json fits exactly."""
+    """The dataset of dataset_to_json's text, refused unless n, d and seed
+    are JSON integers, X is n x d with n, d >= 1, y and w_star have shapes
+    (n,) and (d,), every entry is finite, and w_star fits every label:
+    |y_i - x_i . w_star| is at most d eps sum_j |x_ij w_star_j|, the
+    rounding bound of a d-term inner product.  A file of dataset_to_json
+    fits exactly."""
     what = "invalid dataset file"
     doc = json_object(text, ("n", "d", "kind", "seed", "X", "y", "w_star"), what)
     try:
         X, y, w_star = (np.array(doc[key], dtype=float) for key in ("X", "y", "w_star"))
-        n, d, kind, seed = int(doc["n"]), int(doc["d"]), str(doc["kind"]), int(doc["seed"])
+        n, d, seed = (json_int(doc[key], key) for key in ("n", "d", "seed"))
+        kind = str(doc["kind"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{what}: {exc}") from None
     if min(n, d) < 1 or X.shape != (n, d) or y.shape != (n,) or w_star.shape != (d,):

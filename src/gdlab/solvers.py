@@ -50,6 +50,15 @@ def check_stopping(max_iters: int, stop_tol: float) -> None:
         raise ValueError(f"stop_tol must be finite and >= 0: {stop_tol}")
 
 
+def _check_eta_m(eta: float | None, m: float, n: int) -> None:
+    """Refuse a learning rate or mean batch size no update can take: eta
+    positive and finite when given, m in (0, n]."""
+    if eta is not None and not 0 < eta < math.inf:
+        raise ValueError(f"learning rate must be positive and finite: eta={eta}")
+    if not 0 < m <= n:
+        raise ValueError(f"mean batch size must lie in (0, n]: m={m}, n={n}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver parameters.
@@ -70,10 +79,7 @@ class SolverConfig:
     record_iterates: bool = False
 
     def validate(self, n: int) -> None:
-        if not 0 < self.eta < math.inf:
-            raise ValueError(f"learning rate must be positive and finite: eta={self.eta}")
-        if not 0 < self.m <= n:
-            raise ValueError(f"mean batch size must lie in (0, n]: m={self.m}")
+        _check_eta_m(self.eta, self.m, n)
         check_stopping(self.max_iters, self.stop_tol)
         if self.sampler not in (SAMPLER_FULL, SAMPLER_BERNOULLI, SAMPLER_FIXED):
             raise ValueError(f"unknown sampler: {self.sampler!r}")
@@ -396,47 +402,31 @@ def run_ensemble(ds: Dataset, cfg: SolverConfig, runs: int) -> EnsembleResult:
 
 
 def fit_rate(curve, tail: bool = False, rel_se=None) -> RateFit | None:
-    """The rate fit of every check: estimate_rate over the default window, or
-    None for a curve not starting positive or a window of fewer than 3
-    positive points.
+    """The rate fit of every check: a least-squares line fit to log(curve)
+    over the window below, or None for a curve not starting positive or a
+    window of fewer than 3 points.
 
     The window starts at _FIT_START, past the eigen-mixture transient, and
     ends at the first point below _FIT_FLOOR_REL times the initial value,
     before the floating-point floor, or, given an ensemble's rel_se (one per
     point), at the first above _FIT_MAX_REL_SE: past it the mean rests on the
     few runs still carrying error and follows their noise.  tail=True fits
-    the later half, for deterministic distributed runs.
+    the later half, for deterministic distributed runs.  The rate is
+    exp(slope), the per-iteration ratio: on squared-error curves the squared
+    contraction, on norm curves the norm rate.
     """
     c = np.asarray(curve, dtype=float)
-    if len(c) == 0 or c[0] <= 0:
+    if len(c) == 0 or not c[0] > 0:  # a NaN start cuts no window
         return None
     cut = c < _FIT_FLOOR_REL * c[0]
     if rel_se is not None:
         cut |= np.asarray(rel_se) > _FIT_MAX_REL_SE
     end = int(cut.argmax()) if cut.any() else len(c)
     start = max(end // 2, min(_FIT_START, end - 3)) if tail else min(_FIT_START, max(end - 3, 0))
-    try:
-        return estimate_rate(c, (start, end))
-    except ValueError:
+    if end - start < 3:
         return None
-
-
-def estimate_rate(curve, window: tuple[int, int] | None = None) -> RateFit:
-    """Least-squares line fit to log(curve) over [start, end).
-
-    Returns exp(slope) as the per-iteration ratio and the RMS residual of the
-    fit.  Applied to squared-error curves the ratio estimates the squared
-    contraction; on norm curves it estimates the norm rate.
-    """
-    c = np.asarray(curve, dtype=float)
-    start, end = window if window is not None else (0, len(c))
-    seg = c[start:end]
-    if len(seg) < 3:
-        raise ValueError(f"fit window must contain at least 3 points, got {len(seg)}")
-    if np.any(seg <= 0):
-        raise ValueError("nonpositive values in fit window; shrink it to the pre-underflow region")
     t = np.arange(start, end, dtype=float)
-    logs = np.log(seg)
+    logs = np.log(c[start:end])
     slope, intercept = np.polyfit(t, logs, 1)
     fitted = slope * t + intercept
     residual = float(np.sqrt(np.mean((logs - fitted) ** 2)))

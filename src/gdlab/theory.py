@@ -7,8 +7,7 @@ rows, and on unit-norm rows its per-eigenvalue contraction
 
     g(m, eta, lam) = (1 - eta*lam)^2 + (eta^2 * lam / m) * (1 - m/n)
 
-can be minimized in eta exactly.  A seeded Monte-Carlo estimator of E[M^T M]
-provides the independent cross-check for all of it.
+can be minimized in eta exactly.
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import Dataset, hessian
+from .solvers import _check_eta_m
 
-_MC_BYTES = 1 << 22  # bytes of one draw stack of a chunk (draws x d x d, or x n x d)
 _TIE_TOL = 1e-9
 
 @dataclass(frozen=True)
@@ -49,13 +48,6 @@ class CostModel:
     cost_scaling: float | None  # m / log(n / (n - c m)); None when c m >= n or c is None
 
 
-def _validate_eta_m(eta: float, m: float, n: int) -> None:
-    if not 0 < eta < math.inf:
-        raise ValueError(f"learning rate must be positive and finite: eta={eta}")
-    if not 0 < m <= n:
-        raise ValueError(f"mean batch size must lie in (0, n]: m={m}, n={n}")
-
-
 def expected_mm(ds: Dataset, eta: float, m: float) -> np.ndarray:
     """Exact E[M^T M] for one Bernoulli-minibatch step, for any rows:
 
@@ -64,55 +56,12 @@ def expected_mm(ds: Dataset, eta: float, m: float) -> np.ndarray:
     The sum is n H for unit-norm rows and n^2 H^2 for orthogonal rows.  The
     result is symmetrized bitwise, as hessian() is.
     """
-    _validate_eta_m(eta, m, ds.n)
+    _check_eta_m(eta, m, ds.n)
     n = ds.n
     A = np.eye(ds.d) - eta * hessian(ds)
     weighted = (ds.X.T * ds.row_norms_sq()) @ ds.X
     E = A @ A + (eta * eta / (m * n)) * (1.0 - m / n) * weighted
     return (E + E.T) / 2.0
-
-
-def mc_expected_mm(ds: Dataset, eta: float, m: float, samples: int,
-                   seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo estimate of E[M^T M] with entrywise standard errors.
-
-    Draws sample masks sigma_i ~ Bernoulli(m/n) i.i.d., forms
-    M = I - (eta/m) sum_i sigma_i x_i x_i^T and averages M^T M.  Works for any
-    dataset.  Deterministic given `seed`; draws come in chunks whose stacks
-    of per-draw matrices hold at most about _MC_BYTES each, so memory does
-    not grow with `samples`.  Entrywise sums are accumulated relative to the
-    first draw, so a zero-variance case (m = n) reports exactly zero
-    standard error.
-    """
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    _validate_eta_m(eta, m, ds.n)
-    n, d = ds.n, ds.d
-    p = m / n
-    rng = np.random.default_rng(seed)
-    eye = np.eye(d)
-    shift = None
-    s1 = np.zeros((d, d))
-    s2 = np.zeros((d, d))
-    chunk = max(1, _MC_BYTES // (8 * d * max(n, d)))
-    done = 0
-    while done < samples:
-        c = min(chunk, samples - done)
-        sigma = (rng.random((c, n)) < p).astype(float)
-        scaled = sigma[:, :, None] * ds.X[None, :, :]
-        T = np.einsum("ia,sib->sab", ds.X, scaled, optimize=True)
-        M = eye[None, :, :] - (eta / m) * T
-        MtM = np.matmul(np.transpose(M, (0, 2, 1)), M)
-        if shift is None:
-            shift = MtM[0].copy()
-        dev = MtM - shift
-        s1 += dev.sum(axis=0)
-        s2 += (dev * dev).sum(axis=0)
-        done += c
-    mean = shift + s1 / samples
-    var = np.clip((s2 - s1 * s1 / samples) / (samples - 1), 0.0, None)
-    stderr = np.sqrt(var / samples)
-    return mean, stderr
 
 
 def g_eigen(m: float, n: int, eta: float, lam):
@@ -140,14 +89,10 @@ def optimal_rate(m: float, n: int, lambda1: float, lambdan: float) -> RatePredic
     favor of the intersection branch.  At m = n (q = 0) the intersection
     reduces to the deterministic-GD value ((lambda1-lambdan)/(lambda1+lambdan))^2.
     """
-    if lambdan <= 0:
-        raise ValueError(f"invalid spectrum: lambda_min must be positive, got {lambdan}")
-    if lambda1 < lambdan:
-        raise ValueError(f"invalid spectrum: lambda1={lambda1} < lambdan={lambdan}")
-    if m <= 0:
-        raise ValueError(f"invalid batch size: m={m}")
-    if m > n:
-        raise ValueError(f"mean batch size cannot exceed n: m={m}, n={n}")
+    if not 0 < lambdan <= lambda1 < math.inf:
+        raise ValueError(f"invalid spectrum: need 0 < lambdan <= lambda1 < inf, "
+                         f"got lambda1={lambda1}, lambdan={lambdan}")
+    _check_eta_m(None, m, n)
     q = 1.0 / m - 1.0 / n
     if (lambda1 - lambdan) + _TIE_TOL * lambda1 >= q:
         denom = lambda1 + lambdan + q
@@ -181,8 +126,7 @@ def orthogonal_rate(m: float, n: int, x_min_sq: float, x_max_sq: float) -> float
     equal norms).  For non-uniform norms this is a bound evaluated at the
     extremes, not the exact rate.
     """
-    if not 0 < m <= n:
-        raise ValueError(f"mean batch size must lie in (0, n]: m={m}, n={n}")
+    _check_eta_m(None, m, n)
     c = gm_am_factor(x_min_sq, x_max_sq)
     return 1.0 - c * m / n
 

@@ -1,0 +1,54 @@
+"""Test oracles: independent estimates the closed forms of gdlab are checked
+against.  No command runs them, so they live with the tests; pytest puts
+this directory on sys.path, so a test imports them as `from oracles import
+mc_expected_mm`."""
+
+import numpy as np
+
+from gdlab.problem import Dataset
+from gdlab.solvers import _check_eta_m
+
+_MC_BYTES = 1 << 22  # bytes of one draw stack of a chunk (draws x d x d, or x n x d)
+
+
+def mc_expected_mm(ds: Dataset, eta: float, m: float, samples: int,
+                   seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Monte-Carlo estimate of E[M^T M] with entrywise standard errors.
+
+    Draws sample masks sigma_i ~ Bernoulli(m/n) i.i.d., forms
+    M = I - (eta/m) sum_i sigma_i x_i x_i^T and averages M^T M.  Works for any
+    dataset.  Deterministic given `seed`; draws come in chunks whose stacks
+    of per-draw matrices hold at most about _MC_BYTES each, so memory does
+    not grow with `samples`.  Entrywise sums are accumulated relative to the
+    first draw, so a zero-variance case (m = n) reports exactly zero
+    standard error.
+    """
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples}")
+    _check_eta_m(eta, m, ds.n)
+    n, d = ds.n, ds.d
+    p = m / n
+    rng = np.random.default_rng(seed)
+    eye = np.eye(d)
+    shift = None
+    s1 = np.zeros((d, d))
+    s2 = np.zeros((d, d))
+    chunk = max(1, _MC_BYTES // (8 * d * max(n, d)))
+    done = 0
+    while done < samples:
+        c = min(chunk, samples - done)
+        sigma = (rng.random((c, n)) < p).astype(float)
+        scaled = sigma[:, :, None] * ds.X[None, :, :]
+        T = np.einsum("ia,sib->sab", ds.X, scaled, optimize=True)
+        M = eye[None, :, :] - (eta / m) * T
+        MtM = np.matmul(np.transpose(M, (0, 2, 1)), M)
+        if shift is None:
+            shift = MtM[0].copy()
+        dev = MtM - shift
+        s1 += dev.sum(axis=0)
+        s2 += (dev * dev).sum(axis=0)
+        done += c
+    mean = shift + s1 / samples
+    var = np.clip((s2 - s1 * s1 / samples) / (samples - 1), 0.0, None)
+    stderr = np.sqrt(var / samples)
+    return mean, stderr

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import mc_expected_mm
 
 from gdlab.cli import main
 from gdlab.distributed import (
@@ -21,7 +22,7 @@ from gdlab.distributed import (
 from gdlab.presets import build_dataset
 from gdlab.problem import gen_dataset, hessian, spectral_summary
 from gdlab.solvers import SolverConfig, fit_rate, run_gd, run_sgd
-from gdlab.theory import expected_mm, g_eigen, mc_expected_mm, optimal_rate
+from gdlab.theory import expected_mm, g_eigen, optimal_rate
 
 
 def report(num, name, ok, detail=""):

@@ -752,10 +752,35 @@ class TestChecksAndStatuses:
          "invalid dataset file: X, y and w_star must be finite"),
         (["run", "gd", "--dataset"], {**DS, "y": [DS["y"][0] + 1e-9, DS["y"][1]]},
          "invalid dataset file: w_star does not fit the labels"),
+        (["run", "dgd", "--preset", "ring16", "--graph"],
+         {"n": 16.7, "kind": "ring", "params": {}, "seed": 0, "edges": RING},
+         "invalid graph spec: n must be an integer, got 16.7"),
+        (["run", "dgd", "--preset", "ring16", "--graph"],
+         {"n": 16, "kind": "ring", "params": {}, "seed": 0.9, "edges": RING},
+         "invalid graph spec: seed must be an integer, got 0.9"),
+        (["run", "dgd", "--preset", "ring16", "--graph"],
+         {"n": 16, "kind": "ring", "params": {}, "seed": False, "edges": RING},
+         "invalid graph spec: seed must be an integer, got False"),
+        (["run", "dgd", "--preset", "ring16", "--graph"],
+         {"n": 16, "kind": "ring", "params": {}, "seed": 0, "edges": [[0.6, 1]] + RING[1:]},
+         "invalid graph spec: an endpoint must be an integer, got 0.6"),
+        (["run", "gd", "--dataset"], {**DS, "seed": True},
+         "invalid dataset file: seed must be an integer, got True"),
+        (["run", "gd", "--dataset"], {**DS, "seed": 2.5},
+         "invalid dataset file: seed must be an integer, got 2.5"),
+        (["run", "gd", "--dataset"], {**DS, "n": 2.0},
+         "invalid dataset file: n must be an integer, got 2.0"),
+        (["run", "gd", "--dataset"], {**DS, "d": 3.5},
+         "invalid dataset file: d must be an integer, got 3.5"),
     ], ids=["graph-list", "graph-n-only", "dataset-empty", "gen-short-y", "short-y",
-            "short-w_star", "nan", "unfit-labels"])
+            "short-w_star", "nan", "unfit-labels", "graph-n-float", "graph-seed-float",
+            "graph-seed-bool", "graph-endpoint-float", "dataset-seed-bool",
+            "dataset-seed-float", "dataset-n-float", "dataset-d-float"])
     def test_malformed_input_file_is_refused(self, tmp_path, capsys, argv, doc, message):
-        # each once ended in a traceback, a numpy error, or a run on the file
+        # each once ended in a traceback, a numpy error, or a run on the file;
+        # a float or boolean n, d, seed or endpoint once loaded truncated by
+        # int(): a 16-node ring with seed 0 and edge (0, 1), a dataset with
+        # seed 1 or 2
         path = tmp_path / "input.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "out"
@@ -786,6 +811,19 @@ class TestChecksAndStatuses:
         (["theory", "--n", "0", "--lambda1", "1", "--lambdan", "0.5"], "--n must be >= 1: 0"),
         (["theory", "--n", "-3", "--m", "1", "--lambda1", "1", "--lambdan", "0.5"],
          "--n must be >= 1: -3"),
+        # a NaN once passed every comparison, so the message named no input:
+        # "rate prediction out of range: eta=nan, g=nan", or a failed write
+        # of the NaN spectrum
+        (["theory", "--n", "4", "--lambda1", "3", "--lambdan", "1", "--m", "nan"],
+         "mean batch size must lie in (0, n]: m=nan"),
+        (["sweep", "m", "--preset", "gaussian8", "--values", "nan", "--runs", "0"],
+         "mean batch size must lie in (0, n]: m=nan"),
+        (["theory", "--n", "4", "--lambda1", "nan", "--lambdan", "1"],
+         "invalid spectrum: need 0 < lambdan <= lambda1 < inf, got lambda1=nan"),
+        (["theory", "--n", "4", "--lambda1", "inf", "--lambdan", "1"],
+         "invalid spectrum: need 0 < lambdan <= lambda1 < inf, got lambda1=inf"),
+        (["theory", "--n", "4", "--lambda1", "3", "--lambdan", "nan"],
+         "invalid spectrum: need 0 < lambdan <= lambda1 < inf, got lambda1=3.0, lambdan=nan"),
     ])
     def test_unread_value_is_refused(self, tmp_path, capsys, argv, flag):
         # a value the command would ignore, or misuse, exits 1 and names it

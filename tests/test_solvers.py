@@ -20,7 +20,6 @@ from gdlab.solvers import (
     SolverConfig,
     _drive,
     derive_seed,
-    estimate_rate,
     fit_rate,
     run_ensemble,
     run_gd,
@@ -431,14 +430,17 @@ class TestStackedEnsemble:
 
 
 class TestEstimateRate:
+    # fit_rate: the least-squares line through log(curve) over its window
     def test_exact_geometric_decay(self):
-        fit = estimate_rate([1.0, 0.5, 0.25, 0.125])
+        fit = fit_rate(0.5 ** np.arange(12))
+        assert fit.window == (5, 12)
         assert fit.rate == pytest.approx(0.5, rel=1e-12)
         assert fit.residual <= 1e-12
 
     def test_constant_curve_does_not_contract(self):
-        fit = estimate_rate([2.0, 2.0, 2.0, 2.0])
+        fit = fit_rate([2.0] * 10)
         assert fit.rate == pytest.approx(1.0, abs=1e-12)
+        assert fit.residual <= 1e-12
 
     def test_gd_rate_matches_condition_number_prediction(self):
         # two-level spectrum: the fit recovers the predicted full-batch rate
@@ -453,10 +455,15 @@ class TestEstimateRate:
         assert abs(fit.rate - pred.g_opt) <= 0.01 * pred.g_opt
 
     def test_window_validation(self):
-        with pytest.raises(ValueError, match="at least 3"):
-            estimate_rate([1.0, 0.5], (0, 2))
-        with pytest.raises(ValueError, match="nonpositive"):
-            estimate_rate([1.0, 0.0, 0.25, 0.1])
+        # fewer than 3 points, or a 0 that leaves fewer before it: no fit
+        assert fit_rate([1.0, 0.5]) is None
+        assert fit_rate([1.0, 0.0, 0.25, 0.1]) is None
+        # a 0 ends the window, so no log of it is taken
+        curve = 0.5 ** np.arange(12)
+        curve[9] = 0.0
+        fit = fit_rate(curve)
+        assert fit.window == (5, 9)
+        assert fit.rate == pytest.approx(0.5, rel=1e-12)
 
     def test_default_window_skips_transient_and_floor(self):
         curve = [1.0] + [0.5 ** t for t in range(1, 30)] + [1e-300] * 5
@@ -491,9 +498,10 @@ class TestEstimateRate:
         assert fit_rate(curve, rel_se=rel_se).window == (5, 30)
 
     @pytest.mark.parametrize("curve", [[], [0.0, 1.0, 0.5, 0.25], [-1.0, 0.5, 0.25],
-                                       [1.0, 0.5], [1.0, 0.5, 1e-13, 1e-14]])
+                                       [1.0, 0.5], [1.0, 0.5, 1e-13, 1e-14],
+                                       [np.nan] + [0.5 ** t for t in range(8)]])
     def test_no_window_no_fit(self, curve):
-        # empty, a zero or negative start, fewer than 3 points before the floor
+        # empty, a zero, negative or NaN start, fewer than 3 points before the floor
         assert fit_rate(curve) is None
         assert fit_rate(curve, tail=True) is None
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import mc_expected_mm
 
 from gdlab.presets import build_dataset
 from gdlab.problem import dataset_from_rows, gen_dataset, hessian
@@ -12,7 +13,6 @@ from gdlab.theory import (
     expected_mm,
     g_eigen,
     gm_am_factor,
-    mc_expected_mm,
     optimal_rate,
     orthogonal_rate,
 )
@@ -237,7 +237,7 @@ class TestOptimalRate:
     def test_errors(self):
         with pytest.raises(ValueError, match="invalid spectrum"):
             optimal_rate(2, 4, 1.0, 0.0)
-        with pytest.raises(ValueError, match="invalid batch"):
+        with pytest.raises(ValueError, match="mean batch size"):
             optimal_rate(0, 4, 1.0, 0.5)
         with pytest.raises(ValueError):
             optimal_rate(5, 4, 1.0, 0.5)
