@@ -317,9 +317,10 @@ def _w0(res, shape):
     return None if w0_seed is None else np.random.default_rng(int(w0_seed)).standard_normal(shape)
 
 
-def _sgd_points(ds, points, runs, remedy, epsilon, **solver):
+def _sgd_points(ds, points, runs, remedy, epsilon, m_flag, **solver):
     """The SGD points of run gd|sgd and sweep m|eta, each (eta or None, m).  Each point
-    gets optimal_rate(m), a validated SolverConfig(eta, m, **solver), at eta* where no
+    gets optimal_rate(m), whose refusal names m_flag, the option that gave m (None for
+    none), a validated SolverConfig(eta, m, **solver), at eta* where no
     eta is given (refused, with remedy, below m = n on rows that are not unit-norm when
     runs are made), and its _predictions at epsilon, before any runs; then its ensemble
     of runs (none for None), its fit_rate and its worst status.  Returns (theory, cost,
@@ -329,7 +330,12 @@ def _sgd_points(ds, points, runs, remedy, epsilon, **solver):
     x_min_sq, x_max_sq = float(norms.min()), float(norms.max())
     made = []
     for eta, m in points:
-        pred = optimal_rate(m, ds.n, ss.lambda_max, ss.lambda_min_nz)
+        try:
+            pred = optimal_rate(m, ds.n, ss.lambda_max, ss.lambda_min_nz)
+        except ValueError as exc:
+            if m_flag is None:
+                raise
+            raise CliError(f"{m_flag} {m:g}: {exc}") from None
         if eta is None and runs is not None and m < ds.n and not ds.normalized:
             raise CliError(f"eta* assumes unit-norm rows, and this dataset's are not; {remedy}")
         cfg = SolverConfig(eta=pred.eta_opt if eta is None else float(eta), m=m, **solver)
@@ -360,7 +366,8 @@ def _cmd_run_solver(res: _Resolver, output: _Output):
     [(theory, cost, cfg, ens, fit, status)] = _sgd_points(
         ds, [(eta, m)], runs, "give --eta", sampler=sampler,
         max_iters=int(res.get("iters", 200)), stop_tol=float(res.get("stop_tol", 0.0)),
-        seed=master_seed, w0=_w0(res, ds.d), epsilon=res.get("epsilon"))
+        seed=master_seed, w0=_w0(res, ds.d), epsilon=res.get("epsilon"),
+        m_flag="--m" if res.args.solver == "sgd" else None)
     res.resolved["eta"] = cfg.eta
 
     width = max(3, len(str(runs - 1)))
@@ -516,7 +523,7 @@ def _cmd_sweep(res: _Resolver, output: _Output):
         header = ["m", "eta_opt", "g_opt", "branch", "t_eps", "total_cost",
                   "cost_scaling", "g_hat_measured", "status"]
         points = _sgd_points(ds, [(None, v) for v in values], runs,
-                             "give --runs 0 for predictions only", epsilon, **solver)
+                             "give --runs 0 for predictions only", epsilon, "--values", **solver)
         rows = []
         for v, (theory, cost, _, _, fit, status) in zip(values, points):
             cm = cost["cost"]
@@ -525,11 +532,16 @@ def _cmd_sweep(res: _Resolver, output: _Output):
     else:
         fixed_m = res.resolved["m"] = float(res.get("m", max(1.0, n / 4)))
         header = ["eta", "m", "g_pred", "g_hat_measured", "status"]
-        points = _sgd_points(ds, [(v, fixed_m) for v in values], runs, None, epsilon, **solver)
-        rows = [[v, fixed_m, max(g_eigen(fixed_m, n, v, ss.lambda_max),
-                                 g_eigen(fixed_m, n, v, ss.lambda_min_nz)),
-                 fit.rate if fit else None, status]
-                for v, (_, _, _, _, fit, status) in zip(values, points)]
+        points = _sgd_points(ds, [(v, fixed_m) for v in values], runs, None, epsilon, "--m",
+                             **solver)
+        rows = []
+        for v, (_, _, _, _, fit, status) in zip(values, points):
+            g_pred = max(g_eigen(fixed_m, n, v, ss.lambda_max),
+                         g_eigen(fixed_m, n, v, ss.lambda_min_nz))
+            # an eta whose square overflows has no prediction: null, as JSON
+            # holds no inf
+            rows.append([v, fixed_m, g_pred if math.isfinite(g_pred) else None,
+                         fit.rate if fit else None, status])
     return _sweep_table(output, header, rows), [row[-1] for row in rows], []
 
 

@@ -24,9 +24,9 @@ once per block.  Each point's trace is bitwise the one it gets alone.
 
 run_dgd makes one workspace per run (_workspace), and the round loop
 allocates nothing but each round's new stack, for two reasons.  A block's
-temporaries run to a megabyte each; above glibc's mmap threshold each fresh
-one would be a new mapping, faulted in page by page on every block, and the
-loop's speed would follow the allocator's state rather than the work.  And
+temporaries run to half a megabyte each; above glibc's mmap threshold each
+fresh one would be a new mapping, faulted in page by page on every block, and
+the loop's speed would follow the allocator's state rather than the work.  And
 the round is bound by numpy's per-call cost, not by arithmetic, and a call
 that broadcasts costs more than one whose operands share a shape: on a
 3 x 16 x 32 stack, 1.5-1.9 us against 1.0 us for an elementwise product

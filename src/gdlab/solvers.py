@@ -125,7 +125,7 @@ class EnsembleResult:
         return min((tr.status for tr in self.traces), key=_STATUSES.index)
 
 
-_BLOCK = 256  # row-states (members x steps) between two metrics calls
+_BLOCK = 128  # row-states (members x steps) between two metrics calls
 _DRAW_BYTES = 1 << 20  # sample draws held ahead (members x iterations x packed draw)
 
 
@@ -133,10 +133,16 @@ def _take(x, sel):
     return tuple(a[sel] for a in x)
 
 
-def _widen(a, cap):
-    """a (members x rows x ...) copied into a buffer of cap rows."""
+def _widen(a, cap, lengths):
+    """a (members x rows x ...) in a buffer of cap rows that holds only member
+    k's first lengths[k] rows: the rest of a row is never written, so its
+    pages are never touched, and a stopped member costs its recorded rows
+    alone however far the buffer grows."""
     wide = np.empty((a.shape[0], cap) + a.shape[2:], a.dtype)
-    wide[:, :a.shape[1]] = a
+    common = int(lengths.min())
+    wide[:, :common] = a[:, :common]
+    for k in np.flatnonzero(lengths > common).tolist():
+        wide[k, common:lengths[k]] = a[k, common:lengths[k]]
     return wide
 
 
@@ -175,9 +181,9 @@ def _drive(x, step, metrics, max_iters: int, stop_tol: float, keep_states: bool)
     # room for a block's steps of one run; widened by doubling when a run
     # goes on, so an ensemble of short runs never copies its rows
     cap = min(max_iters, _BLOCK) + 1
-    outs = [_widen(c.T, cap) for c in cols]
-    kept = _widen(x[0][:, None], cap) if keep_states else None
     lengths = np.ones(runs, dtype=int)
+    outs = [_widen(c.T, cap, lengths) for c in cols]
+    kept = _widen(x[0][:, None], cap, lengths) if keep_states else None
     status = np.ones(runs, dtype=int)  # index into _STATUSES: max-iters until a stop
     if stop_tol > 0:
         status[err0 <= stop_tol * err0] = 2
@@ -208,9 +214,9 @@ def _drive(x, step, metrics, max_iters: int, stop_tol: float, keep_states: bool)
         status[members[hit]] = np.where(ok & converged[row, a], 2, 0)[hit]
         if done + 1 + c > cap:
             cap = min(max_iters + 1, max(done + 1 + c, 2 * cap))
-            for i, o in enumerate(outs):
-                outs[i] = _widen(o, cap)
-            kept = _widen(kept, cap) if keep_states else None
+            for i in range(len(outs)):  # a column at a time: one old buffer beside its copy
+                outs[i] = _widen(outs[i], cap, lengths)
+            kept = _widen(kept, cap, lengths) if keep_states else None
         # rows past a member's stop fill only its unused tail
         for out, col in zip(outs, cols):
             out[members, done + 1:done + 1 + c] = col.T

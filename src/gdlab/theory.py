@@ -64,8 +64,10 @@ def expected_mm(ds: Dataset, eta: float, m: float) -> np.ndarray:
     return (E + E.T) / 2.0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def g_eigen(m: float, n: int, eta: float, lam):
-    """Per-eigenvalue expected squared-error contraction (broadcasts over lam)."""
+    """Per-eigenvalue expected squared-error contraction (broadcasts over lam);
+    inf or NaN where eta is too large for its square to be a float."""
     lam = np.asarray(lam, dtype=float)
     val = (1.0 - eta * lam) ** 2 + (eta * eta * lam / m) * (1.0 - m / n)
     return float(val) if val.ndim == 0 else val
@@ -94,20 +96,28 @@ def optimal_rate(m: float, n: int, lambda1: float, lambdan: float) -> RatePredic
                          f"got lambda1={lambda1}, lambdan={lambdan}")
     _check_eta_m(None, m, n)
     q = 1.0 / m - 1.0 / n
-    if (lambda1 - lambdan) + _TIE_TOL * lambda1 >= q:
-        denom = lambda1 + lambdan + q
-        eta_opt = 2.0 / denom
-        g_opt = 1.0 - 4.0 * lambda1 * lambdan / (denom * denom)
+    # the formulas run on lambda1, lambdan and q times s, the power of two
+    # that brings lambda1 into [0.5, 1): the scaling is exact, so the results
+    # keep the plain formulas' bits wherever those stay in the normal range,
+    # and denom * denom, which leaves that range for a lambda1 beyond about
+    # 1e+-154, stays near 1
+    s = 2.0 ** -max(math.frexp(lambda1)[1], -1023)
+    l1, ln, qs = lambda1 * s, lambdan * s, q * s
+    if (l1 - ln) + _TIE_TOL * l1 >= qs:
+        denom = l1 + ln + qs
+        eta_opt = 2.0 / denom * s
+        g_opt = 1.0 - 4.0 * l1 * ln / (denom * denom)
         branch = "two-parabola"
     else:
-        eta_opt = 1.0 / (lambdan + q)
-        g_opt = q / (lambdan + q)
+        eta_opt = 1.0 / (ln + qs) * s
+        g_opt = qs / (ln + qs)
         branch = "single-parabola"
     if q == 0.0:
         branch = "gd-limit"
     g_opt = max(g_opt, 0.0)
-    if not (0.0 <= g_opt < 1.0 and eta_opt > 0.0):
-        raise ValueError(f"rate prediction out of range: eta={eta_opt}, g={g_opt}")
+    if not (0.0 <= g_opt < 1.0 and 0.0 < eta_opt < math.inf):
+        raise ValueError(f"rate prediction out of range at m={m}, lambda1={lambda1}, "
+                         f"lambdan={lambdan}: eta={eta_opt}, g={g_opt}")
     return RatePrediction(m=float(m), eta_opt=eta_opt, g_opt=g_opt, branch=branch)
 
 

@@ -7,6 +7,9 @@ import math
 import os
 import re
 import shlex
+import shutil
+import subprocess
+import sys
 import tempfile
 from unittest import mock
 
@@ -63,6 +66,22 @@ class TestTheoryCommand:
         s = read_summary(out)
         assert s["theory"]["g_opt"] == 0
         assert s["cost"]["t_eps"] == 1
+
+    @pytest.mark.parametrize("argv, eta, branch", [
+        # denom * denom once underflowed to 0: a ZeroDivisionError traceback
+        (["--lambda1", "1e-200", "--lambdan", "1e-200"], 2.0 / (1e-200 + 1e-200), "gd-limit"),
+        # it once overflowed to inf, and the command exited 1 with "rate
+        # prediction out of range: eta=1e-300, g=nan"
+        (["--lambda1", "1e300", "--lambdan", "1e300", "--m", "1"], 2.0 / (2e300 + 0.75),
+         "two-parabola"),
+    ])
+    def test_flat_spectrum_far_from_one(self, tmp_path, argv, eta, branch):
+        # a flat spectrum is solved in one step at any scale; at m = 1 its g*
+        # is about q / lambda, far below the float spacing at 1
+        out = str(tmp_path)
+        assert main(["theory", "--n", "4", *argv, "--out", out]) == 0
+        theory = read_summary(out)["theory"]
+        assert (theory["eta_opt"], theory["g_opt"], theory["branch"]) == (eta, 0, branch)
 
     def test_from_preset_dataset(self, tmp_path):
         out = str(tmp_path)
@@ -139,6 +158,38 @@ class TestRunCommand:
         assert header == "t,err_sq_range,loss,batch_size"
         s = read_summary(out)
         assert len(s["empirical"]["seeds"]) == 5
+
+    def test_blas_thread_count_moves_only_the_operator_spectrum(self, tmp_path):
+        # README promises identical bytes at a fixed BLAS thread count.  Across
+        # counts only the dense eigensolve of the round operator may move, in
+        # its last digits (as on run dgd --preset ring16 --mu 1): these fields
+        # of summary.json, and the observed values, bounds and margins of the
+        # two verdicts read from it.  Every other byte stays
+        spectrum, verdicts = ("sigma_min", "sigma_max", "rate_spectral"), ("contracting",
+                                                                         "spectral_match")
+
+        def fixed(summary):
+            dgd = {k: v for k, v in summary["dgd"].items() if k not in spectrum}
+            checks = [{"name": v["name"], "ok": v["ok"]} if v["name"] in verdicts else v
+                      for v in summary["verdicts"]]
+            return {**summary, "dgd": dgd, "verdicts": checks}
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        out = str(tmp_path / "out")  # one path for both: summary.json records it
+        files = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            subprocess.run([sys.executable, "-m", "gdlab.cli", "run", "dgd", "--preset",
+                            "gaussian8", "--graph-kind", "complete", "--out", out],
+                           env=env, check=True)
+            files.append({name: open(os.path.join(out, name), "rb").read()
+                          for name in os.listdir(out)})
+            shutil.rmtree(out)
+        one, two = files
+        assert set(one) == set(two) == {"dataset.json", "graph.json", "summary.json", "trace.csv"}
+        for name in ("dataset.json", "graph.json", "trace.csv"):
+            assert one[name] == two[name], name
+        assert fixed(json.loads(one["summary.json"])) == fixed(json.loads(two["summary.json"]))
 
     def test_byte_reproducibility(self, tmp_path):
         args = ["run", "sgd", "--preset", "gaussian8", "--m", "2", "--runs", "4",
@@ -261,6 +312,19 @@ class TestSweepCommand:
         s = read_summary(out)
         assert len(s["rows"]) == 2
         assert all(r["g_hat_measured"] is not None for r in s["rows"])
+
+    def test_overflowing_eta_has_no_prediction(self, tmp_path):
+        # g_pred at eta = 1e300 overflows: it once printed a numpy overflow
+        # warning and exited 1 with "non-finite value cannot be serialized:
+        # inf"; now the row holds null, and the runs diverge as run sgd's do
+        out = str(tmp_path)
+        rc = main(["sweep", "eta", "--preset", "gaussian8", "--runs", "2", "--iters", "10",
+                   "--values", "1e300", "--m", "3", "--out", out])
+        assert rc == 2
+        [row] = read_summary(out)["rows"]
+        assert row["g_pred"] is None and row["status"] == "diverged"
+        lines = open(os.path.join(out, "sweep.csv")).read().splitlines()
+        assert lines[1].split(",")[2:] == ["", "", "diverged"]
 
     def test_sweep_mu(self, tmp_path):
         out = str(tmp_path)
@@ -824,6 +888,12 @@ class TestChecksAndStatuses:
          "invalid spectrum: need 0 < lambdan <= lambda1 < inf, got lambda1=inf"),
         (["theory", "--n", "4", "--lambda1", "3", "--lambdan", "nan"],
          "invalid spectrum: need 0 < lambdan <= lambda1 < inf, got lambda1=3.0, lambdan=nan"),
+        # this m passes the (0, n] rule, but its g* rounds to 1; the message
+        # once read "rate prediction out of range: eta=1e-200, g=1.0"
+        (["sweep", "eta", "--preset", "gaussian8", "--values", "3", "--m", "1e-200"],
+         "--m 1e-200: rate prediction out of range at m=1e-200, lambda1="),
+        (["sweep", "m", "--preset", "gaussian8", "--values", "1e-200"],
+         "--values 1e-200: rate prediction out of range at m=1e-200, lambda1="),
     ])
     def test_unread_value_is_refused(self, tmp_path, capsys, argv, flag):
         # a value the command would ignore, or misuse, exits 1 and names it

@@ -409,8 +409,8 @@ class TestConsensusMetrics:
         ds = gen_dataset(6, 9, "gaussian", seed=56)
         B = incidence(make_graph("ring", 6))
         rng = np.random.default_rng(57)
-        work = _workspace(ds, B, 256, 0)
-        for K in (256, 3, 1):
+        work = _workspace(ds, B, _BLOCK, 0)
+        for K in (_BLOCK, 3, 1):
             S = rng.standard_normal((K, 6, 9))
             mu = rng.uniform(0.1, 10.0, K)
             before = S.copy()

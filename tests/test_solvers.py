@@ -215,6 +215,60 @@ class TestBlockDriver:
             assert final[k] == alone[2]
             assert list(kept[k, :L]) == alone[3]
 
+    @staticmethod
+    def drive_rising(stops, keep_states):
+        # member k's state is (step count t, k); its rows read (1 + t, t / 2),
+        # so a row copied to the wrong place shows, but row stops[k], where
+        # the member converges (None: it never does)
+        at = np.array([-1 if row is None else row for row in stops])
+
+        def step(x, members):
+            return x[0] + 1, x[1]
+
+        def metrics(xs):
+            t = np.concatenate([x[0] for x in xs])
+            k = np.concatenate([x[1] for x in xs])
+            return np.where(t == at[k], 0.25, 1.0 + t), t / 2.0
+
+        x0 = (np.zeros(len(stops), dtype=int), np.arange(len(stops)))
+        return _drive(x0, step, metrics, 4 * _BLOCK, 0.5, keep_states)
+
+    @pytest.mark.parametrize("keep_states", [True, False])
+    def test_widening_keeps_each_members_rows(self, monkeypatch, keep_states):
+        # a widening copies only the rows each member recorded.  Member 0
+        # stops in the first block, member 1 between the first and second
+        # widening, member 2 runs to the round cap through every widening;
+        # each member's rows, states, status and final state are bitwise
+        # those it gets alone
+        seen = []  # the row counts at each widening of a buffer
+
+        def widen(a, cap, lengths):
+            seen.append(lengths.copy())
+            return widen_rows(a, cap, lengths)
+
+        widen_rows = solvers._widen
+        monkeypatch.setattr(solvers, "_widen", widen)
+        stops = [1, 3 * _BLOCK // 2, None]
+        cols, lengths, statuses, final, kept = self.drive_rising(stops, keep_states)
+        # one entry per widening (the buffers start at one row each)
+        growths = list({int(c.max()): c for c in seen if c.max() > 1}.values())
+        assert len(growths) >= 2
+        assert growths[0].tolist() == [2, growths[0][1], growths[0][1]]
+        assert growths[0][1] < stops[1] + 1 == growths[1][1] < growths[1][2]
+        assert statuses == ["converged", "converged", "max-iters"]
+        assert lengths.tolist() == [2, stops[1] + 1, 4 * _BLOCK + 1]
+        assert (kept is not None) == keep_states
+        for k, stop in enumerate(stops):
+            a_cols, a_lengths, a_statuses, a_final, a_kept = self.drive_rising([stop], keep_states)
+            L = lengths[k]
+            assert L == a_lengths[0]
+            for col, alone in zip(cols, a_cols):
+                assert np.array_equal(col[k, :L], alone[0, :L])
+            assert statuses[k] == a_statuses[0]
+            assert final[k] == a_final[0]
+            if keep_states:
+                assert np.array_equal(kept[k, :L], a_kept[0, :L])
+
     @pytest.mark.parametrize("runs", [1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 1000])
     def test_block_holds_at_most_block_row_states(self, runs):
         # each metrics call measures max(1, _BLOCK // A) steps of the A running

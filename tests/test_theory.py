@@ -1,14 +1,18 @@
 """Tests for the closed-form rate formulas and their Monte-Carlo cross-checks."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import mc_expected_mm
 
 from gdlab.presets import build_dataset
 from gdlab.problem import dataset_from_rows, gen_dataset, hessian
 from gdlab.theory import (
+    _TIE_TOL,
     cost_model,
     expected_mm,
     g_eigen,
@@ -233,6 +237,35 @@ class TestOptimalRate:
         for l1, ln in [(3.0, 1.0), (1.0, 0.25), (2.5, 2.4)]:
             pred = optimal_rate(10, 10, l1, ln)
             assert pred.g_opt == pytest.approx(((l1 - ln) / (l1 + ln)) ** 2, rel=1e-14)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lambda1=st.floats(1e-100, 1e100), ratio=st.floats(1e-6, 1.0),
+           n=st.integers(1, 64), frac=st.floats(1e-3, 1.0))
+    def test_scaled_formulas_keep_the_plain_bits(self, lambda1, ratio, n, frac):
+        # optimal_rate runs the formulas on the spectrum times a power of two;
+        # on inputs where the plain formulas stay in the normal range, every
+        # result is theirs, bit for bit
+        lambdan, m = lambda1 * ratio, frac * n
+        q = 1.0 / m - 1.0 / n
+        if (lambda1 - lambdan) + _TIE_TOL * lambda1 >= q:
+            denom = lambda1 + lambdan + q
+            eta, g = 2.0 / denom, 1.0 - 4.0 * lambda1 * lambdan / (denom * denom)
+        else:
+            eta, g = 1.0 / (lambdan + q), q / (lambdan + q)
+        if g >= 1.0:
+            with pytest.raises(ValueError, match="rate prediction out of range"):
+                optimal_rate(m, n, lambda1, lambdan)
+            return
+        pred = optimal_rate(m, n, lambda1, lambdan)
+        assert (pred.eta_opt, pred.g_opt) == (eta, max(g, 0.0))
+
+    @pytest.mark.parametrize("lambda1, lambdan, m, names", [
+        (1.0, 1e-17, 4, "m=4, lambda1=1.0, lambdan=1e-17: eta=2.0, g=1.0"),  # g* rounds to 1
+        (1e-310, 1e-310, 4, "lambda1=1e-310, lambdan=1e-310: eta=inf"),  # eta* is no float
+    ])
+    def test_out_of_range_names_its_inputs(self, lambda1, lambdan, m, names):
+        with pytest.raises(ValueError, match=re.escape(names)):
+            optimal_rate(m, 4, lambda1, lambdan)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="invalid spectrum"):
