@@ -141,7 +141,8 @@ class TestBlockDriver:
             (np.array([0]),), step, metrics, max_iters, stop_tol, True)
         return [c[0] for c in cols], statuses[0], final[0], list(kept[0]), steps
 
-    @pytest.mark.parametrize("stop_at", [1, _BLOCK, _BLOCK + 1])
+    # stops at the first and second block boundaries, and one row past each
+    @pytest.mark.parametrize("stop_at", [1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1])
     @pytest.mark.parametrize("stop_kind", ["converged", "diverged", "non-finite"])
     def test_stop_positions(self, stop_kind, stop_at):
         cols, status, x, states, steps = self.drive(stop_kind, stop_at)
@@ -155,7 +156,8 @@ class TestBlockDriver:
         # steps past the stop row are taken only to the end of its block
         assert len(steps) == -(-stop_at // _BLOCK) * _BLOCK
 
-    @pytest.mark.parametrize("max_iters", [1, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 3])
+    @pytest.mark.parametrize("max_iters", [1, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK,
+                                           2 * _BLOCK + 3, 4 * _BLOCK + 3])
     def test_round_cap(self, max_iters):
         cols, status, x, states, steps = self.drive(None, None, max_iters=max_iters)
         assert status == "max-iters"
@@ -269,7 +271,8 @@ class TestBlockDriver:
             if keep_states:
                 assert np.array_equal(kept[k, :L], a_kept[0, :L])
 
-    @pytest.mark.parametrize("runs", [1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 1000])
+    @pytest.mark.parametrize("runs", [1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                      2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1, 1000])
     def test_block_holds_at_most_block_row_states(self, runs):
         # each metrics call measures max(1, _BLOCK // A) steps of the A running
         # members; one member keeps blocks of _BLOCK states
