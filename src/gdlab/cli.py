@@ -7,23 +7,24 @@ and G for --graph --graph-kind --graph-rows --graph-cols --graph-k
     gen        D: a dataset and its spectral summary
     theory     D --m --lambda1 --lambdan --epsilon: closed-form rate and cost
                (given --lambda1 and --lambdan it reads no dataset: refuses --preset, D but --n --d)
-    run gd     D --eta --iters --stop-tol --w0-seed --epsilon --format
+    run gd     D --eta --iters --stop-tol --w0-seed --epsilon: run sgd's Bernoulli step at m = n
     run sgd    the run gd options, --runs --m --sampler
-    run dgd    D G --eta --mu --iters --stop-tol --w0-seed --format
+    run dgd    D G --eta --mu --iters --stop-tol --w0-seed
     sweep m    D --values --runs --iters --stop-tol --epsilon: a row per value
     sweep eta  D --values --runs --iters --stop-tol --m
-    sweep mu   D G --values --eta --iters --stop-tol --w0-seed --format
+    sweep mu   D G --values --eta --iters --stop-tol --w0-seed
     spectrum   D G --eta --mu: dense round-operator spectrum of run dgd
 Any other option, or an abbreviated one, is a validation failure.
 
-All outputs land in --out: each table as the command makes it (one CSV per
-run plus mean.csv for ensembles), then the dataset.json / graph.json inputs,
-then summary.json embedding the fully resolved configuration (every seed
-explicit).  Identical configuration and master seed reproduce byte-identical
-files.  Numeric output carries 17 significant digits.
+All outputs land in --out: each table as the command makes it, a CSV file
+(one per run plus mean.csv for ensembles), then the dataset.json / graph.json
+inputs, then summary.json embedding the fully resolved configuration (every
+seed explicit) and, for run gd|sgd, each run's status in run order.
+Identical configuration and master seed reproduce byte-identical files.
+Numeric output carries 17 significant digits.
 
 A JSON config file (--config) holds option values keyed by the long name with
-_ for - (stop_tol, w0_seed, format), parsed as flags (true/false for --name/
+_ for - (stop_tol, w0_seed), parsed as flags (true/false for --name/
 --no-name, a list as a comma string) placed before the command line's, which
 win; a key that is not an option of the command is a validation failure.
 A validation failure exits 1 and writes no file.  Otherwise main alone sets
@@ -70,7 +71,6 @@ from .solvers import (
     STATUS_CONVERGED,
     STATUS_DIVERGED,
     SolverConfig,
-    check_stopping,
     fit_rate,
     run_ensemble,
 )
@@ -235,13 +235,9 @@ class _Output:
         write_atomic(os.path.join(self.out, name), parts)
         self.files.append(name)
 
-    def table(self, name, columns, fmt, status=None):
-        """Named columns as name.csv, or as name.json followed by the run status."""
-        if fmt == "json":
-            doc = dict(columns) if status is None else {**columns, "status": status}
-            self._write(name + ".json", [dumps(doc) + "\n"])
-        else:
-            self._write(name + ".csv", csv_chunks(columns))
+    def table(self, name, columns):
+        """Named columns as name.csv."""
+        self._write(name + ".csv", csv_chunks(columns))
 
     def commit(self, res, blocks, verdicts):
         """Write the inputs res read, then summary.json (the command's resolved
@@ -352,13 +348,13 @@ def _sgd_points(ds, points, runs, remedy, epsilon, m_flag, **solver):
 
 
 def _cmd_run_solver(res: _Resolver, output: _Output):
-    fmt = res.get("format", "csv")
     master_seed = int(res.get("seed", 0))
     ds = res.dataset()
+    sampler = "bernoulli"
     if res.args.solver == "gd":  # deterministic: one run at m = n
-        sampler, m, runs = "full", float(ds.n), 1
+        m, runs = float(ds.n), 1
     else:
-        sampler = res.get("sampler", "bernoulli")
+        sampler = res.get("sampler", sampler)
         m = float(res.get("m", max(1.0, ds.n / 4)))
         runs = int(res.get("runs", 1))
     eta = res.get("eta")
@@ -369,14 +365,15 @@ def _cmd_run_solver(res: _Resolver, output: _Output):
         seed=master_seed, w0=_w0(res, ds.d), epsilon=res.get("epsilon"),
         m_flag="--m" if res.args.solver == "sgd" else None)
     res.resolved["eta"] = cfg.eta
+    run_statuses = [tr.status for tr in ens.traces]  # a CSV trace holds none
 
     width = max(3, len(str(runs - 1)))
     for k, tr in enumerate(ens.traces):
         columns = {c: getattr(tr, c) for c in _SOLVER_COLUMNS}
-        output.table(f"run_{k:0{width}d}", columns, fmt, tr.status)
+        output.table(f"run_{k:0{width}d}", columns)
     if runs > 1:
         curve = ens.mean_curve
-        output.table("mean", {"t": np.arange(len(curve)), "mean_err_sq_range": curve}, fmt)
+        output.table("mean", {"t": np.arange(len(curve)), "mean_err_sq_range": curve})
     doc = {
         "theory": theory,
         "empirical": {
@@ -384,8 +381,9 @@ def _cmd_run_solver(res: _Resolver, output: _Output):
             "r_hat_norm": math.sqrt(fit.rate) if fit else None,
             "fit_residual": fit.residual if fit else None,
             "fit_window": list(fit.window) if fit else None,
-            "statuses": Counter(tr.status for tr in ens.traces),
+            "statuses": Counter(run_statuses),
             "seeds": [tr.config.seed for tr in ens.traces],
+            "run_statuses": run_statuses,
         },
         **cost,
     }
@@ -445,25 +443,24 @@ def _dgd_verdicts(doc, trace, r_hat, stop_tol):
 
 def _dgd_points(res: _Resolver, output: _Output, mus, names):
     """The DGD points of run dgd and sweep mu, at penalty weights mus: each
-    point's step (--eta, or stable_eta at its mu) and _dgd_doc, after the check
-    of --iters and --stop-tol and before one run_dgd call, then per point its
-    tail fit_rate, its verdicts and its trace table names[k].  Returns (eta,
+    point's step (--eta, or stable_eta at its mu), one run_dgd call (which
+    checks every input first), then per point its _dgd_doc (after the runs,
+    so their buffers miss the heap its dense matrices free), its tail
+    fit_rate, its verdicts and its trace table names[k].  Returns (eta,
     _dgd_doc, trace, fit, verdicts) per point."""
-    fmt = res.get("format", "csv")
     ds = res.dataset()
     g = res.graph(ds)
     eta_flag = res.get("eta")
     etas = [stable_eta(ds, g, mu) if eta_flag is None else float(eta_flag) for mu in mus]
     iters = int(res.get("iters", 10_000))
     stop_tol = float(res.get("stop_tol", 1e-16))
-    check_stopping(iters, stop_tol)  # before the spectra, which can take seconds
-    docs = [_dgd_doc(ds, g, eta, mu) for eta, mu in zip(etas, mus)]
     traces = run_dgd(ds, g, etas, mus, max_iters=iters, stop_tol=stop_tol,
                      W0=_w0(res, (ds.n, ds.d)))
+    docs = [_dgd_doc(ds, g, eta, mu) for eta, mu in zip(etas, mus)]
     points = []
     for eta, doc, trace, name in zip(etas, docs, traces, names):
         fit = fit_rate(trace.mean_err_sq_range, tail=True)
-        output.table(name, {c: getattr(trace, c) for c in _DGD_COLUMNS}, fmt, trace.status)
+        output.table(name, {c: getattr(trace, c) for c in _DGD_COLUMNS})
         r_hat = math.sqrt(fit.rate) if fit else None
         points.append((eta, doc, trace, fit, _dgd_verdicts(doc, trace, r_hat, stop_tol)))
     return points
@@ -504,7 +501,7 @@ def _sweep_values(res):
 
 def _sweep_table(output, header, rows):
     """sweep.csv, a row per swept value, and summary.json's rows as dicts."""
-    output.table("sweep", {name: [row[i] for row in rows] for i, name in enumerate(header)}, "csv")
+    output.table("sweep", {name: [row[i] for row in rows] for i, name in enumerate(header)})
     return {"rows": [dict(zip(header, row)) for row in rows]}
 
 
@@ -606,14 +603,13 @@ _OPTIONS = {
     "stop_tol": dict(type=float, help="relative stopping tolerance (0 = never)"),
     "w0_seed": dict(type=int, help="seed for a random initial state (default: zeros)"),
     "values": dict(help="comma-separated parameter values"),
-    "format": dict(choices=["csv", "json"], help="trace file format"),
 }
 _COMMON = ("config", "preset", "out", "seed")
 _D = ("dataset", "n", "d", "kind", "rho", "normalize", "data_seed")
 _G = ("graph", "graph_kind", "graph_rows", "graph_cols", "graph_k", "graph_p", "graph_seed")
-_RUN = _D + ("eta", "iters", "stop_tol", "w0_seed", "epsilon", "format")
+_RUN = _D + ("eta", "iters", "stop_tol", "w0_seed", "epsilon")
 _SWEEP = _D + ("values", "runs", "iters", "stop_tol")
-_DGD = _D + _G + ("eta", "iters", "stop_tol", "w0_seed", "format")
+_DGD = _D + _G + ("eta", "iters", "stop_tol", "w0_seed")
 # the nested commands: their sub-command's dest and their help
 _GROUPS = {"run": ("solver", "run a solver experiment"), "sweep": ("param", "sweep one parameter")}
 # each command variant: its handler, its help and the options it reads besides _COMMON

@@ -134,6 +134,6 @@ def csv_chunks(columns):
     length = len(cols[0]) if cols else 0
     yield ",".join(columns) + "\n"
     for a in range(0, length, _CSV_CHUNK_ROWS):
-        fmts, cells = zip(*(_column(c[a:a + _CSV_CHUNK_ROWS]) for c in cols))
-        row = ",".join(fmts) + "\n"
+        formats, cells = zip(*(_column(c[a:a + _CSV_CHUNK_ROWS]) for c in cols))
+        row = ",".join(formats) + "\n"
         yield (row * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))

@@ -1,4 +1,5 @@
-"""Sequential solvers: full gradient descent and Bernoulli/fixed minibatch SGD.
+"""Sequential solvers: Bernoulli/fixed minibatch SGD, and full gradient
+descent as the Bernoulli step at m = n, where every sample is drawn.
 
 Updates are matrix-free and touch only (x_i, y_i); the planted parameter is
 used for diagnostics alone.  Each trace records, per iteration, the squared
@@ -31,7 +32,6 @@ _FIT_START = 5
 _FIT_FLOOR_REL = 1e-12
 _FIT_MAX_REL_SE = 0.05
 
-SAMPLER_FULL = "full"
 SAMPLER_BERNOULLI = "bernoulli"
 SAMPLER_FIXED = "fixed"
 
@@ -71,7 +71,7 @@ class SolverConfig:
 
     eta: float
     m: float
-    sampler: str = SAMPLER_FULL
+    sampler: str = SAMPLER_BERNOULLI
     max_iters: int = 1000
     stop_tol: float = 0.0
     seed: int = 0
@@ -81,7 +81,7 @@ class SolverConfig:
     def validate(self, n: int) -> None:
         _check_eta_m(self.eta, self.m, n)
         check_stopping(self.max_iters, self.stop_tol)
-        if self.sampler not in (SAMPLER_FULL, SAMPLER_BERNOULLI, SAMPLER_FIXED):
+        if self.sampler not in (SAMPLER_BERNOULLI, SAMPLER_FIXED):
             raise ValueError(f"unknown sampler: {self.sampler!r}")
 
 
@@ -311,10 +311,7 @@ def _run(ds: Dataset, cfg: SolverConfig,
     # w), one row per running member
     def step(state, members):
         w, r, _ = state
-        if cfg.sampler == SAMPLER_FULL:
-            v, rows, scale = r, X, cfg.eta / n
-            batch = np.full(len(members), n)
-        elif cfg.sampler == SAMPLER_BERNOULLI:
+        if cfg.sampler == SAMPLER_BERNOULLI:
             mask = next_draws(members)
             v, rows, scale = mask * r, X, cfg.eta / cfg.m
             batch = mask.sum(axis=1)
@@ -361,10 +358,13 @@ def _run(ds: Dataset, cfg: SolverConfig,
 
 
 def run_gd(ds: Dataset, cfg: SolverConfig) -> IterationTrace:
-    """Full gradient descent: w <- w - (eta/n) sum_i (x_i.w - y_i) x_i."""
-    if cfg.sampler != SAMPLER_FULL:
-        raise ValueError(f"run_gd requires sampler={SAMPLER_FULL!r}")
-    return _run(ds, cfg, [cfg.seed])[0][0]
+    """Full gradient descent, w <- w - (eta/n) sum_i (x_i.w - y_i) x_i: the
+    Bernoulli step at m = n.  cfg is validated as given, m included; the
+    run and its trace's config then take m = n."""
+    if cfg.sampler != SAMPLER_BERNOULLI:
+        raise ValueError(f"run_gd requires sampler={SAMPLER_BERNOULLI!r}")
+    cfg.validate(ds.n)
+    return _run(ds, replace(cfg, m=float(ds.n)), [cfg.seed])[0][0]
 
 
 def run_sgd(ds: Dataset, cfg: SolverConfig) -> IterationTrace:

@@ -122,11 +122,13 @@ def optimal_rate(m: float, n: int, lambda1: float, lambdan: float) -> RatePredic
 
 
 def gm_am_factor(x_min_sq: float, x_max_sq: float) -> float:
-    """Squared geometric-to-arithmetic mean ratio of the extreme row norms."""
+    """Squared geometric-to-arithmetic mean ratio of the extreme row norms,
+    a b / ((a + b)/2)^2 with a = x_min_sq and b = x_max_sq, computed as
+    1 - ((b - a)/(a + b))^2: that form stays at most 1 in floating point,
+    as AM-GM holds it exactly."""
     if not 0 < x_min_sq <= x_max_sq:
         raise ValueError(f"need 0 < x_min_sq <= x_max_sq, got {x_min_sq}, {x_max_sq}")
-    am = (x_min_sq + x_max_sq) / 2.0
-    return (x_min_sq * x_max_sq) / (am * am)
+    return 1.0 - ((x_max_sq - x_min_sq) / (x_min_sq + x_max_sq)) ** 2
 
 
 def orthogonal_rate(m: float, n: int, x_min_sq: float, x_max_sq: float) -> float:

@@ -52,3 +52,23 @@ def mc_expected_mm(ds: Dataset, eta: float, m: float, samples: int,
     var = np.clip((s2 - s1 * s1 / samples) / (samples - 1), 0.0, None)
     stderr = np.sqrt(var / samples)
     return mean, stderr
+
+
+def plain_gd(ds: Dataset, eta: float, iters: int):
+    """Full gradient descent from zero, one iteration at a time and without
+    sampling: w <- w - (eta/n) X^T (X w - y).  Each product is the one
+    gdlab.solvers' step and metrics take on a stack of one run, so the rows
+    are bitwise the solver's.  Returns the iters + 1 projected squared
+    errors, the losses and the final iterate."""
+    X, y, n = ds.X, ds.y, ds.n
+    w = np.zeros((1, ds.d))
+    r = (w[:, None, :] @ X.T)[:, 0, :] - y
+    errs, losses = [], []
+    for t in range(iters + 1):
+        comp = (w - ds.w_star)[:, None, :] @ ds.spectral.basis
+        errs.append((comp @ comp.transpose(0, 2, 1))[0, 0, 0])
+        losses.append((r[:, None, :] @ r[:, :, None])[0, 0, 0] / n)
+        if t < iters:
+            w = w - (r[:, None, :] @ X)[:, 0, :] * (eta / n)
+            r = (w[:, None, :] @ X.T)[:, 0, :] - y
+    return np.array(errs), np.array(losses), w[0]

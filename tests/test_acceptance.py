@@ -205,8 +205,7 @@ def test_criterion_7_null_space_invariance():
     w0 = ds.w_star + rp.project(rng.standard_normal(8)) + u
 
     drifts = {}
-    cfg_gd = SolverConfig(eta=0.4, m=4, sampler="full", max_iters=100,
-                          w0=w0, record_iterates=True)
+    cfg_gd = SolverConfig(eta=0.4, m=4, max_iters=100, w0=w0, record_iterates=True)
     tr = run_gd(ds, cfg_gd)
     comps = (tr.iterates - ds.w_star) @ u
     drifts["gd"] = float(np.max(np.abs(comps - comps[0])))

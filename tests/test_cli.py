@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,7 @@ from gdlab.io import dumps
 from gdlab.distributed import graph_to_json, make_graph
 from gdlab.presets import PRESETS, build_dataset
 from gdlab.problem import dataset_from_rows, dataset_to_json, gen_dataset, load_dataset
+from gdlab.solvers import SolverConfig, run_ensemble
 
 DATASET_FILE = "<a dataset file>"  # stands for a dataset file the test writes
 
@@ -159,6 +161,20 @@ class TestRunCommand:
         s = read_summary(out)
         assert len(s["empirical"]["seeds"]) == 5
 
+    def test_run_statuses_in_run_order(self, tmp_path):
+        # a CSV trace carries no status, so summary.json lists each run's;
+        # at eta = 5 about one run in ten diverges within 400 iterations
+        out = str(tmp_path)
+        assert main(["run", "sgd", "--preset", "orthonormal32", "--eta", "5", "--m", "2",
+                     "--stop-tol", "1e-8", "--iters", "400", "--runs", "100",
+                     "--out", out]) == 2
+        emp = read_summary(out)["empirical"]
+        cfg = SolverConfig(eta=5.0, m=2.0, max_iters=400, stop_tol=1e-8)
+        ens = run_ensemble(build_dataset("orthonormal32"), cfg, runs=100)
+        assert emp["run_statuses"] == [tr.status for tr in ens.traces]
+        assert Counter(emp["run_statuses"]) == emp["statuses"]
+        assert set(emp["run_statuses"]) == {"diverged", "max-iters"}
+
     def test_blas_thread_count_moves_only_the_operator_spectrum(self, tmp_path):
         # README promises identical bytes at a fixed BLAS thread count.  Across
         # counts only the dense eigensolve of the round operator may move, in
@@ -278,15 +294,6 @@ class TestRunCommand:
         assert cost["t_eps"] == pytest.approx(t_eps, rel=1e-12)
         assert cost["total_cost"] == pytest.approx(8 * 32 * t_eps, rel=1e-12)
         assert cost["cost_scaling"] == pytest.approx(8 / math.log(32 / 24), rel=1e-12)
-
-    def test_json_trace_format(self, tmp_path):
-        out = str(tmp_path)
-        rc = main(["run", "gd", "--preset", "gaussian8", "--iters", "10",
-                   "--format", "json", "--out", out])
-        assert rc == 0
-        doc = json.load(open(os.path.join(out, "run_000.json")))
-        assert doc["status"] == "max-iters"
-        assert len(doc["t"]) == 11
 
 
 class TestSweepCommand:
@@ -476,7 +483,7 @@ class TestConfigAndErrors:
 D = ["--dataset", "--n", "--d", "--kind", "--rho", "--normalize", "--data-seed"]
 G = ["--graph", "--graph-kind", "--graph-rows", "--graph-cols", "--graph-k", "--graph-p",
      "--graph-seed"]
-RUN = D + ["--eta", "--iters", "--stop-tol", "--w0-seed", "--epsilon", "--format"]
+RUN = D + ["--eta", "--iters", "--stop-tol", "--w0-seed", "--epsilon"]
 SWEEP = D + ["--values", "--runs", "--iters", "--stop-tol"]
 # the options of each variant besides --config --preset --out --seed
 ACCEPTED = {
@@ -484,11 +491,10 @@ ACCEPTED = {
     ("theory",): D + ["--m", "--lambda1", "--lambdan", "--epsilon"],
     ("run", "gd"): RUN,
     ("run", "sgd"): RUN + ["--runs", "--m", "--sampler"],
-    ("run", "dgd"): D + G + ["--eta", "--mu", "--iters", "--stop-tol", "--w0-seed", "--format"],
+    ("run", "dgd"): D + G + ["--eta", "--mu", "--iters", "--stop-tol", "--w0-seed"],
     ("sweep", "m"): SWEEP + ["--epsilon"],
     ("sweep", "eta"): SWEEP + ["--m"],
-    ("sweep", "mu"): D + G + ["--values", "--eta", "--iters", "--stop-tol", "--w0-seed",
-                              "--format"],
+    ("sweep", "mu"): D + G + ["--values", "--eta", "--iters", "--stop-tol", "--w0-seed"],
     ("spectrum",): D + G + ["--eta", "--mu"],
 }
 GEN = ["--n", "4", "--d", "4", "--kind", "gaussian", "--normalize"]
@@ -528,7 +534,11 @@ class TestOptionTable:
         common = {"--config", "--preset", "--out", "--seed"}
         for variant, options in ACCEPTED.items():
             assert accepted(parsers[variant]) == common | set(options), variant
-        assert sum(len(accepted(p)) for p in parsers.values()) == 163
+        assert sum(len(accepted(p)) for p in parsers.values()) == 159
+
+    def test_every_option_is_taken_by_a_variant(self):
+        taken = set(cli._COMMON).union(*(names for _, _, names in cli._VARIANTS.values()))
+        assert set(cli._OPTIONS) == taken
 
     @pytest.mark.parametrize("variant", sorted(READS_ARGV), ids="_".join)
     def test_each_accepted_option_is_read(self, tmp_path, monkeypatch, variant):
@@ -557,12 +567,17 @@ class TestOptionTable:
         # sweep eta predicts no cost
         ["sweep", "eta", "--preset", "gaussian8", "--runs", "0", "--values", "0.5",
          "--epsilon", "0.01"],
+        # every trace is CSV
+        ["run", "gd", "--preset", "gaussian8", "--format", "json"],
+        ["run", "sgd", "--preset", "gaussian8", "--format", "json"],
+        ["run", "dgd", "--preset", "ring16", "--format", "json"],
+        ["sweep", "mu", "--preset", "ring16", "--values", "1", "--format", "json"],
     ])
     def test_unread_flag_writes_nothing(self, tmp_path, argv):
         assert main([*argv, "--out", str(tmp_path)]) == 1
         assert os.listdir(str(tmp_path)) == []
 
-    @pytest.mark.parametrize("key", ["stop-tol", "fmt", "mu", "config"])
+    @pytest.mark.parametrize("key", ["stop-tol", "fmt", "mu", "config", "format"])
     def test_config_key_must_name_an_option(self, tmp_path, capsys, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: 0.001}))
@@ -574,18 +589,18 @@ class TestOptionTable:
 
     def test_config_keys_are_long_names_with_underscores(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"stop_tol": 0.001, "format": "json"}))
+        cfg.write_text(json.dumps({"stop_tol": 0.001, "w0_seed": 3}))
         out = str(tmp_path / "out")
         assert main(["run", "sgd", "--preset", "gaussian8", "--runs", "2", "--iters", "5",
                      "--config", str(cfg), "--out", out]) == 0
         config = read_summary(out)["config"]
-        assert (config["stop_tol"], config["format"]) == (0.001, "json")
-        assert set(os.listdir(out)) == {"dataset.json", "run_000.json", "run_001.json",
-                                        "mean.json", "summary.json"}
+        assert (config["stop_tol"], config["w0_seed"]) == (0.001, 3)
+        assert set(os.listdir(out)) == {"dataset.json", "run_000.csv", "run_001.csv",
+                                        "mean.csv", "summary.json"}
 
     @pytest.mark.parametrize("argv, cfg", [
         (["gen", "--n", "4", "--d", "4", "--kind", "gaussian"], {"normalize": "false"}),
-        (["run", "gd", "--preset", "gaussian8"], {"format": "xml"}),
+        (["run", "sgd", "--preset", "gaussian8"], {"sampler": "full"}),
         (["run", "gd", "--preset", "gaussian8"], {"iters": 12.5}),
     ])
     def test_config_values_are_parsed_as_flags(self, tmp_path, argv, cfg):
@@ -1088,9 +1103,9 @@ class TestChecksAndStatuses:
         listed, present = listed_and_present(out)
         assert listed == present
         assert "run_002.csv" not in present
-        assert main(base + ["--runs", "2", "--format", "json"]) == 0
+        assert main(base + ["--runs", "1"]) == 0
         listed, present = listed_and_present(out)
-        assert listed == present == {"dataset.json", "run_000.json", "run_001.json", "mean.json"}
+        assert listed == present == {"dataset.json", "run_000.csv"}
 
     def test_data_seed_with_preset_is_rejected(self, tmp_path):
         rc = main(["gen", "--preset", "ring16", "--data-seed", "5", "--out", str(tmp_path)])

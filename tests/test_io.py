@@ -155,7 +155,7 @@ def test_writing_a_table_holds_a_small_part_of_it(tmp_path):
     out = _Output(str(tmp_path))
     tracemalloc.start()
     try:
-        out.table("trace", columns, "csv")
+        out.table("trace", columns)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,11 +1,14 @@
-"""README.md and the package's exports agree: every name gdlab exports is
-documented, and every gdlab name the library example uses exists."""
+"""README.md agrees with the package: every name gdlab exports is
+documented, every gdlab name the library example uses exists, and every
+option README names is one the CLI takes."""
 
+import argparse
 import ast
 import os
 import re
 
 import gdlab
+from gdlab import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -31,3 +34,14 @@ def test_library_example_names_resolve():
     assert used
     unknown = sorted(name for name in used if not hasattr(gdlab, name))
     assert not unknown, f"README's library example uses names gdlab lacks: {unknown}"
+
+
+def test_every_readme_flag_is_an_option():
+    options = {key.replace("_", "-") for key in cli._OPTIONS}
+    options |= {"no-" + key.replace("_", "-") for key, kw in cli._OPTIONS.items()
+                if kw.get("action") is argparse.BooleanOptionalAction}
+    # pip's and pytest's flags, and the abbreviation README shows refused
+    others = {"no-build-isolation", "hypothesis-profile", "run"}
+    flags = set(re.findall(r"(?<![\w-])--([a-z][a-z0-9-]*)", _read("README.md")))
+    unknown = sorted(flags - options - others)
+    assert not unknown, f"README.md names options the CLI does not take: {unknown}"

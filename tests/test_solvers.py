@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from oracles import plain_gd
 
 from gdlab import solvers
 from gdlab.problem import (
@@ -101,11 +102,18 @@ class TestRunGd:
         assert np.all(tr.batch_size[1:] == 5)
         assert tr.batch_size[0] == 0
 
+    def test_config_is_validated_as_given(self):
+        # GD runs at m = n, but an m no update could take is still refused
+        ds = gen_dataset(4, 4, "gaussian", seed=1)
+        with pytest.raises(ValueError, match="mean batch size"):
+            run_gd(ds, SolverConfig(eta=0.1, m=0.0))
+
     def test_sampler_mismatch(self):
+        # GD is the Bernoulli step at m = n; there is no "full" sampler
         ds = gen_dataset(4, 4, "gaussian", seed=1)
         with pytest.raises(ValueError):
-            run_gd(ds, SolverConfig(eta=0.1, m=4, sampler="bernoulli"))
-        with pytest.raises(ValueError):
+            run_gd(ds, SolverConfig(eta=0.1, m=4, sampler="fixed"))
+        with pytest.raises(ValueError, match="sampler"):
             run_sgd(ds, SolverConfig(eta=0.1, m=4, sampler="full"))
 
 
@@ -287,10 +295,11 @@ class TestBlockDriver:
     def test_rows_match_single_state_metrics_bitwise(self):
         # each trace row equals the per-state products of the recorded iterate
         ds = gen_dataset(6, 9, "gaussian", seed=14)
-        for sampler, m in (("full", 6.0), ("bernoulli", 2.5), ("fixed", 3.0)):
+        for run, sampler, m in ((run_gd, "bernoulli", 6.0), (run_sgd, "bernoulli", 2.5),
+                                (run_sgd, "fixed", 3.0)):
             cfg = SolverConfig(eta=0.7, m=m, sampler=sampler, max_iters=_BLOCK + 40,
                                seed=15, record_iterates=True)
-            tr = run_gd(ds, cfg) if sampler == "full" else run_sgd(ds, cfg)
+            tr = run(ds, cfg)
             assert len(tr.iterates) == len(tr.t) == _BLOCK + 41
             assert np.array_equal(tr.w_final, tr.iterates[-1])
             for w, err, loss in zip(tr.iterates, tr.err_sq_range, tr.loss):
@@ -302,13 +311,17 @@ class TestBlockDriver:
 
 class TestRunSgd:
     def test_full_mean_batch_is_bitwise_gd(self):
+        # run_gd is run_sgd's step, so the oracle is a plain loop without sampling
         ds = gen_dataset(8, 8, "gaussian", seed=13)
-        gd = run_gd(ds, SolverConfig(eta=0.6, m=8, sampler="full", max_iters=25))
+        errs, losses, w = plain_gd(ds, 0.6, 25)
+        gd = run_gd(ds, SolverConfig(eta=0.6, m=1, max_iters=25))
         sgd = run_sgd(ds, SolverConfig(eta=0.6, m=8, sampler="bernoulli", max_iters=25, seed=99))
-        assert np.array_equal(gd.err_sq_range, sgd.err_sq_range)
-        assert np.array_equal(gd.loss, sgd.loss)
-        assert np.array_equal(gd.w_final, sgd.w_final)
-        assert np.all(sgd.batch_size[1:] == 8)
+        for tr in (gd, sgd):
+            assert np.array_equal(tr.err_sq_range, errs)
+            assert np.array_equal(tr.loss, losses)
+            assert np.array_equal(tr.w_final, w)
+            assert np.all(tr.batch_size[1:] == 8)
+        assert gd.config.m == 8.0
 
     def test_two_outcome_expected_decay(self):
         # one unit sample at eta = m = 1/2: each draw is a no-op or an exact
@@ -355,7 +368,7 @@ class TestRunEnsemble:
 
     def test_deterministic_sampler_gives_identical_runs(self):
         ds = gen_dataset(4, 4, "gaussian", seed=3)
-        cfg = SolverConfig(eta=0.2, m=4, sampler="full", max_iters=10, seed=5)
+        cfg = SolverConfig(eta=0.2, m=4, sampler="bernoulli", max_iters=10, seed=5)  # m = n
         ens = run_ensemble(ds, cfg, runs=3)
         for tr in ens.traces[1:]:
             assert np.array_equal(tr.err_sq_range, ens.traces[0].err_sq_range)
@@ -573,13 +586,12 @@ class TestSolverInvariants:
         w0 = ds.w_star + rp.project(rng.standard_normal(8)) + u
         return ds, rp, u, w0
 
-    @pytest.mark.parametrize("sampler", ["full", "bernoulli"])
-    def test_null_component_is_invariant(self, sampler):
+    @pytest.mark.parametrize("batch", ["full", "bernoulli"])
+    def test_null_component_is_invariant(self, batch):
         ds, rp, u, w0 = self._null_setup()
-        cfg = SolverConfig(eta=0.4, m=2.0 if sampler == "bernoulli" else 4.0,
-                           sampler=sampler, max_iters=100, seed=5, w0=w0,
+        cfg = SolverConfig(eta=0.4, m=2.0, sampler="bernoulli", max_iters=100, seed=5, w0=w0,
                            record_iterates=True)
-        tr = run_gd(ds, cfg) if sampler == "full" else run_sgd(ds, cfg)
+        tr = run_gd(ds, cfg) if batch == "full" else run_sgd(ds, cfg)
         comps = (tr.iterates - ds.w_star) @ u
         assert np.max(np.abs(comps - comps[0])) <= 1e-12 * abs(comps[0])
 

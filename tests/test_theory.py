@@ -1,11 +1,12 @@
 """Tests for the closed-form rate formulas and their Monte-Carlo cross-checks."""
 
 import re
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import mc_expected_mm
 
@@ -294,6 +295,19 @@ class TestOrthogonalRate:
         assert gm_am_factor(1.0, 4.0) == pytest.approx(float(c_exact), abs=1e-15)
         assert float(c_exact) == 0.64
         assert orthogonal_rate(2, 4, 1.0, 4.0) == pytest.approx(0.68, abs=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(1e-300, 1e300), ulps=st.integers(0, 3) | st.integers(0, 1 << 62),
+           n=st.integers(1, 10_000))
+    @example(a=1.0, ulps=1, n=8)  # squared norms of unit rows differ in their last bits
+    def test_norm_factor_is_at_most_one(self, a, ulps, n):
+        # AM-GM: the factor never exceeds 1, so the m = n bound is never
+        # negative; b lies `ulps` floats above a, where rounding shows
+        [bits] = struct.unpack("<q", struct.pack("<d", a))
+        assume(bits + ulps < 0x7FF0000000000000)  # b finite
+        [b] = struct.unpack("<d", struct.pack("<q", bits + ulps))
+        assert 0.0 <= gm_am_factor(a, b) <= 1.0
+        assert orthogonal_rate(n, n, a, b) >= 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
