@@ -71,6 +71,7 @@ from .solvers import (
     STATUS_CONVERGED,
     STATUS_DIVERGED,
     SolverConfig,
+    _check_eta_m,
     fit_rate,
     run_ensemble,
 )
@@ -318,9 +319,8 @@ def _sgd_points(ds, points, runs, remedy, epsilon, m_flag, **solver):
     gets optimal_rate(m), whose refusal names m_flag, the option that gave m (None for
     none), a validated SolverConfig(eta, m, **solver), at eta* where no
     eta is given (refused, with remedy, below m = n on rows that are not unit-norm when
-    runs are made), and its _predictions at epsilon, before any runs; then its ensemble
-    of runs (none for None), its fit_rate and its worst status.  Returns (theory, cost,
-    config, ensemble, fit, status) per point, the last three None without runs."""
+    runs are made), and its _predictions at epsilon, before any runs; then its
+    _measure.  Returns (theory, cost, config, ensemble, fit, status) per point."""
     ss = ds.spectral
     norms = ds.row_norms_sq()
     x_min_sq, x_max_sq = float(norms.min()), float(norms.max())
@@ -337,14 +337,16 @@ def _sgd_points(ds, points, runs, remedy, epsilon, m_flag, **solver):
         cfg = SolverConfig(eta=pred.eta_opt if eta is None else float(eta), m=m, **solver)
         cfg.validate(ds.n)
         made.append((*_predictions(pred, ds.n, ds.d, x_min_sq, x_max_sq, epsilon), cfg))
-    out = []
-    for theory, cost, cfg in made:
-        ens = fit = status = None
-        if runs is not None:
-            ens = run_ensemble(ds, cfg, runs=runs)
-            fit, status = fit_rate(ens.mean_curve, rel_se=ens.rel_se), ens.status
-        out.append((theory, cost, cfg, ens, fit, status))
-    return out
+    return [(theory, cost, cfg, *_measure(ds, cfg, runs)) for theory, cost, cfg in made]
+
+
+def _measure(ds, cfg, runs):
+    """cfg's ensemble of runs, its fit_rate and its worst status; all None
+    when runs is None."""
+    if runs is None:
+        return None, None, None
+    ens = run_ensemble(ds, cfg, runs=runs)
+    return ens, fit_rate(ens.mean_curve, rel_se=ens.rel_se), ens.status
 
 
 def _cmd_run_solver(res: _Resolver, output: _Output):
@@ -529,10 +531,17 @@ def _cmd_sweep(res: _Resolver, output: _Output):
     else:
         fixed_m = res.resolved["m"] = float(res.get("m", max(1.0, n / 4)))
         header = ["eta", "m", "g_pred", "g_hat_measured", "status"]
-        points = _sgd_points(ds, [(v, fixed_m) for v in values], runs, None, epsilon, "--m",
-                             **solver)
+        # g_pred is the only prediction written, so no optimal_rate is made
+        try:
+            _check_eta_m(None, fixed_m, n)
+        except ValueError as exc:
+            raise CliError(f"--m {fixed_m:g}: {exc}") from None
+        cfgs = [SolverConfig(eta=float(v), m=fixed_m, **solver) for v in values]
+        for cfg in cfgs:  # every value before the first run
+            cfg.validate(n)
         rows = []
-        for v, (_, _, _, _, fit, status) in zip(values, points):
+        for v, cfg in zip(values, cfgs):
+            _, fit, status = _measure(ds, cfg, runs)
             g_pred = max(g_eigen(fixed_m, n, v, ss.lambda_max),
                          g_eigen(fixed_m, n, v, ss.lambda_min_nz))
             # an eta whose square overflows has no prediction: null, as JSON

@@ -334,7 +334,8 @@ def run_dgd(ds: Dataset, g: CommGraph, etas, mus, max_iters: int = 1000,
     # eta tiled to (points, n) and the coupling eta * mu to (points, n, d)
     def metrics(states):
         S = np.concatenate([s[0] for s in states], out=block[:len(states) * len(states[0][0])])
-        return consensus_metrics(S, ds, B, np.concatenate([s[3] for s in states]), work)
+        cols = consensus_metrics(S, ds, B, np.concatenate([s[3] for s in states]), work)
+        return (*cols, S) if record_states else cols
 
     def step(state, _):
         W, eta, coupling, mu = state
@@ -344,11 +345,11 @@ def run_dgd(ds: Dataset, g: CommGraph, etas, mus, max_iters: int = 1000,
     n, d = ds.n, ds.d
     x0 = (np.tile(W, (len(etas), 1, 1)), np.repeat(eta[:, None], n, axis=1),
           np.tile(np.multiply(eta, mu)[:, None, None], (1, n, d)), mu)
-    cols, lengths, statuses, finals, kept = _drive(
-        x0, step, metrics, max_iters, stop_tol, record_states)
-    # consensus_metrics's four columns come in DgdTrace's field order
-    return [DgdTrace(np.arange(L), *(col[k, :L] for col in cols), statuses[k], finals[k],
-                     kept[k, :L] if kept is not None else None)
+    cols, lengths, statuses, finals = _drive(x0, step, metrics, max_iters, stop_tol)
+    # consensus_metrics's four columns come in DgdTrace's field order, then
+    # the recorded states
+    return [DgdTrace(np.arange(L), *(col[k, :L] for col in cols[:4]), statuses[k], finals[k],
+                     cols[4][k, :L] if record_states else None)
             for k, L in enumerate(lengths.tolist())]
 
 

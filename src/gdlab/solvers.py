@@ -1,21 +1,25 @@
 """Sequential solvers: Bernoulli/fixed minibatch SGD, and full gradient
 descent as the Bernoulli step at m = n, where every sample is drawn.
 
-Updates are matrix-free and touch only (x_i, y_i); the planted parameter is
-used for diagnostics alone.  Each trace records, per iteration, the squared
-error projected onto range(H), the quadratic loss, and the realized batch
-size.  Runs are bit-reproducible from (dataset, config).
+Every iteration draws a sample mask, each sample in it with probability
+m/n (bernoulli) or a uniform subset of round(m) samples (fixed), and takes
+the one step w <- w - (eta/m) sum_i mask_i (x_i.w - y_i) x_i; the samplers
+differ only in the draw.  Updates are matrix-free and touch only
+(x_i, y_i); the planted parameter is used for diagnostics alone.  Each
+trace records, per iteration, the squared error projected onto range(H),
+the quadratic loss, and the realized batch size.  Runs are
+bit-reproducible from (dataset, config).
 
 Every solver, the distributed one included, runs through one loop (_drive)
 that steps a stack of runs and computes the trace rows of a block of states
 with one metrics call, so a row costs a few large numpy calls rather than
 many small ones.  An ensemble, like distributed GD's (eta, mu) points, runs
 as one stack: its runs advance together as a runs x d array of iterates,
-each run leaving the stack at its own stop.  Run k still draws from its
-own Generator(derive_seed(seed, k)) in the order a single run draws, and
-every product is a stack of per-run vector products, so each run's trace
-is bitwise the one it gets alone and the seed-to-trace map is unchanged;
-run_gd and run_sgd are the one-run case.
+each run leaving the stack at its own stop.  Run k still draws its masks
+from its own Generator(derive_seed(seed, k)) in the order a single run
+draws, and every product is a stack of per-run vector products, so each
+run's trace is bitwise the one it gets alone and the seed-to-trace map is
+unchanged; run_gd and run_sgd are the one-run case.
 """
 
 from __future__ import annotations
@@ -147,7 +151,7 @@ def _widen(a, cap, lengths):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow ends a run as diverged
-def _drive(x, step, metrics, max_iters: int, stop_tol: float, keep_states: bool):
+def _drive(x, step, metrics, max_iters: int, stop_tol: float):
     """The iteration loop of every solver: S runs (members) advanced together,
     x <- step(x, members), each until its own stop_tol, divergence or
     max_iters.
@@ -159,7 +163,8 @@ def _drive(x, step, metrics, max_iters: int, stop_tol: float, keep_states: bool)
     row-states (one state of every running member per step; one step when
     more than _BLOCK members run) and measures the whole buffer at once:
     metrics(states) takes a list of K states and returns their trace rows as
-    columns of K x A values (A running members), errors first.
+    columns of K x A values (A running members), errors first; a value may
+    carry trailing axes (a recorded iterate).
 
     A member converges once its error is at most stop_tol times its initial
     error (stop_tol > 0), and diverges once the error is not within
@@ -169,11 +174,11 @@ def _drive(x, step, metrics, max_iters: int, stop_tol: float, keep_states: bool)
     no step after the block holding it, so each member's rows, status and
     final state are the ones it gets running alone.
 
-    Returns (one S x L array per column, the S row counts, the S statuses,
-    the S final iterates, the recorded iterates S x L x ... or None); member
-    k's rows are row k of each array up to its row count.
+    Returns (one S x L x ... array per column, the S row counts, the S
+    statuses, the S final iterates); member k's rows are row k of each array
+    up to its row count.
     """
-    cols = [np.reshape(c, (1, -1)) for c in metrics([x])]
+    cols = [c[None] for c in metrics([x])]
     if not all(np.isfinite(c).all() for c in cols):
         raise ValueError("initial state has non-finite metrics")
     err0 = cols[0][0]
@@ -182,8 +187,7 @@ def _drive(x, step, metrics, max_iters: int, stop_tol: float, keep_states: bool)
     # goes on, so an ensemble of short runs never copies its rows
     cap = min(max_iters, _BLOCK) + 1
     lengths = np.ones(runs, dtype=int)
-    outs = [_widen(c.T, cap, lengths) for c in cols]
-    kept = _widen(x[0][:, None], cap, lengths) if keep_states else None
+    outs = [_widen(c.swapaxes(0, 1), cap, lengths) for c in cols]
     status = np.ones(runs, dtype=int)  # index into _STATUSES: max-iters until a stop
     if stop_tol > 0:
         status[err0 <= stop_tol * err0] = 2
@@ -201,9 +205,10 @@ def _drive(x, step, metrics, max_iters: int, stop_tol: float, keep_states: bool)
         for _ in range(c):
             y = step(y, members)
             buf.append(y)
-        cols = [np.reshape(col, (c, A)) for col in metrics(buf)]
+        cols = [np.reshape(col, (c, A) + col.shape[1:]) for col in metrics(buf)]
         err, e0 = cols[0], err0[members]
-        finite = np.logical_and.reduce([np.isfinite(col) for col in cols])
+        finite = np.logical_and.reduce([np.isfinite(col).reshape(c, A, -1).all(axis=2)
+                                        for col in cols])
         converged = (stop_tol > 0) & (err <= stop_tol * e0)
         stops = ~finite | converged | ~(err <= DIVERGENCE_FACTOR * e0)
         hit = stops.any(axis=0)
@@ -216,12 +221,9 @@ def _drive(x, step, metrics, max_iters: int, stop_tol: float, keep_states: bool)
             cap = min(max_iters + 1, max(done + 1 + c, 2 * cap))
             for i in range(len(outs)):  # a column at a time: one old buffer beside its copy
                 outs[i] = _widen(outs[i], cap, lengths)
-            kept = _widen(kept, cap, lengths) if keep_states else None
         # rows past a member's stop fill only its unused tail
         for out, col in zip(outs, cols):
-            out[members, done + 1:done + 1 + c] = col.T
-        if keep_states:
-            kept[members, done + 1:done + 1 + c] = np.stack([s[0] for s in buf], axis=1)
+            out[members, done + 1:done + 1 + c] = col.swapaxes(0, 1)
         lengths[members] = done + 1 + keep
         done += c
         if hit.any():
@@ -237,21 +239,19 @@ def _drive(x, step, metrics, max_iters: int, stop_tol: float, keep_states: bool)
     for stopped, w in ends:
         final[stopped] = w
     length = lengths.max()
-    outs = [o[:, :length] for o in outs]
-    if keep_states:
-        kept = kept[:, :length]
-    return outs, lengths, [_STATUSES[s] for s in status], final, kept
+    return [o[:, :length] for o in outs], lengths, [_STATUSES[s] for s in status], final
 
 
 def _run(ds: Dataset, cfg: SolverConfig,
          seeds: list[int]) -> tuple[list[IterationTrace], np.ndarray]:
     """One run per seed, all advanced together as one stack of iterates.
 
-    Member k draws from its own Generator(seeds[k]) in the order a run alone
-    draws, the running members holding at most _DRAW_BYTES of draws ahead (a
-    member's generator lives only while it has draws to come), and every
-    product is a stack of per-member vector-matrix products; so member k's
-    trace is bitwise the one a single run with seed seeds[k] gives.  Returns
+    Every iteration of member k draws a sample mask from its own
+    Generator(seeds[k]) in the order a run alone draws, the running members
+    holding at most _DRAW_BYTES of packed masks ahead (a member's generator
+    lives only while it has draws to come), and every product is a stack of
+    per-member vector-matrix products; so member k's trace is bitwise the
+    one a single run with seed seeds[k] gives.  Returns
     the traces and the runs x L error stack their err_sq_range rows are
     views of.
     """
@@ -265,25 +265,17 @@ def _run(ds: Dataset, cfg: SolverConfig,
     runs = len(seeds)
     p = cfg.m / n
     k_fixed = max(1, int(round(cfg.m)))
+    width = (n + 7) // 8  # a sample mask, 8 samples a byte
 
-    # draw(rng, c): the next c iterations' draws of one run as c rows;
-    # unpack(rows): one row per run as the step uses it
-    if cfg.sampler == SAMPLER_FIXED:
-        width, dtype = k_fixed, np.intp
-
-        def draw(rng, c):
-            return [rng.choice(n, size=k_fixed, replace=False) for _ in range(c)]
-
-        def unpack(rows):
-            return rows
-    else:  # Bernoulli masks, 8 samples a byte
-        width, dtype = (n + 7) // 8, np.uint8
-
-        def draw(rng, c):
-            return np.packbits(rng.random((c, n)) < p, axis=1)  # the doubles of c rng.random(n)
-
-        def unpack(rows):
-            return np.unpackbits(rows, axis=1, count=n).view(bool)
+    def draw(rng, c):
+        # the next c iterations' sample masks of one run, packed: the doubles
+        # of c rng.random(n) (bernoulli), or c subsets of k_fixed (fixed)
+        if cfg.sampler == SAMPLER_BERNOULLI:
+            return np.packbits(rng.random((c, n)) < p, axis=1)
+        mask = np.zeros((c, n), dtype=bool)
+        mask[np.arange(c)[:, None], [rng.choice(n, size=k_fixed, replace=False)
+                                     for _ in range(c)]] = True
+        return np.packbits(mask, axis=1)
 
     rngs = {}  # the generators of runs with draws still to come
     # draws held (one row per member running at the refill), the members
@@ -291,13 +283,13 @@ def _run(ds: Dataset, cfg: SolverConfig,
     ahead, drawn, used, handed = None, None, 0, 0
 
     def next_draws(members):
-        # the running members' draws for the next iteration, refilled a chunk
-        # of iterations ahead; a stopped member's unused draws are dropped
+        # the running members' sample masks for the next iteration, refilled
+        # a chunk of iterations ahead; a stopped member's unused draws are
+        # dropped
         nonlocal ahead, drawn, used, handed
         if ahead is None or used == ahead.shape[1]:
-            c = _DRAW_BYTES // (len(members) * width * np.dtype(dtype).itemsize)
-            c = max(1, min(c, cfg.max_iters - handed))
-            ahead, drawn, used = np.empty((len(members), c, width), dtype), members, 0
+            c = max(1, min(_DRAW_BYTES // (len(members) * width), cfg.max_iters - handed))
+            ahead, drawn, used = np.empty((len(members), c, width), np.uint8), members, 0
             for i, k in enumerate(members):
                 rng = rngs.pop(k, None) or np.random.default_rng(seeds[k])
                 ahead[i] = draw(rng, c)
@@ -305,26 +297,20 @@ def _run(ds: Dataset, cfg: SolverConfig,
                     rngs[k] = rng
         handed, used = handed + 1, used + 1
         # members only ever shrinks, in order, so it is a sorted subset of drawn
-        return unpack(ahead[np.searchsorted(drawn, members), used - 1])
+        rows = ahead[np.searchsorted(drawn, members), used - 1]
+        return np.unpackbits(rows, axis=1, count=n).view(bool)
 
     # a state is (w, residual X w - y, samples used by the update that made
     # w), one row per running member
     def step(state, members):
         w, r, _ = state
-        if cfg.sampler == SAMPLER_BERNOULLI:
-            mask = next_draws(members)
-            v, rows, scale = mask * r, X, cfg.eta / cfg.m
-            batch = mask.sum(axis=1)
-        else:  # fixed
-            idx = next_draws(members)
-            v, rows, scale = np.take_along_axis(r, idx, axis=1), X[idx], cfg.eta / cfg.m
-            batch = np.full(len(members), k_fixed)
-        grad = (v[:, None, :] @ rows)[:, 0, :]
-        grad *= scale
+        mask = next_draws(members)
+        grad = ((mask * r)[:, None, :] @ X)[:, 0, :]
+        grad *= cfg.eta / cfg.m
         w = w - grad
         r = (w[:, None, :] @ X.T)[:, 0, :]
         r -= y
-        return w, r, batch
+        return w, r, mask.sum(axis=1)
 
     def metrics(states):
         # stacks of 1 x width products: each value is the vector product of
@@ -334,12 +320,12 @@ def _run(ds: Dataset, cfg: SolverConfig,
         comp = (w - ds.w_star)[:, None, :] @ ss.basis
         err = (comp @ comp.transpose(0, 2, 1))[:, 0, 0]
         loss = (r[:, None, :] @ r[:, :, None])[:, 0, 0] / n
-        return err, loss, batch
+        return (err, loss, batch, w) if cfg.record_iterates else (err, loss, batch)
 
     W = np.tile(w, (runs, 1))
     x0 = (W, (W[:, None, :] @ X.T)[:, 0, :] - y, np.zeros(runs, dtype=int))
-    (errs, losses, batches), lengths, statuses, finals, kept = _drive(
-        x0, step, metrics, cfg.max_iters, cfg.stop_tol, cfg.record_iterates)
+    (errs, losses, batches, *recorded), lengths, statuses, finals = _drive(
+        x0, step, metrics, cfg.max_iters, cfg.stop_tol)
     t = np.arange(errs.shape[1])
     traces = [
         IterationTrace(
@@ -350,7 +336,7 @@ def _run(ds: Dataset, cfg: SolverConfig,
             status=statuses[k],
             config=replace(cfg, seed=seeds[k]),
             w_final=finals[k],
-            iterates=kept[k, :L] if kept is not None else None,
+            iterates=recorded[0][k, :L] if recorded else None,
         )
         for k, L in enumerate(lengths.tolist())
     ]
@@ -375,8 +361,6 @@ def run_sgd(ds: Dataset, cfg: SolverConfig) -> IterationTrace:
     unchanged for that iteration (recorded with batch size 0).
     fixed: a uniformly random subset of exactly round(m) distinct samples.
     """
-    if cfg.sampler not in (SAMPLER_BERNOULLI, SAMPLER_FIXED):
-        raise ValueError(f"run_sgd requires sampler in ({SAMPLER_BERNOULLI!r}, {SAMPLER_FIXED!r})")
     return _run(ds, cfg, [cfg.seed])[0][0]
 
 

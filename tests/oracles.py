@@ -72,3 +72,33 @@ def plain_gd(ds: Dataset, eta: float, iters: int):
             w = w - (r[:, None, :] @ X)[:, 0, :] * (eta / n)
             r = (w[:, None, :] @ X.T)[:, 0, :] - y
     return np.array(errs), np.array(losses), w[0]
+
+
+def plain_sgd(ds: Dataset, eta: float, m: float, sampler: str, iters: int, seed: int):
+    """Minibatch SGD from zero, one run one iteration at a time, drawing as a
+    lone run of gdlab.solvers draws from Generator(seed): rng.random(n) < m/n
+    (bernoulli), or rng.choice(n, round(m), replace=False) (fixed).  The
+    gradient is summed sample by sample and the step is eta/m for both
+    samplers.  Returns the iters + 1 projected squared errors, the losses
+    and the batch sizes (0 in row 0)."""
+    X, y, n = ds.X, ds.y, ds.n
+    rng = np.random.default_rng(seed)
+    w = np.zeros(ds.d)
+    errs, losses, batches = [], [], [0]
+    for t in range(iters + 1):
+        comp = (w - ds.w_star) @ ds.spectral.basis
+        r = X @ w - y
+        errs.append(comp @ comp)
+        losses.append(r @ r / n)
+        if t == iters:
+            break
+        if sampler == "bernoulli":
+            batch = np.flatnonzero(rng.random(n) < m / n)
+        else:
+            batch = rng.choice(n, size=max(1, round(m)), replace=False)
+        grad = np.zeros(ds.d)
+        for i in batch:
+            grad += (X[i] @ w - y[i]) * X[i]
+        w = w - (eta / m) * grad
+        batches.append(len(batch))
+    return np.array(errs), np.array(losses), np.array(batches)

@@ -333,6 +333,17 @@ class TestSweepCommand:
         lines = open(os.path.join(out, "sweep.csv")).read().splitlines()
         assert lines[1].split(",")[2:] == ["", "", "diverged"]
 
+    @pytest.mark.parametrize("runs", [[], ["--runs", "2"]])
+    def test_sweep_eta_predicts_only_g_pred(self, tmp_path, runs):
+        # sweep eta writes no eta* or g*; it once computed them for every
+        # point, so an m in (0, n] whose g* rounds to 1 exited 1 with
+        # "--m 1e-200: rate prediction out of range"
+        out = str(tmp_path)
+        assert main(["sweep", "eta", "--preset", "gaussian8", "--values", "3", "--m", "1e-200",
+                     *runs, "--out", out]) == 0
+        lines = open(os.path.join(out, "sweep.csv")).read().splitlines()
+        assert lines[0] == "eta,m,g_pred,g_hat_measured,status" and len(lines) == 2
+
     def test_sweep_mu(self, tmp_path):
         out = str(tmp_path)
         rc = main(["sweep", "mu", "--preset", "gaussian8", "--graph-kind", "ring",
@@ -905,7 +916,7 @@ class TestChecksAndStatuses:
          "invalid spectrum: need 0 < lambdan <= lambda1 < inf, got lambda1=3.0, lambdan=nan"),
         # this m passes the (0, n] rule, but its g* rounds to 1; the message
         # once read "rate prediction out of range: eta=1e-200, g=1.0"
-        (["sweep", "eta", "--preset", "gaussian8", "--values", "3", "--m", "1e-200"],
+        (["run", "sgd", "--preset", "gaussian8", "--m", "1e-200"],
          "--m 1e-200: rate prediction out of range at m=1e-200, lambda1="),
         (["sweep", "m", "--preset", "gaussian8", "--values", "1e-200"],
          "--values 1e-200: rate prediction out of range at m=1e-200, lambda1="),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
-from oracles import plain_gd
+from oracles import plain_gd, plain_sgd
 
 from gdlab import solvers
 from gdlab.problem import (
@@ -91,8 +91,7 @@ class TestRunGd:
         def metrics(xs):
             return (np.concatenate([x[0] for x in xs]),)
 
-        cols, lengths, statuses, final, _ = _drive(
-            (np.array([1.0]),), step, metrics, 100, 0.0, False)
+        cols, lengths, statuses, final = _drive((np.array([1.0]),), step, metrics, 100, 0.0)
         assert statuses == ["diverged"]
         assert list(cols[0][0, :lengths[0]]) == [1.0, 2.0, 4.0] and final[0] == 4.0
 
@@ -124,8 +123,9 @@ class TestBlockDriver:
 
     @staticmethod
     def drive(stop_kind, stop_at, max_iters=3 * _BLOCK, stop_tol=0.5):
-        # the state is the step count; every row reads (err, aux) = (1, 0)
-        # except the stop row, which converges, diverges or holds an inf
+        # the state is the step count, recorded as a third column; every row
+        # reads (err, aux) = (1, 0) except the stop row, which converges,
+        # diverges or holds an inf
         steps = []
 
         def step(x, members):
@@ -143,11 +143,11 @@ class TestBlockDriver:
                 err[at] = 1e13
             elif stop_kind == "non-finite":
                 aux[at] = np.inf
-            return err, aux
+            return err, aux, t
 
-        cols, lengths, statuses, final, kept = _drive(
-            (np.array([0]),), step, metrics, max_iters, stop_tol, True)
-        return [c[0] for c in cols], statuses[0], final[0], list(kept[0]), steps
+        (*cols, states), lengths, statuses, final = _drive(
+            (np.array([0]),), step, metrics, max_iters, stop_tol)
+        return [c[0] for c in cols], statuses[0], final[0], list(states[0]), steps
 
     # stops at the first and second block boundaries, and one row past each
     @pytest.mark.parametrize("stop_at", [1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1])
@@ -181,8 +181,9 @@ class TestBlockDriver:
     @staticmethod
     def drive_members(stops, max_iters=3 * _BLOCK, stop_tol=0.5):
         # member k's state is (step count, k); its rows read (1, 0) except at
-        # stops[k] = (kind, row), as in drive(); also returns the number of
-        # row-states in each metrics call after the first
+        # stops[k] = (kind, row), as in drive(), and record the step count;
+        # also returns the number of row-states in each metrics call after
+        # the first
         sizes = []
         runs = len(stops)
         kinds = np.array([str(kind) for kind, _ in stops])
@@ -200,10 +201,10 @@ class TestBlockDriver:
             err = np.where(at & (kinds[k] == "converged"), 0.25, 1.0)
             err[at & (kinds[k] == "diverged")] = 1e13
             aux = np.where(at & (kinds[k] == "non-finite"), np.inf, 0.0)
-            return err, aux
+            return err, aux, t
 
         x0 = (np.zeros(runs, dtype=int), np.arange(runs))
-        return _drive(x0, step, metrics, max_iters, stop_tol, True), sizes[1:]
+        return _drive(x0, step, metrics, max_iters, stop_tol), sizes[1:]
 
     def test_members_stop_independently(self):
         # six members step _BLOCK // 6 rows per block; three stop in the first
@@ -215,7 +216,7 @@ class TestBlockDriver:
         b1, b2 = _BLOCK // 6, _BLOCK // 3
         stops = [("converged", 1), ("diverged", b1), ("non-finite", b1 + 1), (None, None),
                  ("non-finite", 1), ("converged", b1 + b2)]
-        (cols, lengths, statuses, final, kept), sizes = self.drive_members(stops)
+        ((*cols, kept), lengths, statuses, final), sizes = self.drive_members(stops)
         assert sizes[:2] == [6 * b1, 3 * b2]
         for k, (kind, at) in enumerate(stops):
             alone = self.drive(kind, at)
@@ -229,7 +230,8 @@ class TestBlockDriver:
     def drive_rising(stops, keep_states):
         # member k's state is (step count t, k); its rows read (1 + t, t / 2),
         # so a row copied to the wrong place shows, but row stops[k], where
-        # the member converges (None: it never does)
+        # the member converges (None: it never does); keep_states records t
+        # as a third column
         at = np.array([-1 if row is None else row for row in stops])
 
         def step(x, members):
@@ -238,10 +240,10 @@ class TestBlockDriver:
         def metrics(xs):
             t = np.concatenate([x[0] for x in xs])
             k = np.concatenate([x[1] for x in xs])
-            return np.where(t == at[k], 0.25, 1.0 + t), t / 2.0
+            return (np.where(t == at[k], 0.25, 1.0 + t), t / 2.0) + ((t,) if keep_states else ())
 
         x0 = (np.zeros(len(stops), dtype=int), np.arange(len(stops)))
-        return _drive(x0, step, metrics, 4 * _BLOCK, 0.5, keep_states)
+        return _drive(x0, step, metrics, 4 * _BLOCK, 0.5)
 
     @pytest.mark.parametrize("keep_states", [True, False])
     def test_widening_keeps_each_members_rows(self, monkeypatch, keep_states):
@@ -259,7 +261,7 @@ class TestBlockDriver:
         widen_rows = solvers._widen
         monkeypatch.setattr(solvers, "_widen", widen)
         stops = [1, 3 * _BLOCK // 2, None]
-        cols, lengths, statuses, final, kept = self.drive_rising(stops, keep_states)
+        cols, lengths, statuses, final = self.drive_rising(stops, keep_states)
         # one entry per widening (the buffers start at one row each)
         growths = list({int(c.max()): c for c in seen if c.max() > 1}.values())
         assert len(growths) >= 2
@@ -267,24 +269,22 @@ class TestBlockDriver:
         assert growths[0][1] < stops[1] + 1 == growths[1][1] < growths[1][2]
         assert statuses == ["converged", "converged", "max-iters"]
         assert lengths.tolist() == [2, stops[1] + 1, 4 * _BLOCK + 1]
-        assert (kept is not None) == keep_states
+        assert len(cols) == (3 if keep_states else 2)
         for k, stop in enumerate(stops):
-            a_cols, a_lengths, a_statuses, a_final, a_kept = self.drive_rising([stop], keep_states)
+            a_cols, a_lengths, a_statuses, a_final = self.drive_rising([stop], keep_states)
             L = lengths[k]
             assert L == a_lengths[0]
             for col, alone in zip(cols, a_cols):
                 assert np.array_equal(col[k, :L], alone[0, :L])
             assert statuses[k] == a_statuses[0]
             assert final[k] == a_final[0]
-            if keep_states:
-                assert np.array_equal(kept[k, :L], a_kept[0, :L])
 
     @pytest.mark.parametrize("runs", [1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1,
                                       2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1, 1000])
     def test_block_holds_at_most_block_row_states(self, runs):
         # each metrics call measures max(1, _BLOCK // A) steps of the A running
         # members; one member keeps blocks of _BLOCK states
-        (cols, lengths, statuses, _, _), sizes = self.drive_members(
+        (cols, lengths, statuses, _), sizes = self.drive_members(
             [(None, None)] * runs, max_iters=2 * _BLOCK + 3)
         per = max(1, _BLOCK // runs)
         assert sizes[:-1] == [per * runs] * (len(sizes) - 1)
@@ -343,6 +343,19 @@ class TestRunSgd:
         ens = run_ensemble(ds, cfg, runs=500)
         ratios = ens.mean_curve[1:] / ens.mean_curve[:-1]
         assert np.all(np.abs(ratios - 0.75) <= 0.05)
+
+    @pytest.mark.parametrize("sampler", ["bernoulli", "fixed"])
+    @pytest.mark.parametrize("m", [2.4, 8.0])
+    def test_matches_plain_sgd(self, sampler, m):
+        # both samplers step by eta/m, fixed included at a non-integer m, past
+        # a block boundary; the oracle sums the batch sample by sample
+        ds = gen_dataset(8, 8, "gaussian", seed=13)
+        iters = _BLOCK + 40
+        errs, losses, batches = plain_sgd(ds, 0.6, m, sampler, iters, seed=31)
+        tr = run_sgd(ds, SolverConfig(eta=0.6, m=m, sampler=sampler, max_iters=iters, seed=31))
+        assert np.array_equal(tr.batch_size, batches)
+        np.testing.assert_allclose(tr.err_sq_range, errs, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(tr.loss, losses, rtol=1e-12, atol=0)
 
     def test_fixed_sampler_batch_sizes(self):
         ds = gen_dataset(6, 6, "gaussian", seed=2)
