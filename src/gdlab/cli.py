@@ -13,7 +13,7 @@ and G for --graph --graph-kind --graph-rows --graph-cols --graph-k
     sweep m    D --values --runs --iters --stop-tol --epsilon: a row per value
     sweep eta  D --values --runs --iters --stop-tol --m
     sweep mu   D G --values --eta --iters --stop-tol --w0-seed
-    spectrum   D G --eta --mu: dense round-operator spectrum of run dgd
+    spectrum   D G --eta --mu: round-operator spectrum of run dgd (n * rank H <= 4096)
 Any other option, or an abbreviated one, is a validation failure.
 
 All outputs land in --out: each table as the command makes it, a CSV file
@@ -447,7 +447,7 @@ def _dgd_points(res: _Resolver, output: _Output, mus, names):
     """The DGD points of run dgd and sweep mu, at penalty weights mus: each
     point's step (--eta, or stable_eta at its mu), one run_dgd call (which
     checks every input first), then per point its _dgd_doc (after the runs,
-    so their buffers miss the heap its dense matrices free), its tail
+    so their buffers miss the heap its range-block matrices free), its tail
     fit_rate, its verdicts and its trace table names[k].  Returns (eta,
     _dgd_doc, trace, fit, verdicts) per point."""
     ds = res.dataset()

@@ -13,7 +13,10 @@ penalty weight mu and forms the coupling eta * mu itself, but for dgd_step,
 the round inside run_dgd, which takes the coupling under that name.  Near an
 exact fit the error obeys delta W <- (I - Q) delta W with
 Q = eta blockdiag(x_i x_i^T) + eta mu (L kron I), so stability and rates are
-read off Q's spectrum.
+read off Q's spectrum.  Every x_i lies in range(H), so Q splits exactly into
+a block on range(H), an (n rank H) x (n rank H) matrix that
+dgd_operator_spectrum solves densely, and a null block
+eta mu (L kron I_(d - rank H)), whose eigenvalues are those of L scaled.
 
 Each (eta, mu) point is an independent linear recursion, so run_dgd advances
 its points as one stack of states through the solvers' loop: dgd_step takes
@@ -369,31 +372,58 @@ class OperatorSpectrum:
     stable: bool
 
 
-def dgd_operator_spectrum(ds: Dataset, g: CommGraph, eta: float, mu: float) -> OperatorSpectrum:
-    """Dense eigensolve of the nd x nd round operator (guarded at nd <= 4096).
+def _range_block(ds: Dataset, g: CommGraph, eta: float, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """The round operator on range(H) and the graph Laplacian L = B^T B.
 
-    eigvalsh resolves an eigenvalue of Q only to about n d eps sigma_max, so
-    a sigma_min below that is reported as 0: it cannot be told from the
-    exact null space's zeros.  A 0 says that the slowest mode is beyond the
-    eigensolve, not which way: consensus modes carrying per-node null
-    components approach zero as the coupling eta * mu vanishes, and an
+    Every x_i lies in range(H), so in the coordinates (W - w_star) [V, V_perp],
+    V = ds.spectral.basis (d x r), Q splits exactly into the range block
+    Q_r = eta blockdiag(a_i a_i^T) + eta mu (L kron I_r), a_i = V^T x_i, and
+    the null block eta mu (L kron I_(d-r)).  Q_r is (n r) x (n r), indexed
+    as vec((W - w_star) V): row i r + k is node i's k-th range coordinate.
+    """
+    coupling = _coupling(eta, mu)
+    n, r = ds.n, ds.spectral.rank
+    B = incidence(g)
+    L = B.T @ B
+    A = ds.X @ ds.spectral.basis
+    Q = np.zeros((n, r, n, r))
+    k, i = np.arange(r), np.arange(n)
+    Q[:, k, :, k] = coupling * L  # eta mu L on every coordinate's n x n block
+    Q[i, :, i, :] += eta * (A[:, :, None] * A[:, None, :])
+    return Q.reshape(n * r, n * r), L
+
+
+def dgd_operator_spectrum(ds: Dataset, g: CommGraph, eta: float, mu: float) -> OperatorSpectrum:
+    """Eigensolve of the round operator block by block (guarded at n r <= 4096).
+
+    The range block Q_r of _range_block takes a dense (n r) x (n r)
+    eigensolve, r = rank H.  The null block eta mu (L kron I_(d-r)), present
+    when d > r, has the eigenvalues eta mu lambda_j(L), each d - r times; the
+    graph is connected, so lambda_1(L) = 0 is simple, and its d - r zeros
+    are the exact null space.  Off it, sigma_min is the smaller of Q_r's
+    least eigenvalue and eta mu lambda_2(L), and sigma_max the larger of
+    Q_r's greatest and eta mu lambda_max(L).
+
+    eigvalsh resolves an eigenvalue of Q_r only to about n r eps sigma_max,
+    so a sigma_min < n r eps sigma_max is reported as 0: it cannot be told
+    from the exact null space's zeros.  A 0 says that the slowest mode is
+    beyond the eigensolve, not which way: consensus modes carrying per-node
+    null components approach zero as the coupling eta * mu vanishes, and an
     overwhelming coupling at its stable step leaves eta lambda_min_nz(H)
     below the resolution.
     """
     if ds.n != g.n:
         raise ValueError(f"one sample per node required: dataset n={ds.n}, graph n={g.n}")
-    n, d = ds.n, ds.d
-    if n * d > DENSE_GUARD:
-        raise ValueError(f"too large for dense eigensolve: n*d = {n * d} > {DENSE_GUARD}")
-    B = incidence(g)
-    Q = _coupling(eta, mu) * np.kron(B.T @ B, np.eye(d))
-    for i in range(n):
-        Q[i * d:(i + 1) * d, i * d:(i + 1) * d] += eta * np.outer(ds.X[i], ds.X[i])
-    evals = np.linalg.eigvalsh(Q)
-    null_dim = d - ds.spectral.rank
-    sigma_max = float(evals[-1])
-    sigma_min = float(evals[null_dim])
-    if sigma_min < n * d * np.finfo(float).eps * sigma_max:
+    n, d, r = ds.n, ds.d, ds.spectral.rank
+    if n * r > DENSE_GUARD:
+        raise ValueError(f"too large for dense eigensolve: n*rank = {n * r} > {DENSE_GUARD}")
+    Q_r, L = _range_block(ds, g, eta, mu)
+    evals = np.linalg.eigvalsh(Q_r)
+    sigma_min, sigma_max = float(evals[0]), float(evals[-1])
+    if d > r:
+        lap = eta * mu * np.linalg.eigvalsh(L)
+        sigma_min, sigma_max = min(sigma_min, float(lap[1])), max(sigma_max, float(lap[-1]))
+    if sigma_min < n * r * np.finfo(float).eps * sigma_max:
         sigma_min = 0.0
     return OperatorSpectrum(
         sigma_min=sigma_min,

@@ -5,6 +5,7 @@ mc_expected_mm`."""
 
 import numpy as np
 
+from gdlab.distributed import CommGraph, OperatorSpectrum, _coupling, incidence
 from gdlab.problem import Dataset
 from gdlab.solvers import _check_eta_m
 
@@ -52,6 +53,35 @@ def mc_expected_mm(ds: Dataset, eta: float, m: float, samples: int,
     var = np.clip((s2 - s1 * s1 / samples) / (samples - 1), 0.0, None)
     stderr = np.sqrt(var / samples)
     return mean, stderr
+
+
+def dense_round_operator(ds: Dataset, g: CommGraph, eta: float, mu: float) -> np.ndarray:
+    """The whole nd x nd DGD round operator Q = eta blockdiag(x_i x_i^T) +
+    eta mu (L kron I), built densely: a round maps vec(W - w_star) by I - Q."""
+    n, d = ds.n, ds.d
+    B = incidence(g)
+    Q = _coupling(eta, mu) * np.kron(B.T @ B, np.eye(d))
+    for i in range(n):
+        Q[i * d:(i + 1) * d, i * d:(i + 1) * d] += eta * np.outer(ds.X[i], ds.X[i])
+    return Q
+
+
+def dense_operator_spectrum(ds: Dataset, g: CommGraph, eta: float, mu: float) -> OperatorSpectrum:
+    """gdlab.distributed.dgd_operator_spectrum from one dense eigensolve of
+    dense_round_operator, its d - rank H least eigenvalues taken as the exact
+    null space, and a sigma_min under n d eps sigma_max reported as 0."""
+    n, d = ds.n, ds.d
+    evals = np.linalg.eigvalsh(dense_round_operator(ds, g, eta, mu))
+    sigma_max = float(evals[-1])
+    sigma_min = float(evals[d - ds.spectral.rank])
+    if sigma_min < n * d * np.finfo(float).eps * sigma_max:
+        sigma_min = 0.0
+    return OperatorSpectrum(
+        sigma_min=sigma_min,
+        sigma_max=sigma_max,
+        rate_spectral=max(1.0 - sigma_min, sigma_max - 1.0),
+        stable=sigma_max < 2.0,
+    )
 
 
 def plain_gd(ds: Dataset, eta: float, iters: int):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdlab.distributed import (
+    _range_block,
     _workspace,
     GraphConnectError,
     consensus_metrics,
@@ -31,6 +32,7 @@ from gdlab.problem import (
     spectral_summary,
 )
 from gdlab.solvers import _BLOCK, DIVERGENCE_FACTOR, _take, fit_rate
+from oracles import dense_operator_spectrum, dense_round_operator
 
 
 def two_unit_nodes():
@@ -56,14 +58,6 @@ def plain_round(ds, B, eta, mu, W):
     for dgd_step's stacked round."""
     e = np.sum(ds.X * W, axis=1) - ds.y
     return W - eta * e[:, None] * ds.X - eta * mu * (B.T @ (B @ W))
-
-
-def dense_round_operator(ds, g, eta, mu):
-    n, d = ds.n, ds.d
-    Q = eta * mu * np.kron(laplacian(g), np.eye(d))
-    for i in range(n):
-        Q[i * d:(i + 1) * d, i * d:(i + 1) * d] += eta * np.outer(ds.X[i], ds.X[i])
-    return np.eye(n * d) - Q
 
 
 class TestMakeGraph:
@@ -275,7 +269,7 @@ class TestRunDgd:
         crossed = np.nonzero(tr.global_spread <= 1e-8 * tr.global_spread[0])[0]
         assert len(crossed) > 0
         assert np.all(np.diff(tr.mean_err_sq_range) < 0)
-        A = dense_round_operator(ds, g, 0.05, 8.0)
+        A = np.eye(4 * 8) - dense_round_operator(ds, g, 0.05, 8.0)
         delta = np.linalg.matrix_power(A, T) @ (W0 - ds.w_star).reshape(-1)
         final = delta.reshape(4, 8) + ds.w_star
         assert np.allclose(final, tr.W_final, rtol=1e-8, atol=1e-12)
@@ -554,6 +548,83 @@ class TestOnePenaltyConvention:
         assert sp.stable
 
 
+class TestRangeBlockSolve:
+    """dgd_operator_spectrum solves the round operator on its range block and
+    reads the null block off the Laplacian; the dense nd x nd eigensolve is
+    the oracle.  sigma_max and rate_spectral agree to 1e-12 relative, and
+    sigma_min to the dense solve's resolution n d eps sigma_max."""
+
+    def assert_matches_dense(self, ds, g, eta, mu):
+        sp, dense = dgd_operator_spectrum(ds, g, eta, mu), dense_operator_spectrum(ds, g, eta, mu)
+        assert sp.sigma_max == pytest.approx(dense.sigma_max, rel=1e-12, abs=0.0)
+        assert sp.rate_spectral == pytest.approx(dense.rate_spectral, rel=1e-12, abs=0.0)
+        assert abs(sp.sigma_min - dense.sigma_min) <= \
+            ds.n * ds.d * np.finfo(float).eps * dense.sigma_max
+        assert sp.stable == dense.stable
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_configs(), st.floats(0.05, 1.0))
+    def test_agrees_with_the_dense_solve(self, config, scale):
+        ds, g, mu = config
+        self.assert_matches_dense(ds, g, scale * stable_eta(ds, g, mu), mu)
+
+    @pytest.mark.parametrize("preset, graph_kind, rank_below_d", [
+        ("ring16", "ring", True), ("gaussian8", "complete", False)])
+    def test_fixed_cases_agree_with_the_dense_solve(self, preset, graph_kind, rank_below_d):
+        ds = build_dataset(preset)
+        g = make_graph(graph_kind, ds.n)
+        assert (ds.spectral.rank < ds.d) == rank_below_d
+        for mu in (0.1, 1.0, 10.0):
+            self.assert_matches_dense(ds, g, stable_eta(ds, g, mu), mu)
+
+    def test_null_block_sets_sigma_min(self):
+        # H = diag(1, 0) on a 2-node path: the range block eta [[1, 0], [0, 1]]
+        # + eta mu L has eigenvalues eta and eta + 2 eta mu, the null block
+        # eta mu L has 0 (the exact null space) and 2 eta mu = 0.1 < eta
+        ds = Dataset(X=np.array([[1.0, 0.0], [1.0, 0.0]]), y=np.zeros(2), w_star=np.zeros(2),
+                     kind="custom", seed=0)
+        g = make_graph("path", 2)
+        sp = dgd_operator_spectrum(ds, g, eta=0.5, mu=0.1)
+        assert sp.sigma_min == pytest.approx(0.1, abs=1e-15)
+        assert sp.sigma_max == pytest.approx(0.6, abs=1e-15)
+        assert sp.rate_spectral == pytest.approx(0.9, abs=1e-15)
+        assert np.linalg.eigvalsh(_range_block(ds, g, 0.5, 0.1)[0]) == \
+            pytest.approx([0.5, 0.6], abs=1e-15)
+        self.assert_matches_dense(ds, g, 0.5, 0.1)
+
+    def test_null_block_sets_sigma_min_of_rank_one_rows(self):
+        # rows s_i u on a ring of 6: Q_r >= eta min s_i^2 |u|^2, above the
+        # null block's eta mu lambda_2(L) = eta mu at this mu
+        rng = np.random.default_rng(7)
+        X = (1.0 + rng.random(6))[:, None] * rng.standard_normal(3)
+        ds = Dataset(X=X, y=np.zeros(6), w_star=np.zeros(3), kind="custom", seed=0)
+        g = make_graph("ring", 6)
+        eta, mu = 0.5 / float(ds.row_norms_sq().max()), 1e-3
+        assert ds.spectral.rank == 1
+        assert dgd_operator_spectrum(ds, g, eta, mu).sigma_min == pytest.approx(eta * mu, rel=1e-12)
+        self.assert_matches_dense(ds, g, eta, mu)
+
+    @pytest.mark.parametrize("preset, graph_kind, mu", [
+        ("ring16", "ring", 1.0), ("ring16", "ring", 10.0), ("gaussian8", "complete", 10.0)])
+    def test_trajectory_is_the_range_block_powers(self, preset, graph_kind, mu):
+        # DGD is linear in the error, and the error's range part evolves by
+        # I - Q_r: with Q_r = U diag(sigma) U^T and c = U^T vec((W0 - w*) V),
+        # mean_err_sq_range(t) = (1/n) sum_k (1 - sigma_k)^(2t) c_k^2, checked
+        # wherever the prediction is above 1e-10 of its start
+        ds = build_dataset(preset)
+        g = make_graph(graph_kind, ds.n)
+        eta, T = stable_eta(ds, g, mu), 20_000
+        W0 = np.random.default_rng(5).standard_normal((ds.n, ds.d))
+        [tr] = run_dgd(ds, g, [eta], [mu], max_iters=T, stop_tol=0.0, W0=W0)
+        sigma, U = np.linalg.eigh(_range_block(ds, g, eta, mu)[0])
+        c = U.T @ ((W0 - ds.w_star) @ ds.spectral.basis).reshape(-1)
+        t = np.arange(T + 1)
+        pred = sum(ck * ck * (1.0 - s) ** (2 * t) for s, ck in zip(sigma, c)) / ds.n
+        seen = pred > 1e-10 * pred[0]
+        assert seen.sum() > T // 2
+        assert np.abs(tr.mean_err_sq_range[seen] / pred[seen] - 1.0).max() <= 1e-9
+
+
 class TestPenaltyWeightClaims:
     """The paper's claims in mu, on the round operator at a fixed eta.
     Q(mu2) - Q(mu1) = eta (mu2 - mu1) (L kron I) is positive semidefinite
@@ -734,7 +805,7 @@ class TestDistributedInvariants:
         W0 = rng.standard_normal((4, 6))
         T = 20
         [tr] = run_dgd(ds, g, [0.2], [0.5], max_iters=T, W0=W0)
-        A = dense_round_operator(ds, g, 0.2, 0.5)
+        A = np.eye(4 * 6) - dense_round_operator(ds, g, 0.2, 0.5)
         delta = np.linalg.matrix_power(A, T) @ (W0 - ds.w_star).reshape(-1)
         assert np.allclose(tr.W_final - ds.w_star, delta.reshape(4, 6),
                            rtol=1e-8, atol=1e-12)
