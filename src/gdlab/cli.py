@@ -579,19 +579,31 @@ def _cmd_spectrum(res: _Resolver, output: _Output):
 
 # ---------------------------------------------------------------- parser
 
+def _seed(text):
+    """A seed option's value: numpy seeds no negative integer, so one is
+    refused here, where argparse's message names the option."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 # every option once: the key (its --long-name with _ for -) -> argparse keywords
 _OPTIONS = {
     "config": dict(help="JSON file of option values keyed by long name, _ for -"),
     "preset": dict(help="named preset: " + ", ".join(presets_mod.preset_names())),
     "out": dict(help="output directory (default .)"),
-    "seed": dict(type=int, help="master seed (default 0)"),
+    "seed": dict(type=_seed, help="master seed (default 0)"),
     "dataset": dict(help="path to a dataset JSON file"),
     "n": dict(type=int, help="sample count"),
     "d": dict(type=int, help="parameter dimension"),
     "kind": dict(choices=["orthonormal", "gaussian", "spiked"], help="dataset kind"),
     "rho": dict(type=float, help="spiked correlation in [0,1)"),
     "normalize": dict(action=argparse.BooleanOptionalAction, help="rescale rows to unit norm"),
-    "data_seed": dict(type=int, help="dataset generation seed (default: master seed)"),
+    "data_seed": dict(type=_seed, help="dataset generation seed (default: master seed)"),
     "graph": dict(help="path to a graph JSON file"),
     "graph_kind": dict(choices=["complete", "ring", "path", "grid", "k_ring", "erdos_renyi"],
                        help="graph kind"),
@@ -599,7 +611,7 @@ _OPTIONS = {
     "graph_cols": dict(type=int, help="grid columns"),
     "graph_k": dict(type=int, help="k_ring neighbours on each side"),
     "graph_p": dict(type=float, help="erdos_renyi edge probability"),
-    "graph_seed": dict(type=int, help="erdos_renyi graph seed (default 0)"),
+    "graph_seed": dict(type=_seed, help="erdos_renyi graph seed (default 0)"),
     "m": dict(type=float, help="mean batch size"),
     "lambda1": dict(type=float, help="largest nonzero eigenvalue"),
     "lambdan": dict(type=float, help="smallest nonzero eigenvalue"),
@@ -610,7 +622,7 @@ _OPTIONS = {
     "runs": dict(type=int, help="ensemble size (per sweep point; 0 = predictions only)"),
     "iters": dict(type=int, help="iteration cap"),
     "stop_tol": dict(type=float, help="relative stopping tolerance (0 = never)"),
-    "w0_seed": dict(type=int, help="seed for a random initial state (default: zeros)"),
+    "w0_seed": dict(type=_seed, help="seed for a random initial state (default: zeros)"),
     "values": dict(help="comma-separated parameter values"),
 }
 _COMMON = ("config", "preset", "out", "seed")

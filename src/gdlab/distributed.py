@@ -23,7 +23,8 @@ its points as one stack of states through the solvers' loop: dgd_step takes
 the stack a round at a time, each state at its own eta and coupling, and
 consensus_metrics measures a block of stacked states at once, computing the
 products the trace needs (B W, the residuals, the Gram matrix of the spread)
-once per block.  Each point's trace is bitwise the one it gets alone.
+once per block.  A trace keeps the rows, the status and the final state, no
+other state, and each point's is bitwise the one it gets alone.
 
 run_dgd makes one workspace per run (_workspace), and the round loop
 allocates nothing but each round's new stack, for two reasons.  A block's
@@ -267,7 +268,8 @@ def consensus_metrics(S: np.ndarray, ds: Dataset, B: np.ndarray, mu, work=None):
 
 @dataclass
 class DgdTrace:
-    """Per-round metrics of one distributed run (row t = state after t rounds)."""
+    """Per-round metrics of one distributed run (row t = state after t
+    rounds), its status and its final state; no other state is kept."""
 
     t: np.ndarray
     mean_err_sq_range: np.ndarray
@@ -276,7 +278,6 @@ class DgdTrace:
     penalized_loss: np.ndarray  # the module docstring's loss at the run's mu
     status: str
     W_final: np.ndarray
-    states: np.ndarray | None = None
 
 
 def _coupling(eta: float, mu: float) -> float:
@@ -305,8 +306,7 @@ def dgd_step(W: np.ndarray, eta: np.ndarray, coupling: np.ndarray, work: dict) -
 
 
 def run_dgd(ds: Dataset, g: CommGraph, etas, mus, max_iters: int = 1000,
-            stop_tol: float = 0.0, W0: np.ndarray | None = None,
-            record_states: bool = False) -> list[DgdTrace]:
+            stop_tol: float = 0.0, W0: np.ndarray | None = None) -> list[DgdTrace]:
     """Synchronous distributed GD rounds from W0, one run per point (etas[k],
     mus[k]), each until stop_tol, divergence, or max_iters; one trace per point.
 
@@ -314,9 +314,9 @@ def run_dgd(ds: Dataset, g: CommGraph, etas, mus, max_iters: int = 1000,
     gets alone.  stop_tol is relative to the initial mean projected error;
     zero runs the full max_iters.  Divergence (error above 1e12 times
     initial, or a non-finite metric) is recorded as a status, not raised.
-    The trace rows are measured a block of states at a time; a point that
-    stops inside a block takes up to one block minus one extra rounds, whose
-    states are dropped.
+    The trace rows are measured a block of states at a time and no state is
+    kept past its block but the final ones; a point that stops inside a block
+    takes up to one block minus one extra rounds, whose states are dropped.
     """
     if ds.n != g.n:
         raise ValueError(f"one sample per node required: dataset n={ds.n}, graph n={g.n}")
@@ -337,8 +337,7 @@ def run_dgd(ds: Dataset, g: CommGraph, etas, mus, max_iters: int = 1000,
     # eta tiled to (points, n) and the coupling eta * mu to (points, n, d)
     def metrics(states):
         S = np.concatenate([s[0] for s in states], out=block[:len(states) * len(states[0][0])])
-        cols = consensus_metrics(S, ds, B, np.concatenate([s[3] for s in states]), work)
-        return (*cols, S) if record_states else cols
+        return consensus_metrics(S, ds, B, np.concatenate([s[3] for s in states]), work)
 
     def step(state, _):
         W, eta, coupling, mu = state
@@ -349,10 +348,8 @@ def run_dgd(ds: Dataset, g: CommGraph, etas, mus, max_iters: int = 1000,
     x0 = (np.tile(W, (len(etas), 1, 1)), np.repeat(eta[:, None], n, axis=1),
           np.tile(np.multiply(eta, mu)[:, None, None], (1, n, d)), mu)
     cols, lengths, statuses, finals = _drive(x0, step, metrics, max_iters, stop_tol)
-    # consensus_metrics's four columns come in DgdTrace's field order, then
-    # the recorded states
-    return [DgdTrace(np.arange(L), *(col[k, :L] for col in cols[:4]), statuses[k], finals[k],
-                     cols[4][k, :L] if record_states else None)
+    # consensus_metrics's four columns come in DgdTrace's field order
+    return [DgdTrace(np.arange(L), *(col[k, :L] for col in cols), statuses[k], finals[k])
             for k, L in enumerate(lengths.tolist())]
 
 

@@ -7,8 +7,9 @@ the one step w <- w - (eta/m) sum_i mask_i (x_i.w - y_i) x_i; the samplers
 differ only in the draw.  Updates are matrix-free and touch only
 (x_i, y_i); the planted parameter is used for diagnostics alone.  Each
 trace records, per iteration, the squared error projected onto range(H),
-the quadratic loss, and the realized batch size.  Runs are
-bit-reproducible from (dataset, config).
+the quadratic loss, and the realized batch size, then the run's status and
+final iterate; no other iterate is kept.  Runs are bit-reproducible from
+(dataset, config).
 
 Every solver, the distributed one included, runs through one loop (_drive)
 that steps a stack of runs and computes the trace rows of a block of states
@@ -80,7 +81,6 @@ class SolverConfig:
     stop_tol: float = 0.0
     seed: int = 0
     w0: np.ndarray | None = None
-    record_iterates: bool = False
 
     def validate(self, n: int) -> None:
         _check_eta_m(self.eta, self.m, n)
@@ -95,6 +95,7 @@ class IterationTrace:
 
     Row t describes the iterate after t updates; batch_size[t] is the number
     of samples used by update t (row 0 carries 0: no update produced w_0).
+    The iterates themselves are not kept: w_final is the last one.
     """
 
     t: np.ndarray
@@ -104,7 +105,6 @@ class IterationTrace:
     status: str
     config: SolverConfig
     w_final: np.ndarray
-    iterates: np.ndarray | None = None
 
 
 @dataclass
@@ -138,11 +138,11 @@ def _take(x, sel):
 
 
 def _widen(a, cap, lengths):
-    """a (members x rows x ...) in a buffer of cap rows that holds only member
-    k's first lengths[k] rows: the rest of a row is never written, so its
-    pages are never touched, and a stopped member costs its recorded rows
-    alone however far the buffer grows."""
-    wide = np.empty((a.shape[0], cap) + a.shape[2:], a.dtype)
+    """a (members x rows) in a buffer of cap rows that holds only member k's
+    first lengths[k] rows: the rest of a row is never written, so its pages
+    are never touched, and a stopped member costs its recorded rows alone
+    however far the buffer grows."""
+    wide = np.empty((a.shape[0], cap), a.dtype)
     common = int(lengths.min())
     wide[:, :common] = a[:, :common]
     for k in np.flatnonzero(lengths > common).tolist():
@@ -163,8 +163,8 @@ def _drive(x, step, metrics, max_iters: int, stop_tol: float):
     row-states (one state of every running member per step; one step when
     more than _BLOCK members run) and measures the whole buffer at once:
     metrics(states) takes a list of K states and returns their trace rows as
-    columns of K x A values (A running members), errors first; a value may
-    carry trailing axes (a recorded iterate).
+    columns of K x A values (A running members, one value each), errors
+    first.  No state is kept past its block but the final ones.
 
     A member converges once its error is at most stop_tol times its initial
     error (stop_tol > 0), and diverges once the error is not within
@@ -174,8 +174,8 @@ def _drive(x, step, metrics, max_iters: int, stop_tol: float):
     no step after the block holding it, so each member's rows, status and
     final state are the ones it gets running alone.
 
-    Returns (one S x L x ... array per column, the S row counts, the S
-    statuses, the S final iterates); member k's rows are row k of each array
+    Returns (one S x L array per column, the S row counts, the S statuses,
+    the S final iterates); member k's rows are row k of each array
     up to its row count.
     """
     cols = [c[None] for c in metrics([x])]
@@ -205,10 +205,9 @@ def _drive(x, step, metrics, max_iters: int, stop_tol: float):
         for _ in range(c):
             y = step(y, members)
             buf.append(y)
-        cols = [np.reshape(col, (c, A) + col.shape[1:]) for col in metrics(buf)]
+        cols = [np.reshape(col, (c, A)) for col in metrics(buf)]
         err, e0 = cols[0], err0[members]
-        finite = np.logical_and.reduce([np.isfinite(col).reshape(c, A, -1).all(axis=2)
-                                        for col in cols])
+        finite = np.logical_and.reduce([np.isfinite(col) for col in cols])
         converged = (stop_tol > 0) & (err <= stop_tol * e0)
         stops = ~finite | converged | ~(err <= DIVERGENCE_FACTOR * e0)
         hit = stops.any(axis=0)
@@ -251,9 +250,9 @@ def _run(ds: Dataset, cfg: SolverConfig,
     holding at most _DRAW_BYTES of packed masks ahead (a member's generator
     lives only while it has draws to come), and every product is a stack of
     per-member vector-matrix products; so member k's trace is bitwise the
-    one a single run with seed seeds[k] gives.  Returns
-    the traces and the runs x L error stack their err_sq_range rows are
-    views of.
+    one a single run with seed seeds[k] gives.  Returns the traces (rows,
+    status and final iterate; no other iterate is kept) and the runs x L
+    error stack their err_sq_range rows are views of.
     """
     cfg.validate(ds.n)
     X, y = ds.X, ds.y
@@ -320,11 +319,11 @@ def _run(ds: Dataset, cfg: SolverConfig,
         comp = (w - ds.w_star)[:, None, :] @ ss.basis
         err = (comp @ comp.transpose(0, 2, 1))[:, 0, 0]
         loss = (r[:, None, :] @ r[:, :, None])[:, 0, 0] / n
-        return (err, loss, batch, w) if cfg.record_iterates else (err, loss, batch)
+        return err, loss, batch
 
     W = np.tile(w, (runs, 1))
     x0 = (W, (W[:, None, :] @ X.T)[:, 0, :] - y, np.zeros(runs, dtype=int))
-    (errs, losses, batches, *recorded), lengths, statuses, finals = _drive(
+    (errs, losses, batches), lengths, statuses, finals = _drive(
         x0, step, metrics, cfg.max_iters, cfg.stop_tol)
     t = np.arange(errs.shape[1])
     traces = [
@@ -336,7 +335,6 @@ def _run(ds: Dataset, cfg: SolverConfig,
             status=statuses[k],
             config=replace(cfg, seed=seeds[k]),
             w_final=finals[k],
-            iterates=recorded[0][k, :L] if recorded else None,
         )
         for k, L in enumerate(lengths.tolist())
     ]

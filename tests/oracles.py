@@ -1,13 +1,15 @@
 """Test oracles: independent estimates the closed forms of gdlab are checked
-against.  No command runs them, so they live with the tests; pytest puts
-this directory on sys.path, so a test imports them as `from oracles import
-mc_expected_mm`."""
+against, and the iterates of a run, which no trace keeps.  No command runs
+them, so they live with the tests; pytest puts this directory on sys.path,
+so a test imports them as `from oracles import mc_expected_mm`."""
+
+from dataclasses import replace
 
 import numpy as np
 
-from gdlab.distributed import CommGraph, OperatorSpectrum, _coupling, incidence
+from gdlab.distributed import CommGraph, OperatorSpectrum, _coupling, incidence, run_dgd
 from gdlab.problem import Dataset
-from gdlab.solvers import _check_eta_m
+from gdlab.solvers import SolverConfig, _check_eta_m
 
 _MC_BYTES = 1 << 22  # bytes of one draw stack of a chunk (draws x d x d, or x n x d)
 
@@ -132,3 +134,22 @@ def plain_sgd(ds: Dataset, eta: float, m: float, sampler: str, iters: int, seed:
         w = w - (eta / m) * grad
         batches.append(len(batch))
     return np.array(errs), np.array(losses), np.array(batches)
+
+
+def prefix_iterates(run, ds: Dataset, cfg: SolverConfig, ts) -> np.ndarray:
+    """Row t of run(ds, cfg)'s iterates for each t in ts (run_gd or run_sgd):
+    the start at t = 0, else the final iterate of a t-step run.  A run's
+    draws depend on its seed, not on max_iters, so a t-step run is the first
+    t steps of any longer run with the same inputs (test_solvers.py's
+    TestPrefixProperty); that holds for rows before a stop.  Costs
+    sum(ts) steps."""
+    start = np.zeros(ds.d) if cfg.w0 is None else np.asarray(cfg.w0, dtype=float)
+    return np.array([run(ds, replace(cfg, max_iters=t)).w_final if t else start for t in ts])
+
+
+def prefix_states(ds: Dataset, g: CommGraph, eta: float, mu: float, W0: np.ndarray,
+                  ts) -> np.ndarray:
+    """prefix_iterates for run_dgd's one point (eta, mu) from W0: row t of
+    its states, the final state of a t-round run."""
+    return np.array([run_dgd(ds, g, [eta], [mu], max_iters=t, W0=W0)[0].W_final if t else W0
+                     for t in ts])

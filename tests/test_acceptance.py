@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import mc_expected_mm
+from oracles import mc_expected_mm, prefix_iterates, prefix_states
 
 from gdlab.cli import main
 from gdlab.distributed import (
@@ -204,23 +204,18 @@ def test_criterion_7_null_space_invariance():
     u /= np.linalg.norm(u)
     w0 = ds.w_star + rp.project(rng.standard_normal(8)) + u
 
+    # every iterate of the 100 steps: the final iterate of a t-step run
+    steps = range(101)
+    cfg_gd = SolverConfig(eta=0.4, m=4, w0=w0)
+    cfg_sgd = SolverConfig(eta=0.4, m=2.0, sampler="bernoulli", seed=62, w0=w0)
+    iterates = {"gd": prefix_iterates(run_gd, ds, cfg_gd, steps),
+                "sgd": prefix_iterates(run_sgd, ds, cfg_sgd, steps),
+                "dgd": prefix_states(ds, make_graph("ring", 4), 0.3, 0.5, np.tile(w0, (4, 1)),
+                                     steps)}
     drifts = {}
-    cfg_gd = SolverConfig(eta=0.4, m=4, max_iters=100, w0=w0, record_iterates=True)
-    tr = run_gd(ds, cfg_gd)
-    comps = (tr.iterates - ds.w_star) @ u
-    drifts["gd"] = float(np.max(np.abs(comps - comps[0])))
-
-    cfg_sgd = SolverConfig(eta=0.4, m=2.0, sampler="bernoulli", max_iters=100,
-                           seed=62, w0=w0, record_iterates=True)
-    tr = run_sgd(ds, cfg_sgd)
-    comps = (tr.iterates - ds.w_star) @ u
-    drifts["sgd"] = float(np.max(np.abs(comps - comps[0])))
-
-    g = make_graph("ring", 4)
-    [trd] = run_dgd(ds, g, [0.3], [0.5], max_iters=100,
-                    W0=np.tile(w0, (4, 1)), record_states=True)
-    comps = (trd.states - ds.w_star) @ u
-    drifts["dgd"] = float(np.max(np.abs(comps - comps[0])))
+    for name, ws in iterates.items():
+        comps = (ws - ds.w_star) @ u
+        drifts[name] = float(np.max(np.abs(comps - comps[0])))
 
     ok = all(v <= 1e-12 for v in drifts.values())
     report(7, "unit null-space component unchanged to 1e-12 over 100 iterations",

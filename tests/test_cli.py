@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from gdlab import cli
 from gdlab.cli import build_parser, main
 from gdlab.io import dumps
-from gdlab.distributed import graph_to_json, make_graph
+from gdlab.distributed import graph_to_json, make_graph, run_dgd
 from gdlab.presets import PRESETS, build_dataset
 from gdlab.problem import dataset_from_rows, dataset_to_json, gen_dataset, load_dataset
 from gdlab.solvers import SolverConfig, run_ensemble
@@ -447,6 +448,28 @@ class TestConfigAndErrors:
         assert rc == 0
         assert read_summary(out)["config"]["iters"] == 7
 
+    @pytest.mark.parametrize("argv, flag, config", [
+        (["run", "sgd", "--preset", "gaussian8", "--seed", "-1"], "--seed", None),
+        (["gen", "--n", "4", "--d", "4", "--kind", "gaussian", "--data-seed", "-1"],
+         "--data-seed", None),
+        (["run", "dgd", "--preset", "ring16", "--w0-seed", "-1"], "--w0-seed", None),
+        (["run", "dgd", "--n", "4", "--d", "4", "--kind", "gaussian", "--graph-kind",
+          "erdos_renyi", "--graph-p", "0.5", "--graph-seed", "-1"], "--graph-seed", None),
+        # a config value is parsed as its flag
+        (["run", "sgd", "--preset", "gaussian8"], "--seed", {"seed": -1}),
+    ], ids=["seed", "data-seed", "w0-seed", "graph-seed", "config-seed"])
+    def test_negative_seed_is_refused_by_name(self, tmp_path, tmp_path_factory, capsys,
+                                              argv, flag, config):
+        # numpy seeds no negative integer, and its own message named no option
+        if config:
+            cfg = tmp_path_factory.mktemp("input") / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(cfg)]
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+        assert os.listdir(str(tmp_path)) == []
+        assert capsys.readouterr().err == (
+            f"gdlab: error: argument {flag}: expected a non-negative integer, got -1\n")
+
     def test_unreadable_config_is_validation_failure(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -561,6 +584,29 @@ class TestOptionTable:
         for variant, options in ACCEPTED.items():
             assert accepted(parsers[variant]) == common | set(options), variant
         assert sum(len(accepted(p)) for p in parsers.values()) == 159
+
+    def test_library_takes_exactly_its_settings(self):
+        # the library's settable values, pinned as the CLI's options are
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+            "eta", "m", "sampler", "max_iters", "stop_tol", "seed", "w0"]
+        assert list(inspect.signature(run_dgd).parameters) == [
+            "ds", "g", "etas", "mus", "max_iters", "stop_tol", "W0"]
+
+    @pytest.mark.parametrize("variant", [(), *ACCEPTED], ids=lambda v: "_".join(v) or "gdlab")
+    def test_help_renders(self, capsys, variant):
+        # argparse %-expands help strings only when it prints help; each
+        # variant's help lists exactly the options it takes
+        with pytest.raises(SystemExit) as exit_:
+            main([*variant, "--help"])
+        assert exit_.value.code == 0
+        text = capsys.readouterr().out
+        if variant:
+            options = {"--config", "--preset", "--out", "--seed", "--help", *ACCEPTED[variant]}
+            if "--normalize" in options:
+                options.add("--no-normalize")
+            assert set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text)) == options
+        else:
+            assert text.startswith("usage: gdlab")
 
     def test_every_option_is_taken_by_a_variant(self):
         taken = set(cli._COMMON).union(*(names for _, _, names in cli._VARIANTS.values()))

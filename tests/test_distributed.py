@@ -32,7 +32,7 @@ from gdlab.problem import (
     spectral_summary,
 )
 from gdlab.solvers import _BLOCK, DIVERGENCE_FACTOR, _take, fit_rate
-from oracles import dense_operator_spectrum, dense_round_operator
+from oracles import dense_operator_spectrum, dense_round_operator, prefix_states
 
 
 def two_unit_nodes():
@@ -251,8 +251,8 @@ class TestRunDgd:
         g = make_graph("ring", 5)
         W = np.tile(ds.w_star, (5, 1))
         assert np.array_equal(plain_round(ds, incidence(g), 0.3, 0.1, W), W)
-        [tr] = run_dgd(ds, g, [0.3], [0.1], max_iters=5, W0=W, record_states=True)
-        assert np.array_equal(tr.states, np.tile(W, (6, 1, 1)))
+        [tr] = run_dgd(ds, g, [0.3], [0.1], max_iters=5, W0=W)
+        assert np.array_equal(prefix_states(ds, g, 0.3, 0.1, W, range(6)), np.tile(W, (6, 1, 1)))
         assert np.all(tr.mean_err_sq_range == 0.0)
         assert np.all(tr.global_spread == 0.0)
 
@@ -415,17 +415,17 @@ class TestConsensusMetrics:
 
     def test_trace_rows_match_single_state_metrics_bitwise(self):
         # rows measured a block at a time equal the per-state formulas on
-        # each recorded state, and the K = 1 stack, bit for bit
+        # each row's state, bit for bit, at the block boundaries, where block
+        # metrics could misplace a row
         ds = gen_dataset(6, 9, "gaussian", seed=54)
         g = make_graph("ring", 6)
         B = incidence(g)
         mu = 0.1
         W0 = np.random.default_rng(55).standard_normal((6, 9))
-        [tr] = run_dgd(ds, g, [0.3], [mu], max_iters=_BLOCK + 40, W0=W0,
-                       record_states=True)
-        assert len(tr.states) == len(tr.t) == _BLOCK + 41
-        assert np.array_equal(tr.W_final, tr.states[-1])
-        for t, W in enumerate(tr.states):
+        [tr] = run_dgd(ds, g, [0.3], [mu], max_iters=_BLOCK + 40, W0=W0)
+        assert len(tr.t) == _BLOCK + 41
+        rows = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 40]
+        for t, W in zip(rows, prefix_states(ds, g, 0.3, mu, W0, rows)):
             comp = (W - ds.w_star) @ ds.spectral.basis
             diffs = B @ W
             Wc = W - W.mean(axis=0)
@@ -697,28 +697,26 @@ class TestPenaltyWeightClaims:
 
 def one_point_loop(ds, g, eta, mu, max_iters, stop_tol, W0):
     """One point's run as a plain loop of 2-D rounds, each state measured
-    alone: its rows, status, final state and states."""
+    alone: its rows, status and final state."""
     B = incidence(g)
     W = W0
     rows = [[col[0] for col in consensus_metrics(W, ds, B, mu)]]
-    states = [W]
     err0 = rows[0][0]
     if stop_tol > 0 and err0 <= stop_tol * err0:
-        return rows, "converged", W, states
+        return rows, "converged", W
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iters):
             W_next = plain_round(ds, B, eta, mu, W)
             row = [col[0] for col in consensus_metrics(W_next, ds, B, mu)]
             if not np.all(np.isfinite(row)):
-                return rows, "diverged", W, states
+                return rows, "diverged", W
             W = W_next
             rows.append(row)
-            states.append(W)
             if stop_tol > 0 and row[0] <= stop_tol * err0:
-                return rows, "converged", W, states
+                return rows, "converged", W
             if not row[0] <= DIVERGENCE_FACTOR * err0:
-                return rows, "diverged", W, states
-    return rows, "max-iters", W, states
+                return rows, "diverged", W
+    return rows, "max-iters", W
 
 
 @st.composite
@@ -741,12 +739,10 @@ class TestPointStack:
     @given(point_stacks())
     def test_each_point_is_its_plain_loop(self, config):
         ds, g, etas, mus, max_iters, stop_tol, W0 = config
-        traces = run_dgd(ds, g, etas, mus, max_iters=max_iters, stop_tol=stop_tol, W0=W0,
-                         record_states=True)
+        traces = run_dgd(ds, g, etas, mus, max_iters=max_iters, stop_tol=stop_tol, W0=W0)
         assert len(traces) == len(etas)
         for tr, eta, mu in zip(traces, etas, mus):
-            rows, status, W_final, states = one_point_loop(ds, g, eta, mu, max_iters,
-                                                           stop_tol, W0)
+            rows, status, W_final = one_point_loop(ds, g, eta, mu, max_iters, stop_tol, W0)
             cols = np.array(rows).T
             assert np.array_equal(tr.t, np.arange(len(rows)))
             for got, want in zip((tr.mean_err_sq_range, tr.edge_spread, tr.global_spread,
@@ -754,7 +750,6 @@ class TestPointStack:
                 assert np.array_equal(got, want)
             assert tr.status == status
             assert np.array_equal(tr.W_final, W_final)
-            assert np.array_equal(tr.states, np.array(states))
 
     def test_more_points_than_a_block(self):
         # 300 points make blocks of 300 states, past _BLOCK: the workspace is
@@ -767,7 +762,7 @@ class TestPointStack:
         assert len(mus) > _BLOCK
         traces = run_dgd(ds, g, etas, mus, max_iters=3, W0=W0)
         for eta, mu, tr in zip(etas, mus, traces):
-            rows, status, W_final, _ = one_point_loop(ds, g, eta, mu, 3, 0.0, W0)
+            rows, status, W_final = one_point_loop(ds, g, eta, mu, 3, 0.0, W0)
             assert np.array_equal(tr.t, np.arange(4))
             for got, want in zip((tr.mean_err_sq_range, tr.edge_spread, tr.global_spread,
                                   tr.penalized_loss), np.array(rows).T):
@@ -818,9 +813,8 @@ class TestDistributedInvariants:
         u /= np.linalg.norm(u)
         w0 = ds.w_star + rp.project(rng.standard_normal(8)) + u
         g = make_graph("ring", 4)
-        [tr] = run_dgd(ds, g, [0.3], [0.1], max_iters=100,
-                       W0=np.tile(w0, (4, 1)), record_states=True)
-        comps = (tr.states - ds.w_star) @ u  # (T+1, n)
+        states = prefix_states(ds, g, 0.3, 0.1, np.tile(w0, (4, 1)), range(101))
+        comps = (states - ds.w_star) @ u  # (T+1, n)
         assert np.max(np.abs(comps - comps[0])) <= 1e-12
 
     def test_consensus_for_all_penalty_weights(self):

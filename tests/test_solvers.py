@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
-from oracles import plain_gd, plain_sgd
+from oracles import plain_gd, plain_sgd, prefix_iterates, prefix_states
 
-from gdlab import solvers
+from gdlab import distributed, solvers
+from gdlab.distributed import make_graph, run_dgd
 from gdlab.problem import (
     Dataset,
     dataset_from_rows,
@@ -293,20 +294,20 @@ class TestBlockDriver:
         assert np.all(lengths == 2 * _BLOCK + 4)
 
     def test_rows_match_single_state_metrics_bitwise(self):
-        # each trace row equals the per-state products of the recorded iterate
+        # each trace row equals the per-state products of its iterate, at the
+        # block boundaries, where block metrics could misplace a row
         ds = gen_dataset(6, 9, "gaussian", seed=14)
+        rows = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 40]
         for run, sampler, m in ((run_gd, "bernoulli", 6.0), (run_sgd, "bernoulli", 2.5),
                                 (run_sgd, "fixed", 3.0)):
-            cfg = SolverConfig(eta=0.7, m=m, sampler=sampler, max_iters=_BLOCK + 40,
-                               seed=15, record_iterates=True)
+            cfg = SolverConfig(eta=0.7, m=m, sampler=sampler, max_iters=_BLOCK + 40, seed=15)
             tr = run(ds, cfg)
-            assert len(tr.iterates) == len(tr.t) == _BLOCK + 41
-            assert np.array_equal(tr.w_final, tr.iterates[-1])
-            for w, err, loss in zip(tr.iterates, tr.err_sq_range, tr.loss):
+            assert len(tr.t) == _BLOCK + 41
+            for t, w in zip(rows, prefix_iterates(run, ds, cfg, rows)):
                 comp = (w - ds.w_star) @ ds.spectral.basis
                 r = ds.X @ w - ds.y
-                assert err == float(comp @ comp)
-                assert loss == float(r @ r) / ds.n
+                assert tr.err_sq_range[t] == float(comp @ comp)
+                assert tr.loss[t] == float(r @ r) / ds.n
 
 
 class TestRunSgd:
@@ -421,12 +422,9 @@ def assert_members_are_single_runs(ds, cfg, runs, seed, draw_bytes):
         ens = run_ensemble(ds, replace(cfg, seed=seed), runs=runs)
     for k, tr in enumerate(ens.traces):
         alone = run_sgd(ds, replace(cfg, seed=derive_seed(seed, k)))
-        for name in ("t", "err_sq_range", "loss", "batch_size", "w_final", "iterates"):
+        for name in ("t", "err_sq_range", "loss", "batch_size", "w_final"):
             a, b = getattr(tr, name), getattr(alone, name)
-            if b is None:
-                assert a is None
-            else:
-                assert a.dtype == b.dtype and a.shape == b.shape and bits(a) == bits(b), name
+            assert a.dtype == b.dtype and a.shape == b.shape and bits(a) == bits(b), name
         assert tr.status == alone.status
         assert tr.config.seed == alone.config.seed
     length = min(len(tr.t) for tr in ens.traces)
@@ -456,8 +454,7 @@ class TestStackedEnsemble:
     @pytest.mark.parametrize("sampler", ["bernoulli", "fixed"])
     def test_members_converge_at_different_iterations(self, sampler):
         ds = gen_dataset(32, 32, "orthonormal", seed=320)
-        cfg = SolverConfig(eta=2.0, m=2.0, sampler=sampler, max_iters=300, stop_tol=1e-10,
-                           record_iterates=True)
+        cfg = SolverConfig(eta=2.0, m=2.0, sampler=sampler, max_iters=300, stop_tol=1e-10)
         ens = assert_members_are_single_runs(ds, cfg, 12, 3, 1000)
         assert {tr.status for tr in ens.traces} == {"converged"}
         assert len({len(tr.t) for tr in ens.traces}) > 1
@@ -468,7 +465,7 @@ class TestStackedEnsemble:
         ds = gen_dataset(32, 32, "orthonormal", seed=320)
         w0 = np.random.default_rng(1).standard_normal(32)
         cfg = SolverConfig(eta=5.0, m=2.0, sampler=sampler, max_iters=400, stop_tol=1e-8,
-                           w0=w0, record_iterates=True)
+                           w0=w0)
         ens = assert_members_are_single_runs(ds, cfg, 30, 3, 1000)
         assert {tr.status for tr in ens.traces} == {"diverged", "max-iters"}
 
@@ -506,10 +503,60 @@ class TestStackedEnsemble:
         ds = _PROPERTY_DATASETS[ds_index]
         m = m_frac * ds.n
         cfg = SolverConfig(eta=eta_per_m * m, m=m, sampler=sampler, max_iters=iters,
-                           stop_tol=stop_tol, record_iterates=True)
+                           stop_tol=stop_tol)
         ens = assert_members_are_single_runs(ds, cfg, runs, seed, draw_bytes)
         for status in {tr.status for tr in ens.traces}:
             event(status)
+
+
+class TestPrefixProperty:
+    """A run's draws depend on its seed, not on max_iters, so a t-step run is
+    the first t steps of any longer run with the same inputs: its final
+    iterate is the iterate the longer run's loop measures at row t.  The
+    tests' iterates, prefix_iterates and prefix_states, rest on this."""
+
+    T = _BLOCK + 40
+    # across the first block boundary, and across a draw refill when
+    # _DRAW_BYTES is 7: a 6-sample mask is one byte, so 7 iterations a refill
+    STEPS = [0, 1, 6, 7, 8, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 40]
+
+    @staticmethod
+    def loop_iterates(module, call):
+        # the iterate of every state the loop measures while call() runs
+        # one run through module's _drive: rows 0..max_iters of a run that
+        # does not stop
+        seen = []
+
+        def drive(x, step, metrics, *limits):
+            def record(states):
+                seen.extend(s[0][0].copy() for s in states)
+                return metrics(states)
+            return _drive(x, step, record, *limits)
+
+        with mock.patch.object(module, "_drive", drive):
+            call()
+        return np.array(seen)
+
+    @pytest.mark.parametrize("draw_bytes", [solvers._DRAW_BYTES, 7])
+    @pytest.mark.parametrize("run, sampler, m", [(run_gd, "bernoulli", 6.0),
+                                                 (run_sgd, "bernoulli", 2.5),
+                                                 (run_sgd, "fixed", 3.0)])
+    def test_solver_runs(self, run, sampler, m, draw_bytes):
+        ds = gen_dataset(6, 9, "gaussian", seed=16)
+        cfg = SolverConfig(eta=0.7, m=m, sampler=sampler, max_iters=self.T, seed=17)
+        with mock.patch.object(solvers, "_DRAW_BYTES", draw_bytes):
+            rows = self.loop_iterates(solvers, lambda: run(ds, cfg))
+            assert len(rows) == self.T + 1
+            assert bits(prefix_iterates(run, ds, cfg, self.STEPS)) == bits(rows[self.STEPS])
+
+    def test_dgd_runs(self):
+        ds = gen_dataset(6, 9, "gaussian", seed=16)
+        g = make_graph("ring", 6)
+        W0 = np.random.default_rng(17).standard_normal((6, 9))
+        rows = self.loop_iterates(
+            distributed, lambda: run_dgd(ds, g, [0.3], [0.1], max_iters=self.T, W0=W0))
+        assert len(rows) == self.T + 1
+        assert bits(prefix_states(ds, g, 0.3, 0.1, W0, self.STEPS)) == bits(rows[self.STEPS])
 
 
 class TestEstimateRate:
@@ -602,19 +649,17 @@ class TestSolverInvariants:
     @pytest.mark.parametrize("batch", ["full", "bernoulli"])
     def test_null_component_is_invariant(self, batch):
         ds, rp, u, w0 = self._null_setup()
-        cfg = SolverConfig(eta=0.4, m=2.0, sampler="bernoulli", max_iters=100, seed=5, w0=w0,
-                           record_iterates=True)
-        tr = run_gd(ds, cfg) if batch == "full" else run_sgd(ds, cfg)
-        comps = (tr.iterates - ds.w_star) @ u
+        cfg = SolverConfig(eta=0.4, m=2.0, sampler="bernoulli", seed=5, w0=w0)
+        run = run_gd if batch == "full" else run_sgd
+        comps = (prefix_iterates(run, ds, cfg, range(101)) - ds.w_star) @ u
         assert np.max(np.abs(comps - comps[0])) <= 1e-12 * abs(comps[0])
 
     def test_loss_equals_quadratic_error_form(self):
         ds = gen_dataset(6, 6, "gaussian", seed=7)
         H = hessian(ds)
-        cfg = SolverConfig(eta=0.5, m=3, sampler="bernoulli", max_iters=30,
-                           seed=8, record_iterates=True)
+        cfg = SolverConfig(eta=0.5, m=3, sampler="bernoulli", max_iters=30, seed=8)
         tr = run_sgd(ds, cfg)
-        for w, loss in zip(tr.iterates, tr.loss):
+        for w, loss in zip(prefix_iterates(run_sgd, ds, cfg, range(31)), tr.loss, strict=True):
             delta = w - ds.w_star
             quad = delta @ H @ delta
             assert abs(loss - quad) <= 1e-10 * max(quad, 1e-30)
