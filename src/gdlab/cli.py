@@ -359,6 +359,8 @@ def _cmd_run_solver(res: _Resolver, output: _Output):
         sampler = res.get("sampler", sampler)
         m = float(res.get("m", max(1.0, ds.n / 4)))
         runs = int(res.get("runs", 1))
+        if runs < 1:  # sweep m and sweep eta take 0 for predictions only
+            raise CliError(f"--runs must be >= 1 for run sgd: {runs}")
     eta = res.get("eta")
     res.resolved.update(m=m, sampler=sampler)
     [(theory, cost, cfg, ens, fit, status)] = _sgd_points(
@@ -579,16 +581,23 @@ def _cmd_spectrum(res: _Resolver, output: _Output):
 
 # ---------------------------------------------------------------- parser
 
-def _seed(text):
-    """A seed option's value: numpy seeds no negative integer, so one is
-    refused here, where argparse's message names the option."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
-    return value
+def _integer(least):
+    """The type of an integer option whose values start at least (0 or 1): a
+    smaller value is refused here, where argparse's message names the
+    option.  numpy seeds no negative integer, a run count is never negative,
+    and an iteration cap below 1 asks for no iteration."""
+    kind = "positive" if least == 1 else "non-negative"
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {value}")
+        return value
+
+    return parse
 
 
 # every option once: the key (its --long-name with _ for -) -> argparse keywords
@@ -596,14 +605,14 @@ _OPTIONS = {
     "config": dict(help="JSON file of option values keyed by long name, _ for -"),
     "preset": dict(help="named preset: " + ", ".join(presets_mod.preset_names())),
     "out": dict(help="output directory (default .)"),
-    "seed": dict(type=_seed, help="master seed (default 0)"),
+    "seed": dict(type=_integer(0), help="master seed (default 0)"),
     "dataset": dict(help="path to a dataset JSON file"),
     "n": dict(type=int, help="sample count"),
     "d": dict(type=int, help="parameter dimension"),
     "kind": dict(choices=["orthonormal", "gaussian", "spiked"], help="dataset kind"),
     "rho": dict(type=float, help="spiked correlation in [0,1)"),
     "normalize": dict(action=argparse.BooleanOptionalAction, help="rescale rows to unit norm"),
-    "data_seed": dict(type=_seed, help="dataset generation seed (default: master seed)"),
+    "data_seed": dict(type=_integer(0), help="dataset generation seed (default: master seed)"),
     "graph": dict(help="path to a graph JSON file"),
     "graph_kind": dict(choices=["complete", "ring", "path", "grid", "k_ring", "erdos_renyi"],
                        help="graph kind"),
@@ -611,7 +620,7 @@ _OPTIONS = {
     "graph_cols": dict(type=int, help="grid columns"),
     "graph_k": dict(type=int, help="k_ring neighbours on each side"),
     "graph_p": dict(type=float, help="erdos_renyi edge probability"),
-    "graph_seed": dict(type=_seed, help="erdos_renyi graph seed (default 0)"),
+    "graph_seed": dict(type=_integer(0), help="erdos_renyi graph seed (default 0)"),
     "m": dict(type=float, help="mean batch size"),
     "lambda1": dict(type=float, help="largest nonzero eigenvalue"),
     "lambdan": dict(type=float, help="smallest nonzero eigenvalue"),
@@ -619,10 +628,10 @@ _OPTIONS = {
     "eta": dict(type=float, help="learning rate (default: optimal/stable)"),
     "mu": dict(type=float, help="consensus penalty weight"),
     "sampler": dict(choices=["bernoulli", "fixed"], help="minibatch sampler"),
-    "runs": dict(type=int, help="ensemble size (per sweep point; 0 = predictions only)"),
-    "iters": dict(type=int, help="iteration cap"),
+    "runs": dict(type=_integer(0), help="ensemble size (per sweep point; 0 = predictions only)"),
+    "iters": dict(type=_integer(1), help="iteration cap"),
     "stop_tol": dict(type=float, help="relative stopping tolerance (0 = never)"),
-    "w0_seed": dict(type=_seed, help="seed for a random initial state (default: zeros)"),
+    "w0_seed": dict(type=_integer(0), help="seed for a random initial state (default: zeros)"),
     "values": dict(help="comma-separated parameter values"),
 }
 _COMMON = ("config", "preset", "out", "seed")

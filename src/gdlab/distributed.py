@@ -10,37 +10,55 @@ with L = D - A the (positive semidefinite) graph Laplacian: gradient descent
 with step eta on half of sum_i (x_i . w_i - y_i)^2 + mu sum_<i,j> |w_i - w_j|^2,
 the penalized loss the trace records.  Every public function here takes that
 penalty weight mu and forms the coupling eta * mu itself, but for dgd_step,
-the round inside run_dgd, which takes the coupling under that name.  Near an
-exact fit the error obeys delta W <- (I - Q) delta W with
-Q = eta blockdiag(x_i x_i^T) + eta mu (L kron I), so stability and rates are
-read off Q's spectrum.  Every x_i lies in range(H), so Q splits exactly into
-a block on range(H), an (n rank H) x (n rank H) matrix that
-dgd_operator_spectrum solves densely, and a null block
-eta mu (L kron I_(d - rank H)), whose eigenvalues are those of L scaled.
+the round inside run_dgd, which takes each point's eta X and eta mu B^T as
+run_dgd scales them.  Near an exact fit the error obeys
+delta W <- (I - Q) delta W with Q = eta blockdiag(x_i x_i^T) +
+eta mu (L kron I), so stability and rates are read off Q's spectrum.  Every
+x_i lies in range(H), so Q splits exactly into a block on range(H), an
+(n rank H) x (n rank H) matrix that dgd_operator_spectrum solves densely, and
+a null block eta mu (L kron I_(d - rank H)), whose eigenvalues are those of
+L scaled.
 
 Each (eta, mu) point is an independent linear recursion, so run_dgd advances
 its points as one stack of states through the solvers' loop: dgd_step takes
-the stack a round at a time, each state at its own eta and coupling, and
-consensus_metrics measures a block of stacked states at once, computing the
-products the trace needs (B W, the residuals, the Gram matrix of the spread)
-once per block.  A trace keeps the rows, the status and the final state, no
-other state, and each point's is bitwise the one it gets alone.
+the stack a round at a time, each state at its own eta and mu, and
+consensus_metrics measures a block of stacked states at once.  A trace keeps
+the rows, the status and the final state, no other state, and each point's
+is bitwise the one it gets alone.
+
+Each product of a state is formed once.  Besides W, the loop state carries
+each running point's residuals e = row_inner(X, W) - y and edge differences
+B W, and its operands eta X and eta mu B^T, scaled once per run.  A round
+steps with e and B W, W - e (eta X) - (eta mu B^T)(B W), and writes the new
+state with its own e and B W; the trace's error, spreads and loss read those
+same products, so no residual or B W is computed twice.  The residual keeps
+row_inner's reduction, with which labels are made, so an exact fit has
+bitwise-zero residuals, and the penalty stays B^T (B W), exactly zero on
+consensus states.  With the scalings folded into the operands, dgd_step
+makes 8 numpy calls; stepping with eta and eta mu as scalars takes 10.
+
+The round is bound by numpy's per-call cost, not by arithmetic.  On a
+3 x 16 x 32 stack (2-vCPU Xeon, one BLAS thread, fastest of repeated
+timings), an elementwise call whose operands share a shape takes about
+0.95 us, the residual times each row of eta X, which broadcasts, 2.1 us, the
+residual's reduction 2.1 us, and each of the two stacked matmuls 2.2-2.3 us.
+So the workspace holds X, y and B tiled once to the number of points, used
+through leading slices for the A points still running, and the operands are
+tiled likewise: every call but that one product has operands of the stack's
+shape.  eta mu B^T is the transposed view of the scaled tiled B, never a
+contiguous copy: each state's product then takes the 2-D (eta mu B).T's
+BLAS path, and its bits.
 
 run_dgd makes one workspace per run (_workspace), and the round loop
-allocates nothing but each round's new stack, for two reasons.  A block's
-temporaries run to half a megabyte each; above glibc's mmap threshold each
-fresh one would be a new mapping, faulted in page by page on every block, and
-the loop's speed would follow the allocator's state rather than the work.  And
-the round is bound by numpy's per-call cost, not by arithmetic, and a call
-that broadcasts costs more than one whose operands share a shape: on a
-3 x 16 x 32 stack, 1.5-1.9 us against 1.0 us for an elementwise product
-(fastest of repeated timings on a 2-vCPU Xeon).  So the workspace holds X,
-y and B tiled once to the number of points, used through leading slices for
-the A points still running, and the loop carries each point's eta tiled to
-(A, n) and its coupling to (A, n, d): every call in dgd_step has operands of
-the stack's shape but one (the residual times each row of X).  B^T is the
-transposed view of the tiled B, never a contiguous copy: each state's
-product then takes the 2-D B.T's BLAS path, and its bits.
+allocates no state: each round writes its new states, residuals and edge
+differences into the next rows of a block buffer, and the block's metrics
+call reads that buffer in place, with no concatenation.  The next block
+writes the other of two buffers, so a block's entry state, the final state
+of a point that its first row in the block stops, survives the block.  A
+block's buffers and temporaries run to half a megabyte each; above glibc's
+mmap threshold each fresh one would be a new mapping, faulted in page by
+page on every block, and the loop's speed would follow the allocator's state
+rather than the work.
 """
 
 from __future__ import annotations
@@ -53,7 +71,7 @@ from itertools import combinations
 import numpy as np
 
 from .io import dumps, json_int, json_object
-from .problem import Dataset
+from .problem import Dataset, row_inner
 from .solvers import _BLOCK, _drive, check_stopping
 
 DENSE_GUARD = 4096
@@ -144,8 +162,9 @@ def make_graph(kind: str, n: int, seed: int = 0, *, rows: int | None = None,
     elif kind == "path":
         edges = _canon((i, i + 1) for i in range(n - 1))
     elif kind == "grid":
-        if rows is None or cols is None or rows * cols != n:
-            raise ValueError(f"invalid graph spec: grid needs rows*cols == n, got {rows}x{cols} for n={n}")
+        if rows is None or cols is None or rows < 1 or cols < 1 or rows * cols != n:
+            raise ValueError(f"invalid graph spec: grid needs rows >= 1 and cols >= 1 with "
+                             f"rows*cols == n, got {rows}x{cols} for n={n}")
         params = {"rows": rows, "cols": cols}
         edges = []
         for r in range(rows):
@@ -198,71 +217,69 @@ def incidence(g: CommGraph) -> np.ndarray:
 
 def _workspace(ds: Dataset, B: np.ndarray, K: int, points: int) -> dict:
     """The buffers of one run of `points` points measured in blocks of up to
-    K states: the block buffer; consensus_metrics's temporaries, each named by
-    its trailing shape and written again only once its last value is read;
-    and under "steps", entry A - 1 for a stack of A points: dgd_step's
-    operands X, y and B tiled to A copies, B^T as the transposed view of the
-    tiled B, and the round's temporaries, each a leading slice [:A]."""
+    K states: under "blocks", two (states K x n x d, residuals K x n x 1,
+    edge differences K x E x d) triples that the rounds of alternate blocks
+    write; consensus_metrics's temporaries, each named by its trailing shape
+    and written again only once its last value is read; and under "steps",
+    entry A - 1 for a stack of A points: dgd_step's operands X, y and B
+    tiled to A copies and its temporary, each a leading slice [:A]."""
     n, d, E, r = ds.n, ds.d, B.shape[0], ds.spectral.basis.shape[1]
-    Bs = np.tile(B, (points, 1, 1))
-    n1 = np.empty((points, n, 1))
-    step = {"X": np.tile(ds.X, (points, 1, 1)), "y": np.tile(ds.y, (points, 1)), "B": Bs,
-            "Bt": Bs.transpose(0, 2, 1), "n1": n1, "n": n1[..., 0], "nd": np.empty((points, n, d)),
-            "ed": np.empty((points, E, d)), "lap": np.empty((points, n, d))}
-    return {"block": np.empty((K, n, d)), "nd": np.empty((K, n, d)), "nr": np.empty((K, n, r)),
-            "ed": np.empty((K, E, d)), "e": np.empty((K, E)), "n": np.empty((K, n)),
-            "1d": np.empty((K, 1, d)), "nn": np.empty((K, n, n)), "gram": np.empty((K, n, n)),
+    step = {"X": np.tile(ds.X, (points, 1, 1)), "y": np.tile(ds.y[:, None], (points, 1, 1)),
+            "B": np.tile(B, (points, 1, 1)), "nd": np.empty((points, n, d))}
+    return {"blocks": [(np.empty((K, n, d)), np.empty((K, n, 1)), np.empty((K, E, d)))
+                       for _ in range(2)],
+            "nd": np.empty((K, n, d)), "nr": np.empty((K, n, r)), "gram": np.empty((K, n, n)),
             "steps": [{name: buf[:A] for name, buf in step.items()} for A in range(1, points + 1)]}
 
 
-def consensus_metrics(S: np.ndarray, ds: Dataset, B: np.ndarray, mu, work=None):
+def consensus_metrics(S: np.ndarray, ds: Dataset, B: np.ndarray, mu, work=None,
+                      resid=None, diffs=None):
     """The trace columns of a stack S of K states (K x n x d; one n x d state
     is the K = 1 case), K values each: mean range-projected error, max
     edge/global parameter spread, and the penalized loss at penalty weight mu
     (one value, or K: each state's own).
 
     B is the graph's incidence matrix, built once per run by the caller.
-    Each state's values are bitwise those of the same state evaluated alone:
-    the stacked products run the same kernel per state, and every dot
-    product is a 1 x 1 matmul.
+    resid (K x n) and diffs (K x E x d), given together, are S's residuals
+    row_inner(X, S) - y and its edge differences B S, as run_dgd's rounds
+    carry them; without them, they are computed here the same way.
 
-    work is run_dgd's workspace, for blocks of at least K states; without
-    one, the call makes its own.  Every ufunc and matmul writes into a
-    leading slice of a buffer, which changes no bit of the result; S itself
-    is never written.
+    Each state's values are bitwise those of the same state evaluated alone:
+    the stacked products run the same kernel per state, and every squared
+    norm is a vecdot, one dot product per state, node or edge; the penalty
+    sums the edges' squared norms, and the edge spread is the square root of
+    their maximum.  work is run_dgd's workspace, for blocks of at least K
+    states; without one, the call makes its own.  The temporaries of a
+    state's size or more are leading slices of its buffers, which changes no
+    bit of the result; S, resid and diffs are never written.
     """
     S = np.asarray(S, dtype=float)
     if S.shape[-2:] != (ds.n, ds.d) or S.ndim not in (2, 3) or B.shape[1] != ds.n:
         raise ValueError("state, dataset and graph dimensions are inconsistent")
     S = S.reshape(-1, ds.n, ds.d)
     K, n = len(S), ds.n
+    if diffs is None:
+        resid, diffs = row_inner(ds.X, S) - ds.y, B @ S
     if work is None:
         work = _workspace(ds, B, K, 0)
-    nd, node = work["nd"][:K], work["n"][:K]
+    nd = work["nd"][:K]
     comp = np.matmul(np.subtract(S, ds.w_star, out=nd), ds.spectral.basis, out=work["nr"][:K])
-    node_err = np.add.reduce(np.multiply(comp, comp, out=comp), axis=2, out=node)
-    err = np.add.reduce(node_err, axis=1) / n  # node_err.mean(axis=1)
-    # squared edge differences, shared by the spread (the sqrt of their sum
-    # is np.linalg.norm's) and the penalty
-    diffs_sq = np.matmul(B, S, out=work["ed"][:K])
-    np.multiply(diffs_sq, diffs_sq, out=diffs_sq)
-    edge_sq = np.add.reduce(diffs_sq, axis=2, out=work["e"][:K])
-    edge = np.sqrt(edge_sq, out=edge_sq).max(axis=1, initial=0.0)
-    resid = np.add.reduce(np.multiply(ds.X, S, out=nd), axis=-1, out=node)  # row_inner
-    np.subtract(resid, ds.y, out=resid)
-    residual_sq = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
-    loss = residual_sq + mu * np.add.reduce(diffs_sq, axis=(1, 2))
-    # global spread: center rows first: the spread is translation-invariant,
-    # and removing the common offset keeps the Gram cancellation at the
-    # spread's own scale; d2 = (sq_i + sq_j) - 2 G_ij in that order
-    center = np.add.reduce(S, axis=1, keepdims=True, out=work["1d"][:K])
-    Sc = np.subtract(S, np.divide(center, n, out=center), out=nd)
+    comp = comp.reshape(K, -1)
+    err = np.vecdot(comp, comp) / n
+    edge_sq = np.vecdot(diffs, diffs)
+    edge = np.sqrt(edge_sq.max(axis=1, initial=0.0))
+    loss = np.vecdot(resid, resid) + mu * np.add.reduce(edge_sq, axis=1)
+    # global spread: rows taken relative to row 0 first (the spread is
+    # translation-invariant, and the shift keeps the Gram cancellation at the
+    # spread's own scale); d2 = (sq_i - 2 G_ij) + sq_j, sq the Gram
+    # diagonal, so d2_ii is exactly 0 and the maximum is never negative
+    Sc = np.subtract(S, S[:, :1], out=nd)
     gram = np.matmul(Sc, Sc.transpose(0, 2, 1), out=work["gram"][:K])
-    sq = np.add.reduce(np.multiply(Sc, Sc, out=Sc), axis=2, out=node)
-    d2 = np.add(sq[:, :, None], sq[:, None, :], out=work["nn"][:K])
-    gram *= 2.0
-    d2 -= gram
-    spread = np.sqrt(np.maximum(d2.reshape(K, -1).max(axis=1), 0.0))
+    sq = gram.diagonal(axis1=1, axis2=2).copy()
+    d2 = np.multiply(gram, -2.0, out=gram)
+    np.add(d2, sq[:, :, None], out=d2)
+    np.add(d2, sq[:, None, :], out=d2)
+    spread = np.sqrt(d2.reshape(K, -1).max(axis=1))
     return err, edge, spread, loss
 
 
@@ -288,21 +305,27 @@ def _coupling(eta: float, mu: float) -> float:
     return coupling
 
 
-def dgd_step(W: np.ndarray, eta: np.ndarray, coupling: np.ndarray, work: dict) -> np.ndarray:
-    """One synchronous round, W - eta e x - coupling B^T (B W) with e the
-    per-node residuals, of each state k of the stack W (A x n x d) at its own
-    eta[k] (tiled to A x n) and coupling eta[k] mu[k] (tiled to A x n x d).
-    work, run_dgd's workspace, holds X, y, B and the temporaries; only the
-    returned stack is a new array."""
+def dgd_step(W: np.ndarray, e: np.ndarray, D: np.ndarray, eta_X: np.ndarray,
+             coupling_Bt: np.ndarray, out: tuple, work: dict) -> tuple:
+    """One synchronous round of each state k of the stack W (A x n x d),
+    W - e (eta_k X) - (eta_k mu_k B^T)(B W), and the residuals and edge
+    differences of the new states, which the next round and the trace read.
+
+    e (A x n x 1) and D (A x E x d) are W's residuals row_inner(X, W) - y
+    and edge differences B W; eta_X (A x n x d) and coupling_Bt (A x n x E,
+    a transposed view) are each point's operands, scaled once per run.
+    The new states, residuals and edge differences are written into out, a
+    (W, e, D) triple of buffers of the same shapes, which is returned.
+    work, run_dgd's workspace, holds X, y, B and the one temporary."""
     w = work["steps"][len(W) - 1]
-    e = np.add.reduce(np.multiply(w["X"], W, out=w["nd"]), axis=-1, out=w["n"])  # row_inner
-    np.subtract(e, w["y"], out=e)
-    np.multiply(eta, e, out=e)
-    grad = np.multiply(w["n1"], w["X"], out=w["nd"])
-    lap = np.matmul(w["Bt"], np.matmul(w["B"], W, out=w["ed"]), out=w["lap"])
-    np.multiply(coupling, lap, out=lap)
-    nxt = np.subtract(W, grad)
-    return np.subtract(nxt, lap, out=nxt)
+    W1, e1, D1 = out
+    np.subtract(W, np.multiply(e, eta_X, out=w["nd"]), out=W1)
+    np.subtract(W1, np.matmul(coupling_Bt, D, out=w["nd"]), out=W1)
+    # row_inner(X, W1), into e1
+    np.add.reduce(np.multiply(w["X"], W1, out=w["nd"]), axis=-1, keepdims=True, out=e1)
+    np.subtract(e1, w["y"], out=e1)
+    np.matmul(w["B"], W1, out=D1)
+    return out
 
 
 def run_dgd(ds: Dataset, g: CommGraph, etas, mus, max_iters: int = 1000,
@@ -329,24 +352,40 @@ def run_dgd(ds: Dataset, g: CommGraph, etas, mus, max_iters: int = 1000,
     if W.shape != (ds.n, ds.d):
         raise ValueError(f"W0 must have shape ({ds.n}, {ds.d})")
     B = incidence(g)
+    P = len(etas)
     # _drive measures at most max(_BLOCK, points) states at once
-    work = _workspace(ds, B, max(_BLOCK, len(etas)), len(etas))
-    block = work["block"]
+    work = _workspace(ds, B, max(_BLOCK, P), P)
+    tiled = work["steps"][-1]
+    side, row = 0, 0  # the block buffer the rounds write, and its next free row
 
-    # the loop's state is (W, eta, coupling, mu), one row per running point,
-    # eta tiled to (points, n) and the coupling eta * mu to (points, n, d)
-    def metrics(states):
-        S = np.concatenate([s[0] for s in states], out=block[:len(states) * len(states[0][0])])
-        return consensus_metrics(S, ds, B, np.concatenate([s[3] for s in states]), work)
-
+    # the loop's state is (W, e, D, eta X, eta mu B^T, mu), one row per
+    # running point.  _drive measures each block once its rounds are taken,
+    # so a block's rounds fill one block buffer in order, its metrics call
+    # reads them there, and the next block fills the other buffer.
     def step(state, _):
-        W, eta, coupling, mu = state
-        return dgd_step(W, eta, coupling, work), eta, coupling, mu
+        nonlocal row
+        W, e, D, eta_X, coupling_Bt, mu = state
+        Wb, eb, Db = work["blocks"][side]
+        end = row + len(W)
+        out = dgd_step(W, e, D, eta_X, coupling_Bt, (Wb[row:end], eb[row:end], Db[row:end]), work)
+        row = end
+        return (*out, eta_X, coupling_Bt, mu)
+
+    def metrics(states):
+        nonlocal side, row
+        S, e, D, *_, mu = states[0]
+        if len(states) > 1:
+            S, e, D = (buf[:row] for buf in work["blocks"][side])
+            mu = np.tile(mu, len(states))
+        side, row = 1 - side, 0
+        return consensus_metrics(S, ds, B, mu, work, e[..., 0], D)
 
     eta, mu = np.array(etas, dtype=float), np.array(mus, dtype=float)
-    n, d = ds.n, ds.d
-    x0 = (np.tile(W, (len(etas), 1, 1)), np.repeat(eta[:, None], n, axis=1),
-          np.tile(np.multiply(eta, mu)[:, None, None], (1, n, d)), mu)
+    with np.errstate(over="ignore", invalid="ignore"):  # _drive reports non-finite metrics
+        e0, D0 = row_inner(ds.X, W) - ds.y, B @ W
+    x0 = (np.tile(W, (P, 1, 1)), np.tile(e0[:, None], (P, 1, 1)), np.tile(D0, (P, 1, 1)),
+          np.multiply(eta[:, None, None], tiled["X"]),
+          np.multiply((eta * mu)[:, None, None], tiled["B"]).transpose(0, 2, 1), mu)
     cols, lengths, statuses, finals = _drive(x0, step, metrics, max_iters, stop_tol)
     # consensus_metrics's four columns come in DgdTrace's field order
     return [DgdTrace(np.arange(L), *(col[k, :L] for col in cols), statuses[k], finals[k])

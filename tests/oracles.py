@@ -1,7 +1,8 @@
 """Test oracles: independent estimates the closed forms of gdlab are checked
-against, and the iterates of a run, which no trace keeps.  No command runs
-them, so they live with the tests; pytest puts this directory on sys.path,
-so a test imports them as `from oracles import mc_expected_mm`."""
+against, the defining formulas of a DGD round and its trace row, and the
+iterates of a run, which no trace keeps.  No command runs them, so they live
+with the tests; pytest puts this directory on sys.path, so a test imports
+them as `from oracles import mc_expected_mm`."""
 
 from dataclasses import replace
 
@@ -84,6 +85,45 @@ def dense_operator_spectrum(ds: Dataset, g: CommGraph, eta: float, mu: float) ->
         rate_spectral=max(1.0 - sigma_min, sigma_max - 1.0),
         stable=sigma_max < 2.0,
     )
+
+
+def reference_round(ds: Dataset, B: np.ndarray, eta: float, mu: float, W: np.ndarray) -> np.ndarray:
+    """One DGD round of one state W (n x d) as gdlab.distributed's docstring
+    writes it, W - eta e x - eta mu B^T (B W) with e the per-node residuals.
+    gdlab's round scales X and B^T by each point's eta and eta * mu first, so
+    it agrees with this one to rounding, not bit for bit."""
+    e = np.sum(ds.X * W, axis=1) - ds.y
+    return W - eta * e[:, None] * ds.X - eta * mu * (B.T @ (B @ W))
+
+
+def reference_metrics(ds: Dataset, B: np.ndarray, mu: float, W: np.ndarray) -> tuple:
+    """A DGD trace row of one state W (n x d) by its definitions: the mean
+    over nodes of the squared range-projected error, the largest edge
+    difference norm, the largest pairwise distance (from the Gram matrix of
+    the mean-centred rows) and the penalized loss at penalty weight mu."""
+    comp = (W - ds.w_star) @ ds.spectral.basis
+    diffs = B @ W
+    Wc = W - W.mean(axis=0)
+    sq = np.sum(Wc * Wc, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (Wc @ Wc.T)
+    resid = np.sum(ds.X * W, axis=1) - ds.y
+    return (float(np.sum(comp * comp, axis=1).mean()),
+            float(np.linalg.norm(diffs, axis=1).max()),
+            float(np.sqrt(max(float(d2.max()), 0.0))),
+            float(resid @ resid + mu * np.sum(diffs * diffs)))
+
+
+def reference_dgd(ds: Dataset, g: CommGraph, eta: float, mu: float, W0: np.ndarray,
+                  rounds: int) -> tuple[np.ndarray, np.ndarray]:
+    """rounds reference_rounds from W0: the rounds + 1 reference_metrics rows
+    (rows x 4, in DgdTrace's column order) and the final state."""
+    B = incidence(g)
+    W = np.array(W0, dtype=float)
+    rows = [reference_metrics(ds, B, mu, W)]
+    for _ in range(rounds):
+        W = reference_round(ds, B, eta, mu, W)
+        rows.append(reference_metrics(ds, B, mu, W))
+    return np.array(rows), W
 
 
 def plain_gd(ds: Dataset, eta: float, iters: int):

@@ -470,6 +470,34 @@ class TestConfigAndErrors:
         assert capsys.readouterr().err == (
             f"gdlab: error: argument {flag}: expected a non-negative integer, got -1\n")
 
+    @pytest.mark.parametrize("argv, config, message", [
+        (["run", "gd", "--preset", "gaussian8", "--iters", "-1"], None,
+         "argument --iters: expected a positive integer, got -1"),
+        (["run", "gd", "--preset", "gaussian8"], {"iters": -1},
+         "argument --iters: expected a positive integer, got -1"),
+        (["run", "dgd", "--preset", "ring16", "--iters", "0"], None,
+         "argument --iters: expected a positive integer, got 0"),
+        (["run", "sgd", "--preset", "gaussian8", "--runs", "0"], None,
+         "--runs must be >= 1 for run sgd: 0"),
+        (["sweep", "m", "--preset", "orthonormal32", "--runs", "-1"], None,
+         "argument --runs: expected a non-negative integer, got -1"),
+        (["run", "dgd", "--n", "4", "--d", "4", "--kind", "gaussian", "--graph-kind", "grid",
+          "--graph-rows", "-2", "--graph-cols", "-2"], None,
+         "invalid graph spec: grid needs rows >= 1 and cols >= 1 with rows*cols == n, "
+         "got -2x-2 for n=4"),
+    ], ids=["iters", "config-iters", "dgd-iters", "sgd-runs", "sweep-runs", "grid"])
+    def test_refusal_names_what_was_given(self, tmp_path, tmp_path_factory, capsys,
+                                          argv, config, message):
+        # these once surfaced as the library's field names (max_iters,
+        # runs), or, for the grid, as a graph that is not connected
+        if config:
+            cfg = tmp_path_factory.mktemp("input") / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(cfg)]
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+        assert os.listdir(str(tmp_path)) == []
+        assert capsys.readouterr().err == f"gdlab: error: {message}\n"
+
     def test_unreadable_config_is_validation_failure(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -29,10 +29,11 @@ from gdlab.problem import (
     dataset_from_rows,
     gen_dataset,
     hessian,
+    row_inner,
     spectral_summary,
 )
 from gdlab.solvers import _BLOCK, DIVERGENCE_FACTOR, _take, fit_rate
-from oracles import dense_operator_spectrum, dense_round_operator, prefix_states
+from oracles import dense_operator_spectrum, dense_round_operator, prefix_states, reference_dgd
 
 
 def two_unit_nodes():
@@ -53,11 +54,31 @@ def laplacian(g):
 
 
 def plain_round(ds, B, eta, mu, W):
-    """One round of one state W (n x d) as the module docstring writes it,
-    W - eta e x - eta mu B^T (B W) with e the per-node residuals: the oracle
-    for dgd_step's stacked round."""
-    e = np.sum(ds.X * W, axis=1) - ds.y
-    return W - eta * e[:, None] * ds.X - eta * mu * (B.T @ (B @ W))
+    """One round of one state W (n x d) in dgd_step's order of evaluation,
+    W - e (eta X) - (eta mu B)^T (B W) with e = row_inner(X, W) - y: the
+    2-D formula each state of dgd_step's stacked round is bitwise.  The
+    transpose is a view, as in the stack; oracles.reference_round is the
+    round as the docstring writes it."""
+    e = row_inner(ds.X, W) - ds.y
+    return W - e[:, None] * (eta * ds.X) - (eta * mu * B).T @ (B @ W)
+
+
+def plain_metrics(ds, B, mu, W):
+    """consensus_metrics's row of one state W (n x d) in its order of
+    evaluation: dot products for the squared sums, and the spread from the
+    Gram matrix of the rows relative to row 0, d2 = (sq_i - 2 G_ij) + sq_j
+    with sq its diagonal.  oracles.reference_metrics gives the same row by
+    the definitions, to rounding."""
+    comp = ((W - ds.w_star) @ ds.spectral.basis).ravel()
+    diffs = B @ W
+    edge_sq = np.vecdot(diffs, diffs)
+    e = row_inner(ds.X, W) - ds.y
+    Wc = W - W[0]
+    G = Wc @ Wc.T
+    sq = np.diag(G)
+    d2 = (-2.0 * G + sq[:, None]) + sq[None, :]
+    return (float(comp @ comp / ds.n), float(np.sqrt(edge_sq.max())),
+            float(np.sqrt(d2.max())), float(e @ e + mu * edge_sq.sum()))
 
 
 class TestMakeGraph:
@@ -246,9 +267,10 @@ class TestRunDgd:
                            W0=np.array([[1.0], [1.0]]))
         assert np.allclose(tr_sum.W_final.ravel(), [0.125, 0.125], atol=1e-15)
 
-    def test_interpolating_consensus_is_exact_fixed_point(self):
+    @pytest.mark.parametrize("kind", ["ring", "complete"])  # degree 2 and n - 1
+    def test_interpolating_consensus_is_exact_fixed_point(self, kind):
         ds = gen_dataset(5, 8, "gaussian", seed=40)
-        g = make_graph("ring", 5)
+        g = make_graph(kind, 5)
         W = np.tile(ds.w_star, (5, 1))
         assert np.array_equal(plain_round(ds, incidence(g), 0.3, 0.1, W), W)
         [tr] = run_dgd(ds, g, [0.3], [0.1], max_iters=5, W0=W)
@@ -317,6 +339,26 @@ class TestRunDgd:
         assert len(tr.t) == 51
         assert len(builds) == 1
 
+    def test_round_and_metrics_are_called_through_the_module(self, monkeypatch):
+        # gdbench's tracer wraps the module's globals, so run_dgd must call
+        # dgd_step once per stacked round and consensus_metrics once per
+        # block and once for the initial state, through the module
+        import gdlab.distributed
+
+        calls = {"dgd_step": 0, "consensus_metrics": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(gdlab.distributed, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(gdlab.distributed, name, counted)
+        ds = gen_dataset(5, 8, "gaussian", seed=40)
+        g = make_graph("ring", 5)
+        mus = [0.1, 1.0, 10.0]
+        traces = run_dgd(ds, g, [stable_eta(ds, g, mu) for mu in mus], mus, max_iters=300)
+        assert [len(tr.t) for tr in traces] == [301] * 3
+        blocks = -(-300 // (_BLOCK // 3))  # 42 rounds of the 3 points a block
+        assert calls == {"dgd_step": 300, "consensus_metrics": blocks + 1}
 
     def test_step_workspace_built_once_per_run(self, monkeypatch):
         import gdlab.distributed
@@ -340,10 +382,12 @@ class TestRunDgd:
 class TestStepWorkspace:
     def test_every_round_is_the_2d_step_of_each_state(self):
         # a 3-point stack on a 28-edge graph, shrunk to points [0, 2] and then
-        # [2] as _drive does: each state's round is bitwise its plain round.
-        # Tiling B^T as a contiguous copy, not the transposed view of the
-        # tiled B, takes another BLAS path and fails here (with numpy's
-        # OpenBLAS 0.3 the two paths' bits differ at d = 4, not at d = 8)
+        # [2] as _drive does: each state's round is bitwise its plain round,
+        # and the residuals and edge differences it writes are bitwise the
+        # state's own.  Scaling a contiguous copy of B^T, not taking the
+        # transposed view of the scaled tiled B, takes another BLAS path and
+        # fails here (with numpy's OpenBLAS 0.3 the two paths' bits differ
+        # at d = 4, not at d = 8)
         ds = gen_dataset(8, 4, "gaussian", seed=91)
         g = make_graph("complete", 8)
         assert len(g.edges) == 28
@@ -352,19 +396,24 @@ class TestStepWorkspace:
         etas = np.array([stable_eta(ds, g, mu) for mu in mus])
         work = _workspace(ds, B, _BLOCK, 3)
         W0 = np.random.default_rng(92).standard_normal((8, 4))
-        # run_dgd's loop state: eta tiled to (A, n), eta * mu to (A, n, d)
-        x = (np.tile(W0, (3, 1, 1)), np.repeat(etas[:, None], 8, axis=1),
-             np.tile((etas * mus)[:, None, None], (1, 8, 4)))
+        # run_dgd's loop state: W, its residuals (A x n x 1) and edge
+        # differences, eta X and the transposed view of eta mu B
+        x = (np.tile(W0, (3, 1, 1)), np.tile((row_inner(ds.X, W0) - ds.y)[:, None], (3, 1, 1)),
+             np.tile(B @ W0, (3, 1, 1)), etas[:, None, None] * ds.X,
+             ((etas * mus)[:, None, None] * B).transpose(0, 2, 1))
         points = np.arange(3)
         for keep in (None, [True, False, True], [False, True]):
             if keep is not None:
                 x, points = _take(x, np.array(keep)), points[keep]
             for _ in range(20):
-                W, eta, coupling = x
-                W_next = dgd_step(W, eta, coupling, work)
+                W, e, D, eta_X, coupling_Bt = x
+                out = (np.empty_like(W), np.empty_like(e), np.empty_like(D))
+                W_next, e_next, D_next = dgd_step(W, e, D, eta_X, coupling_Bt, out, work)
                 for k, p in enumerate(points):
                     assert np.array_equal(W_next[k], plain_round(ds, B, etas[p], mus[p], W[k]))
-                x = (W_next, eta, coupling)
+                    assert np.array_equal(e_next[k, :, 0], row_inner(ds.X, W_next[k]) - ds.y)
+                    assert np.array_equal(D_next[k], B @ W_next[k])
+                x = (W_next, e_next, D_next, eta_X, coupling_Bt)
         assert points.tolist() == [2]
 
 
@@ -397,6 +446,18 @@ class TestConsensusMetrics:
                 rng.standard_normal((6, 5)), ds, B, 1.0)
             assert global_spread >= edge_spread - 1e-12
 
+    def test_consensus_off_the_fit_has_zero_spread(self):
+        # every node at w_star + v, v in range(H): the edge and global spreads
+        # are exactly 0, and the error and the loss are not
+        ds = gen_dataset(5, 8, "gaussian", seed=49)
+        v = ds.spectral.project(np.random.default_rng(48).standard_normal(8))
+        W = np.tile(ds.w_star + v, (5, 1))
+        for g in (make_graph("ring", 5), make_graph("complete", 5)):
+            err, edge_spread, global_spread, loss = consensus_metrics(W, ds, incidence(g), 1.0)
+            assert err[0] > 0.0 and loss[0] > 0.0
+            assert edge_spread[0] == 0.0
+            assert global_spread[0] == 0.0
+
     def test_shared_workspace_is_bitwise_the_fresh_one(self):
         # one workspace over blocks of decreasing size: every value equals the
         # block measured without one, and the input stack is left as it was
@@ -414,8 +475,9 @@ class TestConsensusMetrics:
                 assert np.array_equal(got, want)
 
     def test_trace_rows_match_single_state_metrics_bitwise(self):
-        # rows measured a block at a time equal the per-state formulas on
-        # each row's state, bit for bit, at the block boundaries, where block
+        # rows measured a block at a time, from the residuals and edge
+        # differences the rounds carry, equal the plain formulas on each
+        # row's state, bit for bit, at the block boundaries, where block
         # metrics could misplace a row
         ds = gen_dataset(6, 9, "gaussian", seed=54)
         g = make_graph("ring", 6)
@@ -426,16 +488,7 @@ class TestConsensusMetrics:
         assert len(tr.t) == _BLOCK + 41
         rows = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 40]
         for t, W in zip(rows, prefix_states(ds, g, 0.3, mu, W0, rows)):
-            comp = (W - ds.w_star) @ ds.spectral.basis
-            diffs = B @ W
-            Wc = W - W.mean(axis=0)
-            sq = np.sum(Wc * Wc, axis=1)
-            d2 = sq[:, None] + sq[None, :] - 2.0 * (Wc @ Wc.T)
-            resid = np.sum(ds.X * W, axis=1) - ds.y
-            row = (float(np.sum(comp * comp, axis=1).mean()),
-                   float(np.linalg.norm(diffs, axis=1).max()),
-                   float(np.sqrt(max(float(d2.max()), 0.0))),
-                   float(resid @ resid + mu * np.sum(diffs * diffs)))
+            row = plain_metrics(ds, B, mu, W)
             assert row == (tr.mean_err_sq_range[t], tr.edge_spread[t],
                            tr.global_spread[t], tr.penalized_loss[t])
             assert row == tuple(col[0] for col in consensus_metrics(W, ds, B, mu))
@@ -700,14 +753,14 @@ def one_point_loop(ds, g, eta, mu, max_iters, stop_tol, W0):
     alone: its rows, status and final state."""
     B = incidence(g)
     W = W0
-    rows = [[col[0] for col in consensus_metrics(W, ds, B, mu)]]
+    rows = [plain_metrics(ds, B, mu, W)]
     err0 = rows[0][0]
     if stop_tol > 0 and err0 <= stop_tol * err0:
         return rows, "converged", W
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iters):
             W_next = plain_round(ds, B, eta, mu, W)
-            row = [col[0] for col in consensus_metrics(W_next, ds, B, mu)]
+            row = plain_metrics(ds, B, mu, W_next)
             if not np.all(np.isfinite(row)):
                 return rows, "diverged", W
             W = W_next
@@ -770,6 +823,23 @@ class TestPointStack:
             assert np.array_equal(tr.W_final, W_final)
             assert tr.status == status
 
+    def test_stop_at_a_blocks_first_row_keeps_its_entry_state(self):
+        # a consensus state on two unit nodes is scaled by 1 - eta = -1.1 a
+        # round, and W0 is sized so that the loss first overflows in round
+        # _BLOCK + 1, the second block's first row, while the error is still
+        # within the divergence factor.  The final state is then that
+        # block's entry state, which the block's own rounds must not
+        # overwrite
+        ds = two_unit_nodes()
+        g = make_graph("path", 2)
+        W0 = np.full((2, 1), np.sqrt(np.finfo(float).max / 2 / 1.21 ** (_BLOCK + 0.5)))
+        [tr] = run_dgd(ds, g, [2.1], [0.1], max_iters=3 * _BLOCK, W0=W0)
+        rows, status, W_final = one_point_loop(ds, g, 2.1, 0.1, 3 * _BLOCK, 0.0, W0)
+        assert len(tr.t) == len(rows) == _BLOCK + 1
+        assert tr.status == status == "diverged"
+        assert np.all(np.isfinite(W_final))
+        assert np.array_equal(tr.W_final, W_final)
+
     def test_points_must_pair_up(self):
         ds = gen_dataset(4, 4, "gaussian", seed=1)
         g = make_graph("ring", 4)
@@ -829,6 +899,26 @@ class TestDistributedInvariants:
                            stop_tol=1e-16, W0=W0)
             assert tr.status == "converged"
             assert tr.global_spread[-1] <= 1e-8 * tr.global_spread[0]
+
+    @pytest.mark.parametrize("preset, graph_kind, max_iters", [
+        ("ring16", "ring", 12_000), ("gaussian8", "complete", 3_000)])
+    def test_rounds_agree_with_the_reference_formulas(self, preset, graph_kind, max_iters):
+        # dgd_step and consensus_metrics evaluate the round and the row in
+        # their own order: every column and W_final stay within 1e-9
+        # relative of the defining formulas wherever the error is above
+        # 1e-10 of its start (ring16 gets there in 11,566 rounds)
+        ds = build_dataset(preset)
+        g = make_graph(graph_kind, ds.n)
+        eta = stable_eta(ds, g, 1.0)
+        W0 = np.random.default_rng(5).standard_normal((ds.n, ds.d))
+        [tr] = run_dgd(ds, g, [eta], [1.0], max_iters=max_iters, stop_tol=1e-10, W0=W0)
+        rows, W_final = reference_dgd(ds, g, eta, 1.0, W0, len(tr.t) - 1)
+        got = np.array([tr.mean_err_sq_range, tr.edge_spread, tr.global_spread,
+                        tr.penalized_loss]).T
+        seen = rows[:, 0] > 1e-10 * rows[0, 0]
+        assert seen.sum() >= len(tr.t) - 1
+        assert np.all(np.abs(got[seen] - rows[seen]) <= 1e-9 * np.abs(rows[seen]))
+        assert np.abs(tr.W_final - W_final).max() <= 1e-9 * np.abs(W_final).max()
 
     def test_rate_band_and_spectral_agreement(self):
         ds = gen_dataset(8, 8, "orthonormal", seed=76)
