@@ -26,9 +26,10 @@ consensus_metrics measures a block of stacked states at once.  A trace keeps
 the rows, the status and the final state, no other state, and each point's
 is bitwise the one it gets alone.
 
-Each product of a state is formed once.  Besides W, the loop state carries
-each running point's residuals e = row_inner(X, W) - y and edge differences
-B W, and its operands eta X and eta mu B^T, scaled once per run.  A round
+Each product of a state is formed once.  The loop state is each running
+point's W, its residuals e = row_inner(X, W) - y and its edge differences
+B W; the point's operands eta X and eta mu B^T are scaled once per run, and
+taken again for the running points when the stack shrinks.  A round
 steps with e and B W, W - e (eta X) - (eta mu B^T)(B W), and writes the new
 state with its own e and B W; the trace's error, spreads and loss read those
 same products, so no residual or B W is computed twice.  The residual keeps
@@ -49,16 +50,9 @@ shape.  eta mu B^T is the transposed view of the scaled tiled B, never a
 contiguous copy: each state's product then takes the 2-D (eta mu B).T's
 BLAS path, and its bits.
 
-run_dgd makes one workspace per run (_workspace), and the round loop
-allocates no state: each round writes its new states, residuals and edge
-differences into the next rows of a block buffer, and the block's metrics
-call reads that buffer in place, with no concatenation.  The next block
-writes the other of two buffers, so a block's entry state, the final state
-of a point that its first row in the block stops, survives the block.  A
-block's buffers and temporaries run to half a megabyte each; above glibc's
-mmap threshold each fresh one would be a new mapping, faulted in page by
-page on every block, and the loop's speed would follow the allocator's state
-rather than the work.
+run_dgd makes one workspace per run (_workspace) for every round and
+block: fresh temporaries of half a megabyte would each be a new mapping
+above glibc's mmap threshold, faulted in page by page on every block.
 """
 
 from __future__ import annotations
@@ -72,7 +66,7 @@ import numpy as np
 
 from .io import dumps, json_int, json_object
 from .problem import Dataset, row_inner
-from .solvers import _BLOCK, _drive, check_stopping
+from .solvers import _BLOCK, _drive, _take, check_stopping
 
 DENSE_GUARD = 4096
 ER_MAX_ATTEMPTS = 1000
@@ -217,18 +211,14 @@ def incidence(g: CommGraph) -> np.ndarray:
 
 def _workspace(ds: Dataset, B: np.ndarray, K: int, points: int) -> dict:
     """The buffers of one run of `points` points measured in blocks of up to
-    K states: under "blocks", two (states K x n x d, residuals K x n x 1,
-    edge differences K x E x d) triples that the rounds of alternate blocks
-    write; consensus_metrics's temporaries, each named by its trailing shape
-    and written again only once its last value is read; and under "steps",
-    entry A - 1 for a stack of A points: dgd_step's operands X, y and B
-    tiled to A copies and its temporary, each a leading slice [:A]."""
-    n, d, E, r = ds.n, ds.d, B.shape[0], ds.spectral.basis.shape[1]
+    K states: consensus_metrics's temporaries, each named by its trailing
+    shape and written again only once its last value is read; and under
+    "steps", entry A - 1 for a stack of A points: dgd_step's operands X, y
+    and B tiled to A copies and its temporary, each a leading slice [:A]."""
+    n, d, r = ds.n, ds.d, ds.spectral.basis.shape[1]
     step = {"X": np.tile(ds.X, (points, 1, 1)), "y": np.tile(ds.y[:, None], (points, 1, 1)),
             "B": np.tile(B, (points, 1, 1)), "nd": np.empty((points, n, d))}
-    return {"blocks": [(np.empty((K, n, d)), np.empty((K, n, 1)), np.empty((K, E, d)))
-                       for _ in range(2)],
-            "nd": np.empty((K, n, d)), "nr": np.empty((K, n, r)), "gram": np.empty((K, n, n)),
+    return {"nd": np.empty((K, n, d)), "nr": np.empty((K, n, r)), "gram": np.empty((K, n, n)),
             "steps": [{name: buf[:A] for name, buf in step.items()} for A in range(1, points + 1)]}
 
 
@@ -356,37 +346,26 @@ def run_dgd(ds: Dataset, g: CommGraph, etas, mus, max_iters: int = 1000,
     # _drive measures at most max(_BLOCK, points) states at once
     work = _workspace(ds, B, max(_BLOCK, P), P)
     tiled = work["steps"][-1]
-    side, row = 0, 0  # the block buffer the rounds write, and its next free row
-
-    # the loop's state is (W, e, D, eta X, eta mu B^T, mu), one row per
-    # running point.  _drive measures each block once its rounds are taken,
-    # so a block's rounds fill one block buffer in order, its metrics call
-    # reads them there, and the next block fills the other buffer.
-    def step(state, _):
-        nonlocal row
-        W, e, D, eta_X, coupling_Bt, mu = state
-        Wb, eb, Db = work["blocks"][side]
-        end = row + len(W)
-        out = dgd_step(W, e, D, eta_X, coupling_Bt, (Wb[row:end], eb[row:end], Db[row:end]), work)
-        row = end
-        return (*out, eta_X, coupling_Bt, mu)
-
-    def metrics(states):
-        nonlocal side, row
-        S, e, D, *_, mu = states[0]
-        if len(states) > 1:
-            S, e, D = (buf[:row] for buf in work["blocks"][side])
-            mu = np.tile(mu, len(states))
-        side, row = 1 - side, 0
-        return consensus_metrics(S, ds, B, mu, work, e[..., 0], D)
-
     eta, mu = np.array(etas, dtype=float), np.array(mus, dtype=float)
+    # each point's eta X and eta mu B^T, taken again when the stack shrinks
+    operands = scaled = (np.multiply(eta[:, None, None], tiled["X"]),
+                         np.multiply((eta * mu)[:, None, None], tiled["B"]).transpose(0, 2, 1))
+
+    def step(state, members, out):  # state: (W, e, D), one row per running point
+        nonlocal operands
+        if len(operands[0]) != len(members):
+            operands = _take(scaled, members)
+        dgd_step(*state, *operands, out, work)
+
+    def metrics(block, members):
+        S, e, D = block
+        return consensus_metrics(S, ds, B, mu[members], work, e[..., 0], D)
+
     with np.errstate(over="ignore", invalid="ignore"):  # _drive reports non-finite metrics
         e0, D0 = row_inner(ds.X, W) - ds.y, B @ W
-    x0 = (np.tile(W, (P, 1, 1)), np.tile(e0[:, None], (P, 1, 1)), np.tile(D0, (P, 1, 1)),
-          np.multiply(eta[:, None, None], tiled["X"]),
-          np.multiply((eta * mu)[:, None, None], tiled["B"]).transpose(0, 2, 1), mu)
-    cols, lengths, statuses, finals = _drive(x0, step, metrics, max_iters, stop_tol)
+    cols, lengths, statuses, finals = _drive(
+        (np.tile(W, (P, 1, 1)), np.tile(e0[:, None], (P, 1, 1)), np.tile(D0, (P, 1, 1))),
+        step, metrics, max_iters, stop_tol)
     # consensus_metrics's four columns come in DgdTrace's field order
     return [DgdTrace(np.arange(L), *(col[k, :L] for col in cols), statuses[k], finals[k])
             for k, L in enumerate(lengths.tolist())]
@@ -502,9 +481,9 @@ def graph_to_json(g: CommGraph) -> str:
 
 def graph_from_json(text: str) -> CommGraph:
     """The graph of graph_to_json's text, held to make_graph's rules: n, seed
-    and every endpoint JSON integers, n >= 2, every endpoint in [0, n),
-    connected, and for a kind make_graph knows, no parameter and no nonzero
-    seed that the kind does not read."""
+    and every endpoint JSON integers, n >= 2, every endpoint in [0, n), no
+    self-loop or repeated edge, connected, and for a kind make_graph knows,
+    no parameter and no nonzero seed that the kind does not read."""
     doc = json_object(text, ("n", "kind", "params", "seed", "edges"), "invalid graph spec")
     try:
         n, kind, seed = json_int(doc["n"], "n"), str(doc["kind"]), json_int(doc["seed"], "seed")
@@ -518,9 +497,15 @@ def graph_from_json(text: str) -> CommGraph:
         recorded = [(name, v) for name, v in params.items()
                     if not (kind == "erdos_renyi" and name == "attempts")]
         _refuse_unread(kind, [*recorded, ("seed", seed)])
+    first = {}  # each edge's first listing, either orientation
     for e in edges:
         if not (0 <= e[0] < n and 0 <= e[1] < n):
             raise ValueError(f"invalid graph spec: edge {list(e)} has a node outside [0, {n})")
+        key = (min(e), max(e))
+        if e[0] == e[1] or key in first:
+            what = "is a self-loop" if e[0] == e[1] else f"repeats edge {list(first[key])}"
+            raise ValueError(f"invalid graph spec: edge {list(e)} {what}")
+        first[key] = e
     edges = _canon(edges)
     if not is_connected(n, edges):
         raise ValueError(f"invalid graph spec: {kind} on n={n} is not connected")

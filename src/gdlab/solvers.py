@@ -152,19 +152,25 @@ def _widen(a, cap, lengths):
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow ends a run as diverged
 def _drive(x, step, metrics, max_iters: int, stop_tol: float):
-    """The iteration loop of every solver: S runs (members) advanced together,
-    x <- step(x, members), each until its own stop_tol, divergence or
-    max_iters.
+    """The iteration loop of every solver: S runs (members) started from the
+    state x and advanced together, each until its own stop_tol, divergence
+    or max_iters.
 
     A state is a tuple of arrays whose first axis runs over the members that
     are still running (`members`, their indices in 0..S-1); its first array
     is the iterate.  The recursion is sequential, so the loop steps the A
-    running members max(1, _BLOCK // A) times into a buffer of up to _BLOCK
-    row-states (one state of every running member per step; one step when
-    more than _BLOCK members run) and measures the whole buffer at once:
-    metrics(states) takes a list of K states and returns their trace rows as
-    columns of K x A values (A running members, one value each), errors
-    first.  No state is kept past its block but the final ones.
+    running members max(1, _BLOCK // A) times (once when more than _BLOCK
+    run), each step(state, members, out) writing the A states after `state`
+    into `out`, and measures the block at once: metrics(block, members)
+    takes the block's states stacked round-major (row j A + a holds
+    members[a] after j + 1 steps; `members` names each row's member) and
+    returns their trace rows as columns of one value per row, errors first.
+    The initial state is measured the same way.
+
+    Steps allocate no state: it lives in two buffers per state array, each
+    with the rows of the largest block, which blocks write in turn, since a
+    block's entry state (the final state of a member its first row stops)
+    must outlive the block.  x is copied into the first and held nowhere else.
 
     A member converges once its error is at most stop_tol times its initial
     error (stop_tol > 0), and diverges once the error is not within
@@ -178,11 +184,16 @@ def _drive(x, step, metrics, max_iters: int, stop_tol: float):
     the S final iterates); member k's rows are row k of each array
     up to its row count.
     """
-    cols = [c[None] for c in metrics([x])]
+    runs = len(x[0])
+    bufs = [tuple(np.empty((max(_BLOCK, runs),) + a.shape[1:], a.dtype) for a in x)
+            for _ in range(2)]
+    for buf, a in zip(bufs[0], x):
+        buf[:runs] = a
+    x = tuple(buf[:runs] for buf in bufs[0])
+    cols = [c[None] for c in metrics(x, np.arange(runs))]
     if not all(np.isfinite(c).all() for c in cols):
         raise ValueError("initial state has non-finite metrics")
-    err0 = cols[0][0]
-    runs = len(err0)
+    err0 = cols[0][0].copy()  # a column may be a view of the buffer the second block writes
     # room for a block's steps of one run; widened by doubling when a run
     # goes on, so an ensemble of short runs never copies its rows
     cap = min(max_iters, _BLOCK) + 1
@@ -196,16 +207,20 @@ def _drive(x, step, metrics, max_iters: int, stop_tol: float):
     if len(members) < runs:
         ends.append((np.flatnonzero(status != 1), x[0][status != 1]))
         x = _take(x, members)
-    done = 0
+    done, side, viewed = 0, 0, 0
     while len(members) and done < max_iters:
         A = len(members)
         c = min(max(1, _BLOCK // A), max_iters - done)
-        buf = []
-        y = x
-        for _ in range(c):
-            y = step(y, members)
-            buf.append(y)
-        cols = [np.reshape(col, (c, A)) for col in metrics(buf)]
+        if A != viewed:  # each buffer's rows for the steps of a stack of A
+            views = [[tuple(buf[j * A:(j + 1) * A] for buf in bufs[i])
+                      for j in range(max(1, _BLOCK // A))] for i in (0, 1)]
+            viewed = A
+        side = 1 - side
+        past = [x, *views[side][:c]]  # past[r]: the state after r steps of this block
+        for r in range(c):
+            step(past[r], members, past[r + 1])
+        block = tuple(buf[:c * A] for buf in bufs[side])
+        cols = [np.reshape(col, (c, A)) for col in metrics(block, np.tile(members, c))]
         err, e0 = cols[0], err0[members]
         finite = np.logical_and.reduce([np.isfinite(col) for col in cols])
         converged = (stop_tol > 0) & (err <= stop_tol * e0)
@@ -226,13 +241,12 @@ def _drive(x, step, metrics, max_iters: int, stop_tol: float):
         lengths[members] = done + 1 + keep
         done += c
         if hit.any():
-            past = [x] + buf  # past[r]: the state after r steps of this block
             for r in np.unique(keep[hit]):
                 sel = hit & (keep == r)
                 ends.append((members[sel], past[r][0][sel]))
-            members, x = members[~hit], _take(buf[-1], ~hit)
+            members, x = members[~hit], _take(past[c], ~hit)
         else:
-            x = buf[-1]
+            x = past[c]
     ends.append((members, x[0]))
     final = np.empty((runs,) + x[0].shape[1:], x[0].dtype)
     for stopped, w in ends:
@@ -301,30 +315,30 @@ def _run(ds: Dataset, cfg: SolverConfig,
 
     # a state is (w, residual X w - y, samples used by the update that made
     # w), one row per running member
-    def step(state, members):
+    def step(state, members, out):
         w, r, _ = state
+        w1, r1, batch = out
         mask = next_draws(members)
         grad = ((mask * r)[:, None, :] @ X)[:, 0, :]
         grad *= cfg.eta / cfg.m
-        w = w - grad
-        r = (w[:, None, :] @ X.T)[:, 0, :]
-        r -= y
-        return w, r, mask.sum(axis=1)
+        np.subtract(w, grad, out=w1)
+        np.matmul(w1[:, None, :], X.T, out=r1[:, None, :])
+        r1 -= y
+        mask.sum(axis=1, out=batch)
 
-    def metrics(states):
+    def metrics(block, _):
         # stacks of 1 x width products: each value is the vector product of
-        # one member's state alone (vector-matrix, then a 1 x 1 dot), bit for
-        # bit; a block of one step is measured in place, without a copy
-        w, r, batch = states[0] if len(states) == 1 else map(np.concatenate, zip(*states))
+        # one member's state alone (vector-matrix, then a 1 x 1 dot), bit for bit
+        w, r, batch = block
         comp = (w - ds.w_star)[:, None, :] @ ss.basis
         err = (comp @ comp.transpose(0, 2, 1))[:, 0, 0]
         loss = (r[:, None, :] @ r[:, :, None])[:, 0, 0] / n
         return err, loss, batch
 
-    W = np.tile(w, (runs, 1))
-    x0 = (W, (W[:, None, :] @ X.T)[:, 0, :] - y, np.zeros(runs, dtype=int))
+    # the initial state is built in the call, so _drive holds its only copy
     (errs, losses, batches), lengths, statuses, finals = _drive(
-        x0, step, metrics, cfg.max_iters, cfg.stop_tol)
+        (np.tile(w, (runs, 1)), np.tile((w[None, :] @ X.T)[0] - y, (runs, 1)),
+         np.zeros(runs, dtype=int)), step, metrics, cfg.max_iters, cfg.stop_tol)
     t = np.arange(errs.shape[1])
     traces = [
         IterationTrace(

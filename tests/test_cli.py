@@ -943,6 +943,9 @@ class TestChecksAndStatuses:
         (["run", "dgd", "--preset", "ring16", "--graph"],
          {"n": 16, "kind": "ring", "params": {}, "seed": 0, "edges": [[0.6, 1]] + RING[1:]},
          "invalid graph spec: an endpoint must be an integer, got 0.6"),
+        (["run", "dgd", "--preset", "ring16", "--graph"],
+         {"n": 16, "kind": "ring", "params": {}, "seed": 0, "edges": RING + [[1, 0]]},
+         "invalid graph spec: edge [1, 0] repeats edge [0, 1]"),
         (["run", "gd", "--dataset"], {**DS, "seed": True},
          "invalid dataset file: seed must be an integer, got True"),
         (["run", "gd", "--dataset"], {**DS, "seed": 2.5},
@@ -953,8 +956,8 @@ class TestChecksAndStatuses:
          "invalid dataset file: d must be an integer, got 3.5"),
     ], ids=["graph-list", "graph-n-only", "dataset-empty", "gen-short-y", "short-y",
             "short-w_star", "nan", "unfit-labels", "graph-n-float", "graph-seed-float",
-            "graph-seed-bool", "graph-endpoint-float", "dataset-seed-bool",
-            "dataset-seed-float", "dataset-n-float", "dataset-d-float"])
+            "graph-seed-bool", "graph-endpoint-float", "graph-repeated-edge",
+            "dataset-seed-bool", "dataset-seed-float", "dataset-n-float", "dataset-d-float"])
     def test_malformed_input_file_is_refused(self, tmp_path, capsys, argv, doc, message):
         # each once ended in a traceback, a numpy error, or a run on the file;
         # a float or boolean n, d, seed or endpoint once loaded truncated by

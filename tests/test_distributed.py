@@ -1,6 +1,7 @@
 """Tests for graphs, the Laplacian-coupled solver, and its operator spectrum."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,13 +169,21 @@ class TestMakeGraph:
         (16, [[-1, 3]], r"edge \[-1, 3\] has a node outside \[0, 16\)"),
         (4, [[0, 1], [2, 3]], "not connected"),
         (1, [], "need n >= 2"),
+        (3, [[0, 1], [1, 0], [1, 2]], r"edge \[1, 0\] repeats edge \[0, 1\]"),
+        (3, [[0, 1], [1, 2], [2, 2]], r"edge \[2, 2\] is a self-loop"),
     ])
     def test_loaded_graph_is_held_to_make_graph_rules(self, n, edges, message):
         # an endpoint outside the nodes once reached incidence, which raised an
-        # IndexError or wrapped -1 round to node n - 1
+        # IndexError or wrapped -1 round to node n - 1; a self-loop or a
+        # repeated edge was once dropped, so the graph run was not the file's
         text = json.dumps({"n": n, "kind": "ring", "params": {}, "seed": 0, "edges": edges})
         with pytest.raises(ValueError, match=f"invalid graph spec: .*{message}"):
             graph_from_json(text)
+
+    def test_loaded_edges_take_either_orientation_and_order(self):
+        text = json.dumps({"n": 3, "kind": "path", "params": {}, "seed": 0,
+                           "edges": [[2, 1], [1, 0]]})
+        assert graph_from_json(text) == make_graph("path", 3)
 
     @pytest.mark.parametrize("kind,params,seed,unread", [
         ("ring", {}, 5, "seed=5"),
@@ -396,8 +405,9 @@ class TestStepWorkspace:
         etas = np.array([stable_eta(ds, g, mu) for mu in mus])
         work = _workspace(ds, B, _BLOCK, 3)
         W0 = np.random.default_rng(92).standard_normal((8, 4))
-        # run_dgd's loop state: W, its residuals (A x n x 1) and edge
-        # differences, eta X and the transposed view of eta mu B
+        # run_dgd's loop state, W, its residuals (A x n x 1) and edge
+        # differences, then its operands eta X and the transposed view of
+        # eta mu B
         x = (np.tile(W0, (3, 1, 1)), np.tile((row_inner(ds.X, W0) - ds.y)[:, None], (3, 1, 1)),
              np.tile(B @ W0, (3, 1, 1)), etas[:, None, None] * ds.X,
              ((etas * mus)[:, None, None] * B).transpose(0, 2, 1))
@@ -473,6 +483,21 @@ class TestConsensusMetrics:
             assert np.array_equal(S, before)
             for got, want in zip(shared, consensus_metrics(S, ds, B, mu)):
                 assert np.array_equal(got, want)
+
+    def test_standalone_call_allocates_only_its_temporaries(self):
+        # a call without a workspace once also made a run's block buffers,
+        # which it never touched: 7.3 times the stack's bytes on this input
+        ds, g = build_dataset("ring16"), build_graph("ring16")
+        B = incidence(g)
+        S = np.random.default_rng(58).standard_normal((128, ds.n, ds.d))
+        consensus_metrics(S[:1], ds, B, 1.0)  # the dataset's cached eigensolve, made once
+        tracemalloc.start()
+        try:
+            consensus_metrics(S, ds, B, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * S.nbytes
 
     def test_trace_rows_match_single_state_metrics_bitwise(self):
         # rows measured a block at a time, from the residuals and edge

@@ -86,11 +86,11 @@ class TestRunGd:
 
     def test_nan_error_counts_as_diverged(self):
         # a NaN error fails every comparison; it must stop the loop, not run on
-        def step(x, members):
-            return (np.where(x[0] < 4.0, x[0] * 2.0, np.nan),)
+        def step(x, members, out):
+            out[0][:] = np.where(x[0] < 4.0, x[0] * 2.0, np.nan)
 
-        def metrics(xs):
-            return (np.concatenate([x[0] for x in xs]),)
+        def metrics(block, members):
+            return (block[0],)
 
         cols, lengths, statuses, final = _drive((np.array([1.0]),), step, metrics, 100, 0.0)
         assert statuses == ["diverged"]
@@ -129,12 +129,12 @@ class TestBlockDriver:
         # diverges or holds an inf
         steps = []
 
-        def step(x, members):
+        def step(x, members, out):
             steps.append(x[0] + 1)
-            return (x[0] + 1,)
+            out[0][:] = x[0] + 1
 
-        def metrics(xs):
-            t = np.concatenate([x[0] for x in xs])
+        def metrics(block, members):
+            t = block[0]
             err = np.ones(len(t))
             aux = np.zeros(len(t))
             at = t == stop_at
@@ -190,13 +190,13 @@ class TestBlockDriver:
         kinds = np.array([str(kind) for kind, _ in stops])
         rows = np.array([-1 if at is None else at for _, at in stops])
 
-        def step(x, members):
+        def step(x, members, out):
             assert np.array_equal(x[1], members)
-            return x[0] + 1, x[1]
+            out[0][:] = x[0] + 1
+            out[1][:] = x[1]
 
-        def metrics(xs):
-            t = np.concatenate([x[0] for x in xs])
-            k = np.concatenate([x[1] for x in xs])
+        def metrics(block, k):
+            t = block[0]
             sizes.append(len(t))
             at = t == rows[k]
             err = np.where(at & (kinds[k] == "converged"), 0.25, 1.0)
@@ -235,12 +235,12 @@ class TestBlockDriver:
         # as a third column
         at = np.array([-1 if row is None else row for row in stops])
 
-        def step(x, members):
-            return x[0] + 1, x[1]
+        def step(x, members, out):
+            out[0][:] = x[0] + 1
+            out[1][:] = x[1]
 
-        def metrics(xs):
-            t = np.concatenate([x[0] for x in xs])
-            k = np.concatenate([x[1] for x in xs])
+        def metrics(block, members):
+            t, k = block
             return (np.where(t == at[k], 0.25, 1.0 + t), t / 2.0) + ((t,) if keep_states else ())
 
         x0 = (np.zeros(len(stops), dtype=int), np.arange(len(stops)))
@@ -528,9 +528,9 @@ class TestPrefixProperty:
         seen = []
 
         def drive(x, step, metrics, *limits):
-            def record(states):
-                seen.extend(s[0][0].copy() for s in states)
-                return metrics(states)
+            def record(block, members):
+                seen.extend(w.copy() for w in block[0])
+                return metrics(block, members)
             return _drive(x, step, record, *limits)
 
         with mock.patch.object(module, "_drive", drive):
