@@ -43,16 +43,15 @@ The round is bound by numpy's per-call cost, not by arithmetic.  On a
 timings), an elementwise call whose operands share a shape takes about
 0.95 us, the residual times each row of eta X, which broadcasts, 2.1 us, the
 residual's reduction 2.1 us, and each of the two stacked matmuls 2.2-2.3 us.
-So the workspace holds X, y and B tiled once to the number of points, used
-through leading slices for the A points still running, and the operands are
-tiled likewise: every call but that one product has operands of the stack's
-shape.  eta mu B^T is the transposed view of the scaled tiled B, never a
-contiguous copy: each state's product then takes the 2-D (eta mu B).T's
-BLAS path, and its bits.
-
-run_dgd makes one workspace per run (_workspace) for every round and
-block: fresh temporaries of half a megabyte would each be a new mapping
-above glibc's mmap threshold, faulted in page by page on every block.
+So run_dgd tiles X, y and B once per run to the number of points, beside
+the scaled operands: every call but that one product has operands of the
+stack's shape (broadcasting the untiled X, y and B made run_dgd 7-13%
+slower on gdbench's dgd_mu_sweep inputs).  eta mu B^T is the transposed
+view of the scaled tiled B, never a contiguous copy: each state's product
+then takes the 2-D (eta mu B).T's BLAS path, and its bits.  A round writes
+into the loop's block buffers and one temporary made with the tiles (fresh
+temporaries: 3-5% slower); consensus_metrics, once a block, allocates its
+own, which measured as fast as buffers shared across its calls.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ import numpy as np
 
 from .io import dumps, json_int, json_object
 from .problem import Dataset, row_inner
-from .solvers import _BLOCK, _drive, _take, check_stopping
+from .solvers import _drive, _take, check_stopping
 
 DENSE_GUARD = 4096
 ER_MAX_ATTEMPTS = 1000
@@ -209,21 +208,8 @@ def incidence(g: CommGraph) -> np.ndarray:
     return B
 
 
-def _workspace(ds: Dataset, B: np.ndarray, K: int, points: int) -> dict:
-    """The buffers of one run of `points` points measured in blocks of up to
-    K states: consensus_metrics's temporaries, each named by its trailing
-    shape and written again only once its last value is read; and under
-    "steps", entry A - 1 for a stack of A points: dgd_step's operands X, y
-    and B tiled to A copies and its temporary, each a leading slice [:A]."""
-    n, d, r = ds.n, ds.d, ds.spectral.basis.shape[1]
-    step = {"X": np.tile(ds.X, (points, 1, 1)), "y": np.tile(ds.y[:, None], (points, 1, 1)),
-            "B": np.tile(B, (points, 1, 1)), "nd": np.empty((points, n, d))}
-    return {"nd": np.empty((K, n, d)), "nr": np.empty((K, n, r)), "gram": np.empty((K, n, n)),
-            "steps": [{name: buf[:A] for name, buf in step.items()} for A in range(1, points + 1)]}
-
-
-def consensus_metrics(S: np.ndarray, ds: Dataset, B: np.ndarray, mu, work=None,
-                      resid=None, diffs=None):
+def consensus_metrics(S: np.ndarray, ds: Dataset, B: np.ndarray, mu, resid=None,
+                      diffs=None):
     """The trace columns of a stack S of K states (K x n x d; one n x d state
     is the K = 1 case), K values each: mean range-projected error, max
     edge/global parameter spread, and the penalized loss at penalty weight mu
@@ -238,10 +224,8 @@ def consensus_metrics(S: np.ndarray, ds: Dataset, B: np.ndarray, mu, work=None,
     the stacked products run the same kernel per state, and every squared
     norm is a vecdot, one dot product per state, node or edge; the penalty
     sums the edges' squared norms, and the edge spread is the square root of
-    their maximum.  work is run_dgd's workspace, for blocks of at least K
-    states; without one, the call makes its own.  The temporaries of a
-    state's size or more are leading slices of its buffers, which changes no
-    bit of the result; S, resid and diffs are never written.
+    their maximum.  The call allocates its own temporaries, the state-sized
+    one used twice; S, resid and diffs are never written.
     """
     S = np.asarray(S, dtype=float)
     if S.shape[-2:] != (ds.n, ds.d) or S.ndim not in (2, 3) or B.shape[1] != ds.n:
@@ -250,12 +234,10 @@ def consensus_metrics(S: np.ndarray, ds: Dataset, B: np.ndarray, mu, work=None,
     K, n = len(S), ds.n
     if diffs is None:
         resid, diffs = row_inner(ds.X, S) - ds.y, B @ S
-    if work is None:
-        work = _workspace(ds, B, K, 0)
-    nd = work["nd"][:K]
-    comp = np.matmul(np.subtract(S, ds.w_star, out=nd), ds.spectral.basis, out=work["nr"][:K])
-    comp = comp.reshape(K, -1)
+    nd = S - ds.w_star
+    comp = (nd @ ds.spectral.basis).reshape(K, -1)
     err = np.vecdot(comp, comp) / n
+    del comp  # freed before the Gram matrix is made: a lower peak
     edge_sq = np.vecdot(diffs, diffs)
     edge = np.sqrt(edge_sq.max(axis=1, initial=0.0))
     loss = np.vecdot(resid, resid) + mu * np.add.reduce(edge_sq, axis=1)
@@ -264,7 +246,7 @@ def consensus_metrics(S: np.ndarray, ds: Dataset, B: np.ndarray, mu, work=None,
     # spread's own scale); d2 = (sq_i - 2 G_ij) + sq_j, sq the Gram
     # diagonal, so d2_ii is exactly 0 and the maximum is never negative
     Sc = np.subtract(S, S[:, :1], out=nd)
-    gram = np.matmul(Sc, Sc.transpose(0, 2, 1), out=work["gram"][:K])
+    gram = Sc @ Sc.transpose(0, 2, 1)
     sq = gram.diagonal(axis1=1, axis2=2).copy()
     d2 = np.multiply(gram, -2.0, out=gram)
     np.add(d2, sq[:, :, None], out=d2)
@@ -296,7 +278,8 @@ def _coupling(eta: float, mu: float) -> float:
 
 
 def dgd_step(W: np.ndarray, e: np.ndarray, D: np.ndarray, eta_X: np.ndarray,
-             coupling_Bt: np.ndarray, out: tuple, work: dict) -> tuple:
+             coupling_Bt: np.ndarray, X: np.ndarray, y: np.ndarray, B: np.ndarray,
+             tmp: np.ndarray, out: tuple) -> tuple:
     """One synchronous round of each state k of the stack W (A x n x d),
     W - e (eta_k X) - (eta_k mu_k B^T)(B W), and the residuals and edge
     differences of the new states, which the next round and the trace read.
@@ -304,17 +287,16 @@ def dgd_step(W: np.ndarray, e: np.ndarray, D: np.ndarray, eta_X: np.ndarray,
     e (A x n x 1) and D (A x E x d) are W's residuals row_inner(X, W) - y
     and edge differences B W; eta_X (A x n x d) and coupling_Bt (A x n x E,
     a transposed view) are each point's operands, scaled once per run.
-    The new states, residuals and edge differences are written into out, a
-    (W, e, D) triple of buffers of the same shapes, which is returned.
-    work, run_dgd's workspace, holds X, y, B and the one temporary."""
-    w = work["steps"][len(W) - 1]
+    X, y (A x n x 1) and B are tiled to A copies, and tmp (A x n x d) is
+    the round's temporary.  The new states, residuals and edge differences
+    go into out, a (W, e, D) triple of buffers, which is returned."""
     W1, e1, D1 = out
-    np.subtract(W, np.multiply(e, eta_X, out=w["nd"]), out=W1)
-    np.subtract(W1, np.matmul(coupling_Bt, D, out=w["nd"]), out=W1)
+    np.subtract(W, np.multiply(e, eta_X, out=tmp), out=W1)
+    np.subtract(W1, np.matmul(coupling_Bt, D, out=tmp), out=W1)
     # row_inner(X, W1), into e1
-    np.add.reduce(np.multiply(w["X"], W1, out=w["nd"]), axis=-1, keepdims=True, out=e1)
-    np.subtract(e1, w["y"], out=e1)
-    np.matmul(w["B"], W1, out=D1)
+    np.add.reduce(np.multiply(X, W1, out=tmp), axis=-1, keepdims=True, out=e1)
+    np.subtract(e1, y, out=e1)
+    np.matmul(B, W1, out=D1)
     return out
 
 
@@ -343,23 +325,24 @@ def run_dgd(ds: Dataset, g: CommGraph, etas, mus, max_iters: int = 1000,
         raise ValueError(f"W0 must have shape ({ds.n}, {ds.d})")
     B = incidence(g)
     P = len(etas)
-    # _drive measures at most max(_BLOCK, points) states at once
-    work = _workspace(ds, B, max(_BLOCK, P), P)
-    tiled = work["steps"][-1]
     eta, mu = np.array(etas, dtype=float), np.array(mus, dtype=float)
-    # each point's eta X and eta mu B^T, taken again when the stack shrinks
-    operands = scaled = (np.multiply(eta[:, None, None], tiled["X"]),
-                         np.multiply((eta * mu)[:, None, None], tiled["B"]).transpose(0, 2, 1))
+    # dgd_step's operands after the state, one row per point: eta X, eta mu
+    # B^T, X, y and B tiled, and the round's temporary; taken again for the
+    # running points when the stack shrinks
+    X, Bs = np.tile(ds.X, (P, 1, 1)), np.tile(B, (P, 1, 1))
+    operands = full = (np.multiply(eta[:, None, None], X),
+                       np.multiply((eta * mu)[:, None, None], Bs).transpose(0, 2, 1),
+                       X, np.tile(ds.y[:, None], (P, 1, 1)), Bs, np.empty((P, ds.n, ds.d)))
 
     def step(state, members, out):  # state: (W, e, D), one row per running point
         nonlocal operands
         if len(operands[0]) != len(members):
-            operands = _take(scaled, members)
-        dgd_step(*state, *operands, out, work)
+            operands = _take(full, members)
+        dgd_step(*state, *operands, out)
 
     def metrics(block, members):
         S, e, D = block
-        return consensus_metrics(S, ds, B, mu[members], work, e[..., 0], D)
+        return consensus_metrics(S, ds, B, mu[members], e[..., 0], D)
 
     with np.errstate(over="ignore", invalid="ignore"):  # _drive reports non-finite metrics
         e0, D0 = row_inner(ds.X, W) - ds.y, B @ W
@@ -483,7 +466,8 @@ def graph_from_json(text: str) -> CommGraph:
     """The graph of graph_to_json's text, held to make_graph's rules: n, seed
     and every endpoint JSON integers, n >= 2, every endpoint in [0, n), no
     self-loop or repeated edge, connected, and for a kind make_graph knows,
-    no parameter and no nonzero seed that the kind does not read."""
+    no parameter and no nonzero seed that the kind does not read, and the
+    edges and parameters make_graph builds from its n, seed and parameters."""
     doc = json_object(text, ("n", "kind", "params", "seed", "edges"), "invalid graph spec")
     try:
         n, kind, seed = json_int(doc["n"], "n"), str(doc["kind"]), json_int(doc["seed"], "seed")
@@ -494,9 +478,9 @@ def graph_from_json(text: str) -> CommGraph:
     if n < 2:
         raise ValueError(f"invalid graph spec: need n >= 2, got {n}")
     if kind in _READS:
-        recorded = [(name, v) for name, v in params.items()
-                    if not (kind == "erdos_renyi" and name == "attempts")]
-        _refuse_unread(kind, [*recorded, ("seed", seed)])
+        recorded = {name: v for name, v in params.items()
+                    if not (kind == "erdos_renyi" and name == "attempts")}
+        _refuse_unread(kind, [*recorded.items(), ("seed", seed)])
     first = {}  # each edge's first listing, either orientation
     for e in edges:
         if not (0 <= e[0] < n and 0 <= e[1] < n):
@@ -509,7 +493,16 @@ def graph_from_json(text: str) -> CommGraph:
     edges = _canon(edges)
     if not is_connected(n, edges):
         raise ValueError(f"invalid graph spec: {kind} on n={n} is not connected")
-    return CommGraph(n=n, edges=edges, kind=kind, params=params, seed=seed)
+    g = CommGraph(n=n, edges=edges, kind=kind, params=params, seed=seed)
+    if kind in _READS:
+        try:
+            built = make_graph(kind, n, seed, **recorded)
+        except (TypeError, GraphConnectError) as exc:
+            raise ValueError(f"invalid graph spec: {exc}") from None
+        if built != g:
+            raise ValueError(f"invalid graph spec: the file's edges or params differ from the "
+                             f"{kind} graph on n={n} with params {recorded} and seed {seed}")
+    return g
 
 
 def load_graph(path: str) -> CommGraph:

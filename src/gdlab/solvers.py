@@ -282,12 +282,14 @@ def _run(ds: Dataset, cfg: SolverConfig,
 
     def draw(rng, c):
         # the next c iterations' sample masks of one run, packed: the doubles
-        # of c rng.random(n) (bernoulli), or c subsets of k_fixed (fixed)
+        # of c rng.random(n) (bernoulli), or the k_fixed samples with the
+        # smallest of each draw's n keys, a uniform k_fixed-subset (fixed)
         if cfg.sampler == SAMPLER_BERNOULLI:
             return np.packbits(rng.random((c, n)) < p, axis=1)
         mask = np.zeros((c, n), dtype=bool)
-        mask[np.arange(c)[:, None], [rng.choice(n, size=k_fixed, replace=False)
-                                     for _ in range(c)]] = True
+        keys = rng.random((c, n))
+        np.put_along_axis(mask, np.argpartition(keys, k_fixed - 1, axis=1)[:, :k_fixed], True,
+                          axis=1)
         return np.packbits(mask, axis=1)
 
     rngs = {}  # the generators of runs with draws still to come

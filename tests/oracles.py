@@ -149,9 +149,9 @@ def plain_gd(ds: Dataset, eta: float, iters: int):
 def plain_sgd(ds: Dataset, eta: float, m: float, sampler: str, iters: int, seed: int):
     """Minibatch SGD from zero, one run one iteration at a time, drawing as a
     lone run of gdlab.solvers draws from Generator(seed): rng.random(n) < m/n
-    (bernoulli), or rng.choice(n, round(m), replace=False) (fixed).  The
-    gradient is summed sample by sample and the step is eta/m for both
-    samplers.  Returns the iters + 1 projected squared errors, the losses
+    (bernoulli), or the k = max(1, round(m)) samples whose keys rng.random(n)
+    sort first (fixed).  The gradient is summed sample by sample and the step
+    is eta/m for both samplers.  Returns the iters + 1 projected squared errors, the losses
     and the batch sizes (0 in row 0)."""
     X, y, n = ds.X, ds.y, ds.n
     rng = np.random.default_rng(seed)
@@ -167,7 +167,8 @@ def plain_sgd(ds: Dataset, eta: float, m: float, sampler: str, iters: int, seed:
         if sampler == "bernoulli":
             batch = np.flatnonzero(rng.random(n) < m / n)
         else:
-            batch = rng.choice(n, size=max(1, round(m)), replace=False)
+            k = max(1, round(m))
+            batch = np.argsort(rng.random(n))[:k]
         grad = np.zeros(ds.d)
         for i in batch:
             grad += (X[i] @ w - y[i]) * X[i]

@@ -971,6 +971,26 @@ class TestChecksAndStatuses:
         assert err.startswith("gdlab: error: ") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["ring", "complete"])
+    def test_graph_file_of_a_known_kind_with_other_edges_is_refused(self, tmp_path, capsys,
+                                                                   kind):
+        # a 4-node path labelled ring or complete once ran, recorded as that
+        # kind with 3 edges; labelled custom, it runs as the path
+        path, out = tmp_path / "g.json", tmp_path / "out"
+        doc = {"n": 4, "kind": kind, "params": {}, "seed": 0, "edges": [[0, 1], [1, 2], [2, 3]]}
+        argv = ["spectrum", "--n", "4", "--d", "2", "--kind", "gaussian", "--graph", str(path),
+                "--out", str(out)]
+        path.write_text(json.dumps(doc))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"gdlab: error: invalid graph spec: the file's edges or params "
+                              f"differ from the {kind} graph on n=4")
+        assert not out.exists()
+        path.write_text(json.dumps({**doc, "kind": "custom"}))
+        assert main(argv) == 0
+        spec = json.loads((out / "summary.json").read_text())["config"]["graph_spec"]
+        assert (spec["kind"], spec["edges"]) == ("custom", 3)
+
     @pytest.mark.parametrize("argv, flag", [
         (["theory", "--n", "4", "--lambda1", "1", "--lambdan", "0.5", "--d", "-5",
           "--epsilon", "0.1"], "--d must be >= 1"),

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdlab.distributed import (
+    _canon,
     _range_block,
-    _workspace,
     GraphConnectError,
     consensus_metrics,
     dgd_operator_spectrum,
@@ -184,6 +184,31 @@ class TestMakeGraph:
         text = json.dumps({"n": 3, "kind": "path", "params": {}, "seed": 0,
                            "edges": [[2, 1], [1, 0]]})
         assert graph_from_json(text) == make_graph("path", 3)
+
+    @pytest.mark.parametrize("kind,params,seed,edges", [
+        ("ring", {}, 0, [[0, 1], [1, 2], [2, 3]]),
+        ("complete", {}, 0, [[0, 1], [1, 2], [2, 3]]),
+        ("path", {}, 0, [[0, 1], [1, 2], [2, 3], [3, 0]]),
+        ("grid", {"rows": 2, "cols": 2}, 0, [[0, 1], [1, 2], [2, 3]]),
+        ("k_ring", {"k": 1}, 0, [[0, 1], [1, 2], [2, 3], [0, 2]]),
+        ("erdos_renyi", {"p": 0.6, "attempts": 1}, 3, [[0, 1], [1, 2], [2, 3]]),
+    ])
+    def test_loaded_known_kind_carries_its_own_edges(self, kind, params, seed, edges):
+        # a 4-node path labelled ring or complete was once loaded and recorded
+        # as that kind; a kind make_graph knows is rebuilt from its n, seed
+        # and params, and a file listing other edges is refused
+        doc = {"n": 4, "kind": kind, "params": params, "seed": seed, "edges": edges}
+        with pytest.raises(ValueError, match=f"invalid graph spec: the file's edges or params "
+                                             f"differ from the {kind} graph on n=4"):
+            graph_from_json(json.dumps(doc))
+        assert graph_from_json(json.dumps({**doc, "kind": "custom"})).edges == _canon(edges)
+
+    def test_loaded_erdos_renyi_carries_its_draw_count(self):
+        g = make_graph("erdos_renyi", 6, seed=3, p=0.6)
+        doc = json.loads(graph_to_json(g))
+        doc["params"]["attempts"] += 1
+        with pytest.raises(ValueError, match="differ from the erdos_renyi graph on n=6"):
+            graph_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("kind,params,seed,unread", [
         ("ring", {}, 5, "seed=5"),
@@ -369,26 +394,34 @@ class TestRunDgd:
         blocks = -(-300 // (_BLOCK // 3))  # 42 rounds of the 3 points a block
         assert calls == {"dgd_step": 300, "consensus_metrics": blocks + 1}
 
-    def test_step_workspace_built_once_per_run(self, monkeypatch):
+    def test_tiles_made_once_per_run(self, monkeypatch):
+        # X, y and B are tiled to the points once per run, not once per
+        # round or block, and not again when the stack shrinks
         import gdlab.distributed
 
-        builds = []
-
-        def counted(ds, B, K, points):
-            builds.append(points)
-            return _workspace(ds, B, K, points)
-
-        monkeypatch.setattr(gdlab.distributed, "_workspace", counted)
         ds = gen_dataset(5, 8, "gaussian", seed=40)
         g = make_graph("ring", 5)
+        B = incidence(g)
+        tiled = []
+        tile = np.tile
+
+        def counted(a, reps):
+            for name, src in (("X", ds.X), ("y", ds.y), ("B", B)):
+                if np.shares_memory(a, src):
+                    tiled.append(name)
+            return tile(a, reps)
+
+        monkeypatch.setattr(gdlab.distributed, "incidence", lambda _: B)
+        monkeypatch.setattr(np, "tile", counted)
         mus = [0.1, 1.0, 10.0]
         traces = run_dgd(ds, g, [stable_eta(ds, g, mu) for mu in mus], mus, max_iters=5000,
                          stop_tol=1e-2, W0=np.random.default_rng(41).standard_normal((5, 8)))
         assert len({len(tr.t) for tr in traces}) == 3  # the stack shrank twice
-        assert builds == [3]
+        assert max(len(tr.t) for tr in traces) > 3 * _BLOCK  # over many blocks
+        assert sorted(tiled) == ["B", "X", "y"]
 
 
-class TestStepWorkspace:
+class TestDgdStep:
     def test_every_round_is_the_2d_step_of_each_state(self):
         # a 3-point stack on a 28-edge graph, shrunk to points [0, 2] and then
         # [2] as _drive does: each state's round is bitwise its plain round,
@@ -403,7 +436,6 @@ class TestStepWorkspace:
         B = incidence(g)
         mus = np.array([0.1, 1.0, 10.0])
         etas = np.array([stable_eta(ds, g, mu) for mu in mus])
-        work = _workspace(ds, B, _BLOCK, 3)
         W0 = np.random.default_rng(92).standard_normal((8, 4))
         # run_dgd's loop state, W, its residuals (A x n x 1) and edge
         # differences, then its operands eta X and the transposed view of
@@ -411,6 +443,10 @@ class TestStepWorkspace:
         x = (np.tile(W0, (3, 1, 1)), np.tile((row_inner(ds.X, W0) - ds.y)[:, None], (3, 1, 1)),
              np.tile(B @ W0, (3, 1, 1)), etas[:, None, None] * ds.X,
              ((etas * mus)[:, None, None] * B).transpose(0, 2, 1))
+        # X, y and B tiled to the points, and the round's temporary, each
+        # used through leading slices
+        tiled = (np.tile(ds.X, (3, 1, 1)), np.tile(ds.y[:, None], (3, 1, 1)),
+                 np.tile(B, (3, 1, 1)), np.empty((3, 8, 4)))
         points = np.arange(3)
         for keep in (None, [True, False, True], [False, True]):
             if keep is not None:
@@ -418,7 +454,8 @@ class TestStepWorkspace:
             for _ in range(20):
                 W, e, D, eta_X, coupling_Bt = x
                 out = (np.empty_like(W), np.empty_like(e), np.empty_like(D))
-                W_next, e_next, D_next = dgd_step(W, e, D, eta_X, coupling_Bt, out, work)
+                W_next, e_next, D_next = dgd_step(W, e, D, eta_X, coupling_Bt,
+                                                  *(a[:len(W)] for a in tiled), out)
                 for k, p in enumerate(points):
                     assert np.array_equal(W_next[k], plain_round(ds, B, etas[p], mus[p], W[k]))
                     assert np.array_equal(e_next[k, :, 0], row_inner(ds.X, W_next[k]) - ds.y)
@@ -468,25 +505,30 @@ class TestConsensusMetrics:
             assert edge_spread[0] == 0.0
             assert global_spread[0] == 0.0
 
-    def test_shared_workspace_is_bitwise_the_fresh_one(self):
-        # one workspace over blocks of decreasing size: every value equals the
-        # block measured without one, and the input stack is left as it was
+    def test_block_rows_are_each_states_standalone_values(self):
+        # blocks of decreasing size, with and without the carried residuals
+        # and edge differences: every state's values are bitwise those it
+        # gets alone, and the inputs are left as they were
         ds = gen_dataset(6, 9, "gaussian", seed=56)
         B = incidence(make_graph("ring", 6))
         rng = np.random.default_rng(57)
-        work = _workspace(ds, B, _BLOCK, 0)
         for K in (_BLOCK, 3, 1):
             S = rng.standard_normal((K, 6, 9))
             mu = rng.uniform(0.1, 10.0, K)
-            before = S.copy()
-            shared = consensus_metrics(S, ds, B, mu, work)
-            assert np.array_equal(S, before)
-            for got, want in zip(shared, consensus_metrics(S, ds, B, mu)):
-                assert np.array_equal(got, want)
+            resid, diffs = row_inner(ds.X, S) - ds.y, B @ S
+            inputs = (S, resid, diffs)
+            before = [a.copy() for a in inputs]
+            for cols in (consensus_metrics(S, ds, B, mu, resid, diffs),
+                         consensus_metrics(S, ds, B, mu)):
+                for a, was in zip(inputs, before):
+                    assert np.array_equal(a, was)
+                for k in range(K):
+                    alone = consensus_metrics(S[k], ds, B, mu[k])
+                    assert [col[k] for col in cols] == [col[0] for col in alone]
 
     def test_standalone_call_allocates_only_its_temporaries(self):
-        # a call without a workspace once also made a run's block buffers,
-        # which it never touched: 7.3 times the stack's bytes on this input
+        # a call once also made a run's block buffers, which it never
+        # touched: 7.3 times the stack's bytes on this input
         ds, g = build_dataset("ring16"), build_graph("ring16")
         B = incidence(g)
         S = np.random.default_rng(58).standard_normal((128, ds.n, ds.d))
@@ -830,8 +872,9 @@ class TestPointStack:
             assert np.array_equal(tr.W_final, W_final)
 
     def test_more_points_than_a_block(self):
-        # 300 points make blocks of 300 states, past _BLOCK: the workspace is
-        # sized for them, and every trace is bitwise its point's plain loop
+        # 300 points make blocks of 300 states, past _BLOCK: the loop's
+        # buffers are sized for them, and every trace is bitwise its point's
+        # plain loop
         ds = gen_dataset(5, 7, "gaussian", seed=58)
         g = make_graph("ring", 5)
         mus = list(np.geomspace(0.01, 10.0, 300))

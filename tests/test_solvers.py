@@ -1,6 +1,7 @@
 """Tests for the sequential solvers, ensembles, and rate estimation."""
 
 from dataclasses import replace
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from oracles import plain_gd, plain_sgd, prefix_iterates, prefix_states
 
 from gdlab import distributed, solvers
 from gdlab.distributed import make_graph, run_dgd
+from gdlab.presets import build_dataset
 from gdlab.problem import (
     Dataset,
     dataset_from_rows,
@@ -359,9 +361,34 @@ class TestRunSgd:
         np.testing.assert_allclose(tr.loss, losses, rtol=1e-12, atol=0)
 
     def test_fixed_sampler_batch_sizes(self):
-        ds = gen_dataset(6, 6, "gaussian", seed=2)
-        tr = run_sgd(ds, SolverConfig(eta=0.3, m=2.4, sampler="fixed", max_iters=30, seed=4))
-        assert np.all(tr.batch_size[1:] == 2)
+        # many iterations of many runs, drawn a chunk at a time: every mask
+        # holds exactly k = max(1, round(m)) samples, k = n included
+        for n, m in ((6, 2.4), (6, 0.3), (7, 5.0), (5, 5.0)):
+            ds = gen_dataset(n, 6, "gaussian", seed=2)
+            ens = run_ensemble(ds, SolverConfig(eta=1e-3, m=m, sampler="fixed", max_iters=60,
+                                                seed=4), runs=40)
+            assert all(len(tr.t) == 61 for tr in ens.traces)
+            assert all(np.all(tr.batch_size[1:] == max(1, round(m))) for tr in ens.traces)
+
+    def test_fixed_subsets_are_uniform(self):
+        # one step from zero moves w to (eta/m) sum_(i in batch) y_i x_i, and
+        # gaussian8's 8 rows are independent, so each run's subset is read
+        # back from its final iterate.  Over 2,800 runs the C(8, 2) = 28
+        # subsets must pass a chi-square test of uniformity at the 0.1% level
+        # (27 degrees of freedom); keys drawn with ties, as from
+        # rng.integers(0, 4, ...), favour the low indices and fail it
+        ds = build_dataset("gaussian8")
+        runs, eta, m = 2800, 1.0, 2.0
+        ens = run_ensemble(ds, SolverConfig(eta=eta, m=m, sampler="fixed", max_iters=1,
+                                            seed=23), runs=runs)
+        coef = np.linalg.solve(ds.X.T, np.array([tr.w_final for tr in ens.traces]).T).T
+        drawn = np.abs(coef) > 0.5 * np.abs(eta / m * ds.y)
+        assert np.all(drawn.sum(axis=1) == 2)
+        subsets = {pair: i for i, pair in enumerate(combinations(range(8), 2))}
+        counts = np.bincount([subsets[tuple(np.flatnonzero(row))] for row in drawn],
+                             minlength=28)
+        expected = runs / 28
+        assert np.sum((counts - expected) ** 2 / expected) < 55.476  # chi2.ppf(0.999, 27)
 
     def test_empty_bernoulli_draw_is_noop(self):
         ds = gen_dataset(2, 4, "gaussian", seed=8)
