@@ -71,8 +71,9 @@ DENSE_GUARD = 4096
 ER_MAX_ATTEMPTS = 1000
 
 
-class GraphConnectError(RuntimeError):
-    """Random graph stayed disconnected for the whole retry budget."""
+class GraphConnectError(ValueError):
+    """Random graph stayed disconnected for the whole retry budget: a graph
+    spec no draw satisfies, refused like any other invalid input."""
 
 
 @dataclass(frozen=True)

@@ -150,8 +150,8 @@ def hessian(ds: Dataset) -> np.ndarray:
 @dataclass(frozen=True)
 class SpectralSummary:
     """Nonzero spectrum of H, the derived parallelism quantities, and an
-    orthonormal basis of range(H); null components of vectors pass through
-    residual()."""
+    orthonormal basis of range(H), whose columns span every direction a
+    gradient step moves."""
 
     eigenvalues: np.ndarray  # descending
     rank: int
@@ -167,12 +167,6 @@ class SpectralSummary:
         # shared through Dataset.spectral, so no caller may change it
         self.eigenvalues.flags.writeable = False
         self.basis.flags.writeable = False
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        return (v @ self.basis) @ self.basis.T
-
-    def residual(self, v: np.ndarray) -> np.ndarray:
-        return v - self.project(v)
 
 
 def spectral_summary(H: np.ndarray) -> SpectralSummary:

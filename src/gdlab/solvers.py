@@ -241,7 +241,9 @@ def _drive(x, step, metrics, max_iters: int, stop_tol: float):
         lengths[members] = done + 1 + keep
         done += c
         if hit.any():
-            for r in np.unique(keep[hit]):
+            # a Python set, not np.unique: in numpy 2.4 np.unique imports
+            # numpy.ma (about 1.3 MB resident) at a run's first stop
+            for r in sorted(set(keep[hit].tolist())):
                 sel = hit & (keep == r)
                 ends.append((members[sel], past[r][0][sel]))
             members, x = members[~hit], _take(past[c], ~hit)

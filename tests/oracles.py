@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 from gdlab.distributed import CommGraph, OperatorSpectrum, _coupling, incidence, run_dgd
-from gdlab.problem import Dataset
+from gdlab.problem import Dataset, SpectralSummary
 from gdlab.solvers import SolverConfig, _check_eta_m
 
 _MC_BYTES = 1 << 22  # bytes of one draw stack of a chunk (draws x d x d, or x n x d)
@@ -56,6 +56,13 @@ def mc_expected_mm(ds: Dataset, eta: float, m: float, samples: int,
     var = np.clip((s2 - s1 * s1 / samples) / (samples - 1), 0.0, None)
     stderr = np.sqrt(var / samples)
     return mean, stderr
+
+
+def range_split(ss: SpectralSummary, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """v's orthogonal projection onto range(H), through ss.basis, and its null
+    component v minus that projection."""
+    inside = (v @ ss.basis) @ ss.basis.T
+    return inside, v - inside
 
 
 def dense_round_operator(ds: Dataset, g: CommGraph, eta: float, mu: float) -> np.ndarray:

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import mc_expected_mm, prefix_iterates, prefix_states
+from oracles import mc_expected_mm, prefix_iterates, prefix_states, range_split
 
 from gdlab.cli import main
 from gdlab.distributed import (
@@ -200,9 +200,9 @@ def test_criterion_7_null_space_invariance():
     ds = gen_dataset(4, 8, "gaussian", seed=60)
     rp = ds.spectral
     rng = np.random.default_rng(61)
-    u = rp.residual(rng.standard_normal(8))
+    u = range_split(rp, rng.standard_normal(8))[1]
     u /= np.linalg.norm(u)
-    w0 = ds.w_star + rp.project(rng.standard_normal(8)) + u
+    w0 = ds.w_star + range_split(rp, rng.standard_normal(8))[0] + u
 
     # every iterate of the 100 steps: the final iterate of a t-step run
     steps = range(101)

@@ -1,6 +1,7 @@
 """Tests for the command-line experiment runner."""
 
 import argparse
+import csv
 import dataclasses
 import inspect
 import json
@@ -29,6 +30,7 @@ from gdlab.problem import dataset_from_rows, dataset_to_json, gen_dataset, load_
 from gdlab.solvers import SolverConfig, run_ensemble
 
 DATASET_FILE = "<a dataset file>"  # stands for a dataset file the test writes
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))  # for a fresh process
 
 
 def read_summary(out):
@@ -193,11 +195,10 @@ class TestRunCommand:
                       for v in summary["verdicts"]]
             return {**summary, "dgd": dgd, "verdicts": checks}
 
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         out = str(tmp_path / "out")  # one path for both: summary.json records it
         files = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=SRC)
             subprocess.run([sys.executable, "-m", "gdlab.cli", "run", "dgd", "--preset",
                             "gaussian8", "--graph-kind", "complete", "--out", out],
                            env=env, check=True)
@@ -313,6 +314,30 @@ class TestSweepCommand:
         assert rows[-1][6] == ""  # c m = n has no defined scaling
         scalings = [float(r[6]) for r in rows[:-1]]
         assert all(a > b for a, b in zip(scalings, scalings[1:]))
+
+    def test_converging_runs_load_no_numpy_ma(self, tmp_path):
+        # in numpy 2.4 np.unique imports numpy.ma, which the first stop of a
+        # DGD run once loaded (about 1.3 MB resident) through the solver loop;
+        # a fresh process, since the test process may hold numpy.ma already
+        out = str(tmp_path)
+        script = (
+            "import json, sys\n"
+            "from gdlab import cli\n"
+            "before = set(sys.modules)\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "print(json.dumps([rc, sorted(set(sys.modules) - before)]))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "sweep", "mu", "--n", "4", "--d", "4", "--kind",
+             "orthonormal", "--graph-kind", "complete", "--values", "0.1,1,10", "--iters",
+             "20000", "--stop-tol", "1e-12", "--out", out],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, check=True)
+        rc, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert rc == 0
+        with open(os.path.join(out, "sweep.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["status"] for r in rows] == ["converged"] * 3
+        numpy = [m for m in loaded if m == "numpy" or m.startswith("numpy.")]
+        assert all(m.split(".")[:2] == ["numpy", "random"] for m in numpy), numpy
 
     def test_sweep_eta_with_measurement(self, tmp_path):
         out = str(tmp_path)
@@ -497,6 +522,21 @@ class TestConfigAndErrors:
         assert main([*argv, "--out", str(tmp_path)]) == 1
         assert os.listdir(str(tmp_path)) == []
         assert capsys.readouterr().err == f"gdlab: error: {message}\n"
+
+    def test_unconnectable_graph_is_refused_without_traceback(self, tmp_path):
+        # make_graph's GraphConnectError was once a RuntimeError, which main
+        # does not catch: the command ended in a traceback
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "gdlab.cli", "spectrum", "--n", "30", "--d", "2", "--kind",
+             "gaussian", "--graph-kind", "erdos_renyi", "--graph-p", "1e-6", "--graph-seed", "1",
+             "--mu", "1", "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == ("gdlab: error: no connected graph in 1000 attempts "
+                               "(n=30, p=1e-06); try a larger p\n")
+        assert not out.exists()
 
     def test_unreadable_config_is_validation_failure(self, tmp_path):
         bad = tmp_path / "bad.json"

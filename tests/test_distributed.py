@@ -34,7 +34,13 @@ from gdlab.problem import (
     spectral_summary,
 )
 from gdlab.solvers import _BLOCK, DIVERGENCE_FACTOR, _take, fit_rate
-from oracles import dense_operator_spectrum, dense_round_operator, prefix_states, reference_dgd
+from oracles import (
+    dense_operator_spectrum,
+    dense_round_operator,
+    prefix_states,
+    range_split,
+    reference_dgd,
+)
 
 
 def two_unit_nodes():
@@ -109,8 +115,19 @@ class TestMakeGraph:
         assert g.params["attempts"] >= 1
 
     def test_erdos_renyi_gives_up(self):
-        with pytest.raises(GraphConnectError):
+        # an invalid spec like any other, so the CLI reports it as one
+        with pytest.raises(GraphConnectError) as info:
             make_graph("erdos_renyi", 30, seed=0, p=1e-6)
+        assert isinstance(info.value, ValueError)
+
+    def test_loaded_erdos_renyi_no_draw_connects(self):
+        # a file whose recorded p no draw connects is refused as a graph spec
+        edges = [[i, (i + 1) % 30] for i in range(30)]
+        text = json.dumps({"n": 30, "kind": "erdos_renyi", "params": {"p": 1e-6, "attempts": 1},
+                           "seed": 0, "edges": edges})
+        with pytest.raises(ValueError, match=r"^invalid graph spec: no connected graph in 1000 "
+                                             r"attempts \(n=30, p=1e-06\)"):
+            graph_from_json(text)
 
     def test_grid_shape(self):
         g = make_graph("grid", 6, rows=2, cols=3)
@@ -497,7 +514,7 @@ class TestConsensusMetrics:
         # every node at w_star + v, v in range(H): the edge and global spreads
         # are exactly 0, and the error and the loss are not
         ds = gen_dataset(5, 8, "gaussian", seed=49)
-        v = ds.spectral.project(np.random.default_rng(48).standard_normal(8))
+        v = range_split(ds.spectral, np.random.default_rng(48).standard_normal(8))[0]
         W = np.tile(ds.w_star + v, (5, 1))
         for g in (make_graph("ring", 5), make_graph("complete", 5)):
             err, edge_spread, global_spread, loss = consensus_metrics(W, ds, incidence(g), 1.0)
@@ -947,9 +964,9 @@ class TestDistributedInvariants:
         ds = gen_dataset(4, 8, "gaussian", seed=72)
         rp = ds.spectral
         rng = np.random.default_rng(73)
-        u = rp.residual(rng.standard_normal(8))
+        u = range_split(rp, rng.standard_normal(8))[1]
         u /= np.linalg.norm(u)
-        w0 = ds.w_star + rp.project(rng.standard_normal(8)) + u
+        w0 = ds.w_star + range_split(rp, rng.standard_normal(8))[0] + u
         g = make_graph("ring", 4)
         states = prefix_states(ds, g, 0.3, 0.1, np.tile(w0, (4, 1)), range(101))
         comps = (states - ds.w_star) @ u  # (T+1, n)

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from oracles import range_split
 
 from gdlab.problem import (
     Dataset,
@@ -186,20 +187,22 @@ class TestRangeProjector:
     def test_diagonal_example(self):
         rp = spectral_summary(np.diag([1.0, 0.0]))
         v = np.array([3.0, 5.0])
-        assert np.allclose(rp.project(v), [3.0, 0.0], atol=1e-12)
-        assert np.allclose(rp.residual(v), [0.0, 5.0], atol=1e-12)
+        inside, null = range_split(rp, v)
+        assert np.allclose(inside, [3.0, 0.0], atol=1e-12)
+        assert np.allclose(null, [0.0, 5.0], atol=1e-12)
 
     def test_full_rank_projects_to_identity(self):
         ds = gen_dataset(6, 6, "gaussian", seed=4)
         rp = ds.spectral
         v = np.random.default_rng(1).standard_normal(6)
-        assert np.allclose(rp.project(v), v, atol=1e-10)
+        assert np.allclose(range_split(rp, v)[0], v, atol=1e-10)
 
     def test_rows_lie_in_range(self):
         ds = gen_dataset(2, 4, "gaussian", seed=6)
         rp = ds.spectral
         for i in range(ds.n):
-            assert np.linalg.norm(rp.residual(ds.X[i])) <= 1e-8 * np.linalg.norm(ds.X[i])
+            null = range_split(rp, ds.X[i])[1]
+            assert np.linalg.norm(null) <= 1e-8 * np.linalg.norm(ds.X[i])
 
     def test_basis_orthonormal(self):
         ds = gen_dataset(3, 7, "gaussian", seed=9)

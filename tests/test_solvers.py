@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
-from oracles import plain_gd, plain_sgd, prefix_iterates, prefix_states
+from oracles import plain_gd, plain_sgd, prefix_iterates, prefix_states, range_split
 
 from gdlab import distributed, solvers
 from gdlab.distributed import make_graph, run_dgd
@@ -668,9 +668,9 @@ class TestSolverInvariants:
         ds = gen_dataset(4, 8, "gaussian", seed=60)
         rp = ds.spectral
         rng = np.random.default_rng(61)
-        u = rp.residual(rng.standard_normal(8))
+        u = range_split(rp, rng.standard_normal(8))[1]
         u /= np.linalg.norm(u)
-        w0 = ds.w_star + rp.project(rng.standard_normal(8)) + u
+        w0 = ds.w_star + range_split(rp, rng.standard_normal(8))[0] + u
         return ds, rp, u, w0
 
     @pytest.mark.parametrize("batch", ["full", "bernoulli"])
