@@ -41,7 +41,7 @@ Penalty convention for dgd, shared with gdlab.distributed, which takes --mu
 unchanged: mu weighs the penalty in sum_i (x_i . w_i - y_i)^2 + mu sum_<i,j>
 |w_i - w_j|^2 (the penalized_loss trace column), and a round applies the
 coupling eta * mu (reported as mu_iter).  The default eta, min(0.5/max|x|^2,
-1/(max|x|^2 + 2 mu maxdeg)), keeps the round stable for any mu.
+1/(max|x|^2 + 2 mu maxdeg)), keeps the round stable for any finite 2 mu maxdeg.
 """
 
 from __future__ import annotations
@@ -386,7 +386,7 @@ def _cmd_run_solver(res: _Resolver, output: _Output):
             "fit_residual": fit.residual if fit else None,
             "fit_window": list(fit.window) if fit else None,
             "statuses": Counter(run_statuses),
-            "seeds": [tr.config.seed for tr in ens.traces],
+            "seeds": [tr.seed for tr in ens.traces],
             "run_statuses": run_statuses,
         },
         **cost,
@@ -495,8 +495,12 @@ def _cmd_run_dgd(res: _Resolver, output: _Output):
 def _sweep_values(res):
     """--values, or the preset's sweep values, as floats; at least one."""
     raw = res.get("values")
-    values = [float(v) for v in (raw.split(",") if raw is not None
-                                 else res.preset.get("sweep_values", ())) if v != ""]
+    values = []
+    for v in raw.split(",") if raw is not None else res.preset.get("sweep_values", ()):
+        try:
+            values += [float(v)] if v != "" else []
+        except ValueError:
+            raise CliError(f"--values: {v!r} is not a number") from None
     if not values:
         raise CliError(f"sweep {res.args.param} needs --values")
     res.resolved["values"] = values
@@ -574,7 +578,7 @@ def _cmd_spectrum(res: _Resolver, output: _Output):
     ds = res.dataset()
     g = res.graph(ds)
     mu = float(res.get("mu", 1.0))
-    eta = float(res.get("eta", stable_eta(ds, g, mu)))
+    eta = stable_eta(ds, g, mu) if (eta := res.get("eta")) is None else float(eta)
     res.resolved.update(eta=eta, mu=mu, mu_iter=eta * mu)
     return {"dgd": _dgd_doc(ds, g, eta, mu)}, [], []
 

@@ -445,10 +445,12 @@ def stable_eta(ds: Dataset, g: CommGraph, mu: float) -> float:
     """Step size whose Gershgorin bound is 1 (up to rounding) or less for penalty weight mu.
 
     This is the experiment-layer default: eta shrinks as the penalty grows,
-    so any positive penalty weight yields a stable round.
+    so every mu whose 2 mu max_degree is finite yields a stable round.
     """
     if not 0 < mu < math.inf:
         raise ValueError(f"mu must be positive and finite: mu={mu}")
+    if not 2.0 * mu * g.max_degree() < math.inf:  # the step would read 0.0
+        raise ValueError(f"mu is too large for a positive stable step: mu={mu}")
     xmax = float(ds.row_norms_sq().max())
     return min(0.5 / xmax, 1.0 / (xmax + 2.0 * mu * g.max_degree()))
 

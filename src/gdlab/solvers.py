@@ -7,9 +7,9 @@ the one step w <- w - (eta/m) sum_i mask_i (x_i.w - y_i) x_i; the samplers
 differ only in the draw.  Updates are matrix-free and touch only
 (x_i, y_i); the planted parameter is used for diagnostics alone.  Each
 trace records, per iteration, the squared error projected onto range(H),
-the quadratic loss, and the realized batch size, then the run's status and
-final iterate; no other iterate is kept.  Runs are bit-reproducible from
-(dataset, config).
+the quadratic loss, and the realized batch size, then the run's status,
+seed and final iterate; no other iterate is kept.  Runs are
+bit-reproducible from (dataset, config).
 
 Every solver, the distributed one included, runs through one loop (_drive)
 that steps a stack of runs and computes the trace rows of a block of states
@@ -103,7 +103,7 @@ class IterationTrace:
     loss: np.ndarray
     batch_size: np.ndarray
     status: str
-    config: SolverConfig
+    seed: int  # the seed of the run's sample draws
     w_final: np.ndarray
 
 
@@ -181,10 +181,11 @@ def _drive(x, step, metrics, max_iters: int, stop_tol: float):
     final state are the ones it gets running alone.
 
     Returns (one S x L array per column, the S row counts, the S statuses,
-    the S final iterates); member k's rows are row k of each array
-    up to its row count.
+    the S final iterates, each written where its member stops); member k's
+    rows are row k of each array up to its row count.
     """
     runs = len(x[0])
+    final = np.empty_like(x[0])
     bufs = [tuple(np.empty((max(_BLOCK, runs),) + a.shape[1:], a.dtype) for a in x)
             for _ in range(2)]
     for buf, a in zip(bufs[0], x):
@@ -203,9 +204,8 @@ def _drive(x, step, metrics, max_iters: int, stop_tol: float):
     if stop_tol > 0:
         status[err0 <= stop_tol * err0] = 2
     members = np.flatnonzero(status == 1)
-    ends = []  # (stopped members, their final iterates)
     if len(members) < runs:
-        ends.append((np.flatnonzero(status != 1), x[0][status != 1]))
+        final[status != 1] = x[0][status != 1]
         x = _take(x, members)
     done, side, viewed = 0, 0, 0
     while len(members) and done < max_iters:
@@ -241,18 +241,12 @@ def _drive(x, step, metrics, max_iters: int, stop_tol: float):
         lengths[members] = done + 1 + keep
         done += c
         if hit.any():
-            # a Python set, not np.unique: in numpy 2.4 np.unique imports
-            # numpy.ma (about 1.3 MB resident) at a run's first stop
-            for r in sorted(set(keep[hit].tolist())):
-                sel = hit & (keep == r)
-                ends.append((members[sel], past[r][0][sel]))
+            for a in np.flatnonzero(hit).tolist():
+                final[members[a]] = past[keep[a]][0][a]
             members, x = members[~hit], _take(past[c], ~hit)
         else:
             x = past[c]
-    ends.append((members, x[0]))
-    final = np.empty((runs,) + x[0].shape[1:], x[0].dtype)
-    for stopped, w in ends:
-        final[stopped] = w
+    final[members] = x[0]
     length = lengths.max()
     return [o[:, :length] for o in outs], lengths, [_STATUSES[s] for s in status], final
 
@@ -267,7 +261,7 @@ def _run(ds: Dataset, cfg: SolverConfig,
     lives only while it has draws to come), and every product is a stack of
     per-member vector-matrix products; so member k's trace is bitwise the
     one a single run with seed seeds[k] gives.  Returns the traces (rows,
-    status and final iterate; no other iterate is kept) and the runs x L
+    status, seed and final iterate; no other iterate is kept) and the runs x L
     error stack their err_sq_range rows are views of.
     """
     cfg.validate(ds.n)
@@ -351,7 +345,7 @@ def _run(ds: Dataset, cfg: SolverConfig,
             loss=losses[k, :L],
             batch_size=batches[k, :L],
             status=statuses[k],
-            config=replace(cfg, seed=seeds[k]),
+            seed=seeds[k],
             w_final=finals[k],
         )
         for k, L in enumerate(lengths.tolist())
@@ -361,8 +355,7 @@ def _run(ds: Dataset, cfg: SolverConfig,
 
 def run_gd(ds: Dataset, cfg: SolverConfig) -> IterationTrace:
     """Full gradient descent, w <- w - (eta/n) sum_i (x_i.w - y_i) x_i: the
-    Bernoulli step at m = n.  cfg is validated as given, m included; the
-    run and its trace's config then take m = n."""
+    Bernoulli step at m = n, taken once cfg is validated as given, m included."""
     if cfg.sampler != SAMPLER_BERNOULLI:
         raise ValueError(f"run_gd requires sampler={SAMPLER_BERNOULLI!r}")
     cfg.validate(ds.n)

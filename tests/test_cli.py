@@ -24,10 +24,10 @@ from hypothesis import strategies as st
 from gdlab import cli
 from gdlab.cli import build_parser, main
 from gdlab.io import dumps
-from gdlab.distributed import graph_to_json, make_graph, run_dgd
+from gdlab.distributed import DgdTrace, graph_to_json, make_graph, run_dgd
 from gdlab.presets import PRESETS, build_dataset
 from gdlab.problem import dataset_from_rows, dataset_to_json, gen_dataset, load_dataset
-from gdlab.solvers import SolverConfig, run_ensemble
+from gdlab.solvers import IterationTrace, SolverConfig, run_ensemble
 
 DATASET_FILE = "<a dataset file>"  # stands for a dataset file the test writes
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))  # for a fresh process
@@ -453,6 +453,15 @@ class TestSpectrumCommand:
         dgd = read_summary(out)["dgd"]
         assert 0.999 <= dgd["sigma_min"] / (1.0 - dgd["rate_lower"]) <= 1.0 + 1e-8
 
+    def test_given_eta_needs_no_stable_step(self, tmp_path):
+        # at mu = 1e308 on a ring no stable step is positive, so the default
+        # is refused; a given --eta is taken without computing it
+        out = str(tmp_path)
+        assert main(["spectrum", "--preset", "gaussian8", "--graph-kind", "ring", "--mu", "1e308",
+                     "--eta", "1e-310", "--out", out]) == 0
+        config = read_summary(out)["config"]
+        assert (config["eta"], config["mu"]) == (1e-310, 1e308)
+
 
 class TestConfigAndErrors:
     def test_config_file_supplies_values(self, tmp_path):
@@ -510,11 +519,29 @@ class TestConfigAndErrors:
           "--graph-rows", "-2", "--graph-cols", "-2"], None,
          "invalid graph spec: grid needs rows >= 1 and cols >= 1 with rows*cols == n, "
          "got -2x-2 for n=4"),
-    ], ids=["iters", "config-iters", "dgd-iters", "sgd-runs", "sweep-runs", "grid"])
+        (["sweep", "eta", "--preset", "gaussian8", "--values", "abc"], None,
+         "--values: 'abc' is not a number"),
+        (["sweep", "m", "--preset", "gaussian8", "--runs", "0", "--values", "2,abc"], None,
+         "--values: 'abc' is not a number"),
+        (["sweep", "mu", "--preset", "gaussian8", "--graph-kind", "ring", "--values", "1,x"],
+         None, "--values: 'x' is not a number"),
+        (["sweep", "eta", "--preset", "gaussian8"], {"values": ["x"]},
+         "--values: 'x' is not a number"),
+        (["run", "dgd", "--preset", "gaussian8", "--graph-kind", "ring", "--mu", "1e308"], None,
+         "mu is too large for a positive stable step: mu=1e+308"),
+        (["sweep", "mu", "--preset", "gaussian8", "--graph-kind", "ring", "--values", "1,1e308"],
+         None, "mu is too large for a positive stable step: mu=1e+308"),
+        (["spectrum", "--preset", "gaussian8", "--graph-kind", "ring", "--mu", "1e308"], None,
+         "mu is too large for a positive stable step: mu=1e+308"),
+    ], ids=["iters", "config-iters", "dgd-iters", "sgd-runs", "sweep-runs", "grid",
+            "eta-values", "m-values", "mu-values", "config-values", "dgd-mu", "sweep-mu",
+            "spectrum-mu"])
     def test_refusal_names_what_was_given(self, tmp_path, tmp_path_factory, capsys,
                                           argv, config, message):
         # these once surfaced as the library's field names (max_iters,
-        # runs), or, for the grid, as a graph that is not connected
+        # runs), for the grid as a graph that is not connected, for a
+        # --values entry as float()'s message naming no option, and for a
+        # mu whose stable step overflows to 0 as an eta the user never gave
         if config:
             cfg = tmp_path_factory.mktemp("input") / "cfg.json"
             cfg.write_text(json.dumps(config))
@@ -659,6 +686,12 @@ class TestOptionTable:
             "eta", "m", "sampler", "max_iters", "stop_tol", "seed", "w0"]
         assert list(inspect.signature(run_dgd).parameters) == [
             "ds", "g", "etas", "mus", "max_iters", "stop_tol", "W0"]
+        # and the records of a run: an SGD trace keeps its seed, not its config
+        assert [f.name for f in dataclasses.fields(IterationTrace)] == [
+            "t", "err_sq_range", "loss", "batch_size", "status", "seed", "w_final"]
+        assert [f.name for f in dataclasses.fields(DgdTrace)] == [
+            "t", "mean_err_sq_range", "edge_spread", "global_spread", "penalized_loss",
+            "status", "W_final"]
 
     @pytest.mark.parametrize("variant", [(), *ACCEPTED], ids=lambda v: "_".join(v) or "gdlab")
     def test_help_renders(self, capsys, variant):

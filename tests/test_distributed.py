@@ -684,6 +684,14 @@ class TestOnePenaltyConvention:
         assert sp.sigma_max <= bound + 1e-12
         assert sp.stable
 
+    def test_stable_eta_refuses_a_mu_with_no_positive_step(self):
+        # 2 mu max_degree overflows at mu = 1e308 on a ring, where the step
+        # once read 0.0, which every round then refused as a bad eta
+        ds, g = build_dataset("gaussian8"), make_graph("ring", 8)
+        assert stable_eta(ds, g, 1e300) > 0
+        with pytest.raises(ValueError, match=r"^mu is too large .*: mu=1e\+308$"):
+            stable_eta(ds, g, 1e308)
+
 
 class TestRangeBlockSolve:
     """dgd_operator_spectrum solves the round operator on its range block and

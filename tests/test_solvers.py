@@ -229,6 +229,26 @@ class TestBlockDriver:
             assert final[k] == alone[2]
             assert list(kept[k, :L]) == alone[3]
 
+    def test_members_stop_inside_one_step_blocks(self):
+        # 3 _BLOCK members, more than _BLOCK // 2 of them running to the
+        # end, so every block is one step and holds only its entry state and
+        # one new one: a non-finite stop is then the first row of its block
+        # and leaves the entry state final.  Members stop at varied rows by
+        # each kind or run to the cap, and each gets what it gets alone
+        kinds = ["converged", "diverged", "non-finite", None]
+        stops = [(kinds[k % 4], None if k % 4 == 3 else 1 + 7 * k % 45)
+                 for k in range(3 * _BLOCK)]
+        ((*cols, kept), lengths, statuses, final), sizes = self.drive_members(stops, max_iters=50)
+        assert len(sizes) == 50  # one metrics call per step
+        assert statuses.count("max-iters") > _BLOCK // 2
+        for k, (kind, at) in enumerate(stops):
+            alone = self.drive(kind, at, max_iters=50)
+            L = lengths[k]
+            assert [list(col[k, :L]) for col in cols] == [list(col) for col in alone[0]]
+            assert statuses[k] == alone[1]
+            assert final[k] == alone[2]
+            assert list(kept[k, :L]) == alone[3]
+
     @staticmethod
     def drive_rising(stops, keep_states):
         # member k's state is (step count t, k); its rows read (1 + t, t / 2),
@@ -324,7 +344,6 @@ class TestRunSgd:
             assert np.array_equal(tr.loss, losses)
             assert np.array_equal(tr.w_final, w)
             assert np.all(tr.batch_size[1:] == 8)
-        assert gd.config.m == 8.0
 
     def test_two_outcome_expected_decay(self):
         # one unit sample at eta = m = 1/2: each draw is a no-op or an exact
@@ -433,7 +452,7 @@ class TestRunEnsemble:
         a = run_ensemble(ds, cfg, runs=4)
         b = run_ensemble(ds, cfg, runs=4)
         assert np.array_equal(a.mean_curve, b.mean_curve)
-        seeds = [tr.config.seed for tr in a.traces]
+        seeds = [tr.seed for tr in a.traces]
         assert len(set(seeds)) == 4
 
 
@@ -453,7 +472,7 @@ def assert_members_are_single_runs(ds, cfg, runs, seed, draw_bytes):
             a, b = getattr(tr, name), getattr(alone, name)
             assert a.dtype == b.dtype and a.shape == b.shape and bits(a) == bits(b), name
         assert tr.status == alone.status
-        assert tr.config.seed == alone.config.seed
+        assert tr.seed == alone.seed
     length = min(len(tr.t) for tr in ens.traces)
     stack = np.stack([tr.err_sq_range[:length] for tr in ens.traces])
     mean = stack.mean(axis=0)
