@@ -347,9 +347,8 @@ def run_dgd(ds: Dataset, g: CommGraph, etas, mus, max_iters: int = 1000,
 
     with np.errstate(over="ignore", invalid="ignore"):  # _drive reports non-finite metrics
         e0, D0 = row_inner(ds.X, W) - ds.y, B @ W
-    cols, lengths, statuses, finals = _drive(
-        (np.tile(W, (P, 1, 1)), np.tile(e0[:, None], (P, 1, 1)), np.tile(D0, (P, 1, 1))),
-        step, metrics, max_iters, stop_tol)
+    cols, lengths, statuses, finals = _drive((W, e0[:, None], D0), P, step, metrics,
+                                             max_iters, stop_tol)
     # consensus_metrics's four columns come in DgdTrace's field order
     return [DgdTrace(np.arange(L), *(col[k, :L] for col in cols), statuses[k], finals[k])
             for k, L in enumerate(lengths.tolist())]

@@ -21,6 +21,13 @@ from its own Generator(derive_seed(seed, k)) in the order a single run
 draws, and every product is a stack of per-run vector products, so each
 run's trace is bitwise the one it gets alone and the seed-to-trace map is
 unchanged; run_gd and run_sgd are the one-run case.
+
+The loop keeps its states in two buffers and broadcasts the run's one
+initial state into the first buffer's rows, one per member, so no stack of
+copies of it is built.  An SGD step allocates only its sample mask: it forms
+the masked residual and the gradient in the rows it then writes.  The trace
+metrics take at most _BLOCK (128) runs per product, so an ensemble's
+initial states, one per run, are measured without run-sized temporaries.
 """
 
 from __future__ import annotations
@@ -151,10 +158,10 @@ def _widen(a, cap, lengths):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow ends a run as diverged
-def _drive(x, step, metrics, max_iters: int, stop_tol: float):
-    """The iteration loop of every solver: S runs (members) started from the
-    state x and advanced together, each until its own stop_tol, divergence
-    or max_iters.
+def _drive(x, runs: int, step, metrics, max_iters: int, stop_tol: float):
+    """The iteration loop of every solver: S = runs runs (members) started
+    from the one state x and advanced together, each until its own stop_tol,
+    divergence or max_iters.
 
     A state is a tuple of arrays whose first axis runs over the members that
     are still running (`members`, their indices in 0..S-1); its first array
@@ -170,7 +177,9 @@ def _drive(x, step, metrics, max_iters: int, stop_tol: float):
     Steps allocate no state: it lives in two buffers per state array, each
     with the rows of the largest block, which blocks write in turn, since a
     block's entry state (the final state of a member its first row stops)
-    must outlive the block.  x is copied into the first and held nowhere else.
+    must outlive the block.  x holds each state array of one member; it is
+    broadcast into the first buffer's rows, one per member, so no member
+    stack of it is built.
 
     A member converges once its error is at most stop_tol times its initial
     error (stop_tol > 0), and diverges once the error is not within
@@ -184,9 +193,8 @@ def _drive(x, step, metrics, max_iters: int, stop_tol: float):
     the S final iterates, each written where its member stops); member k's
     rows are row k of each array up to its row count.
     """
-    runs = len(x[0])
-    final = np.empty_like(x[0])
-    bufs = [tuple(np.empty((max(_BLOCK, runs),) + a.shape[1:], a.dtype) for a in x)
+    final = np.empty((runs,) + x[0].shape, x[0].dtype)
+    bufs = [tuple(np.empty((max(_BLOCK, runs),) + a.shape, a.dtype) for a in x)
             for _ in range(2)]
     for buf, a in zip(bufs[0], x):
         buf[:runs] = a
@@ -314,29 +322,37 @@ def _run(ds: Dataset, cfg: SolverConfig,
     # a state is (w, residual X w - y, samples used by the update that made
     # w), one row per running member
     def step(state, members, out):
+        # the masked residual and the gradient are formed in the rows of r1
+        # and w1 that the step then writes, so only the mask is allocated
         w, r, _ = state
         w1, r1, batch = out
         mask = next_draws(members)
-        grad = ((mask * r)[:, None, :] @ X)[:, 0, :]
-        grad *= cfg.eta / cfg.m
-        np.subtract(w, grad, out=w1)
+        np.multiply(mask, r, out=r1)
+        np.matmul(r1[:, None, :], X, out=w1[:, None, :])
+        w1 *= cfg.eta / cfg.m
+        np.subtract(w, w1, out=w1)
         np.matmul(w1[:, None, :], X.T, out=r1[:, None, :])
         r1 -= y
         mask.sum(axis=1, out=batch)
 
     def metrics(block, _):
         # stacks of 1 x width products: each value is the vector product of
-        # one member's state alone (vector-matrix, then a 1 x 1 dot), bit for bit
+        # one member's state alone (vector-matrix, then a 1 x 1 dot), bit for
+        # bit, taken _BLOCK rows at a time so the initial state of a large
+        # ensemble needs no ensemble-sized temporaries
         w, r, batch = block
-        comp = (w - ds.w_star)[:, None, :] @ ss.basis
-        err = (comp @ comp.transpose(0, 2, 1))[:, 0, 0]
-        loss = (r[:, None, :] @ r[:, :, None])[:, 0, 0] / n
+        err, loss = np.empty(len(w)), np.empty(len(w))
+        for i in range(0, len(w), _BLOCK):
+            rows = slice(i, i + _BLOCK)
+            comp = (w[rows] - ds.w_star)[:, None, :] @ ss.basis
+            err[rows] = (comp @ comp.transpose(0, 2, 1))[:, 0, 0]
+            loss[rows] = (r[rows, None, :] @ r[rows, :, None])[:, 0, 0]
+        loss /= n
         return err, loss, batch
 
-    # the initial state is built in the call, so _drive holds its only copy
     (errs, losses, batches), lengths, statuses, finals = _drive(
-        (np.tile(w, (runs, 1)), np.tile((w[None, :] @ X.T)[0] - y, (runs, 1)),
-         np.zeros(runs, dtype=int)), step, metrics, cfg.max_iters, cfg.stop_tol)
+        (w, (w[None, :] @ X.T)[0] - y, np.array(0)), runs, step, metrics,
+        cfg.max_iters, cfg.stop_tol)
     t = np.arange(errs.shape[1])
     traces = [
         IterationTrace(

@@ -1,5 +1,6 @@
 """Tests for the sequential solvers, ensembles, and rate estimation."""
 
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 from unittest import mock
@@ -94,7 +95,7 @@ class TestRunGd:
         def metrics(block, members):
             return (block[0],)
 
-        cols, lengths, statuses, final = _drive((np.array([1.0]),), step, metrics, 100, 0.0)
+        cols, lengths, statuses, final = _drive((np.array(1.0),), 1, step, metrics, 100, 0.0)
         assert statuses == ["diverged"]
         assert list(cols[0][0, :lengths[0]]) == [1.0, 2.0, 4.0] and final[0] == 4.0
 
@@ -149,7 +150,7 @@ class TestBlockDriver:
             return err, aux, t
 
         (*cols, states), lengths, statuses, final = _drive(
-            (np.array([0]),), step, metrics, max_iters, stop_tol)
+            (np.array(0),), 1, step, metrics, max_iters, stop_tol)
         return [c[0] for c in cols], statuses[0], final[0], list(states[0]), steps
 
     # stops at the first and second block boundaries, and one row past each
@@ -183,19 +184,20 @@ class TestBlockDriver:
 
     @staticmethod
     def drive_members(stops, max_iters=3 * _BLOCK, stop_tol=0.5):
-        # member k's state is (step count, k); its rows read (1, 0) except at
-        # stops[k] = (kind, row), as in drive(), and record the step count;
-        # also returns the number of row-states in each metrics call after
-        # the first
+        # member k's state is (step count, k), k set by its first step (every
+        # member starts from the one state (0, 0)); its rows read (1, 0)
+        # except at stops[k] = (kind, row), as in drive(), and record the
+        # step count; also returns the number of row-states in each metrics
+        # call after the first
         sizes = []
         runs = len(stops)
         kinds = np.array([str(kind) for kind, _ in stops])
         rows = np.array([-1 if at is None else at for _, at in stops])
 
         def step(x, members, out):
-            assert np.array_equal(x[1], members)
+            assert not x[0].any() or np.array_equal(x[1], members)
             out[0][:] = x[0] + 1
-            out[1][:] = x[1]
+            out[1][:] = members
 
         def metrics(block, k):
             t = block[0]
@@ -206,8 +208,8 @@ class TestBlockDriver:
             aux = np.where(at & (kinds[k] == "non-finite"), np.inf, 0.0)
             return err, aux, t
 
-        x0 = (np.zeros(runs, dtype=int), np.arange(runs))
-        return _drive(x0, step, metrics, max_iters, stop_tol), sizes[1:]
+        x0 = (np.array(0), np.array(0))
+        return _drive(x0, runs, step, metrics, max_iters, stop_tol), sizes[1:]
 
     def test_members_stop_independently(self):
         # six members step _BLOCK // 6 rows per block; three stop in the first
@@ -251,7 +253,7 @@ class TestBlockDriver:
 
     @staticmethod
     def drive_rising(stops, keep_states):
-        # member k's state is (step count t, k); its rows read (1 + t, t / 2),
+        # member k's state is its step count t; its rows read (1 + t, t / 2),
         # so a row copied to the wrong place shows, but row stops[k], where
         # the member converges (None: it never does); keep_states records t
         # as a third column
@@ -259,14 +261,13 @@ class TestBlockDriver:
 
         def step(x, members, out):
             out[0][:] = x[0] + 1
-            out[1][:] = x[1]
 
         def metrics(block, members):
-            t, k = block
-            return (np.where(t == at[k], 0.25, 1.0 + t), t / 2.0) + ((t,) if keep_states else ())
+            t = block[0]
+            err = np.where(t == at[members], 0.25, 1.0 + t)
+            return (err, t / 2.0) + ((t,) if keep_states else ())
 
-        x0 = (np.zeros(len(stops), dtype=int), np.arange(len(stops)))
-        return _drive(x0, step, metrics, 4 * _BLOCK, 0.5)
+        return _drive((np.array(0),), len(stops), step, metrics, 4 * _BLOCK, 0.5)
 
     @pytest.mark.parametrize("keep_states", [True, False])
     def test_widening_keeps_each_members_rows(self, monkeypatch, keep_states):
@@ -537,6 +538,30 @@ class TestStackedEnsemble:
             ens = replace(converging, traces=[first[s] for s in statuses])
             assert ens.status == worst
 
+    def test_ensemble_allocates_little_beyond_the_loops_arrays(self):
+        # the loop's own arrays: two state buffers (w, residual, batch size),
+        # three runs x 41 trace columns, the final iterates and the packed
+        # draws held ahead.  Tiling the initial state for every run, and
+        # run-sized temporaries in the step and the initial metrics, once
+        # took the peak to 1.49 times them; one broadcast initial state, an
+        # in-buffer step and metrics _BLOCK runs at a time keep it near 1.1
+        ds = build_dataset("orthonormal32")
+        cfg = SolverConfig(eta=8.0, m=8.0, max_iters=40, seed=1)
+        runs = 1000
+        run_ensemble(ds, cfg, 2)  # the dataset's cached eigensolve, made once
+        tracemalloc.start()
+        try:
+            run_ensemble(ds, cfg, runs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, d = ds.X.shape
+        width = (n + 7) // 8
+        states = 2 * max(_BLOCK, runs) * (d + n + 1) * 8
+        cols = 3 * runs * (cfg.max_iters + 1) * 8
+        draws = runs * min(solvers._DRAW_BYTES // (runs * width), cfg.max_iters) * width
+        assert peak < 1.25 * (states + cols + runs * d * 8 + draws)
+
     @settings(max_examples=150, deadline=None)
     @given(runs=st.integers(1, 8), iters=st.integers(1, 40),
            ds_index=st.integers(0, len(_PROPERTY_DATASETS) - 1),
@@ -573,11 +598,11 @@ class TestPrefixProperty:
         # does not stop
         seen = []
 
-        def drive(x, step, metrics, *limits):
+        def drive(x, runs, step, metrics, *limits):
             def record(block, members):
                 seen.extend(w.copy() for w in block[0])
                 return metrics(block, members)
-            return _drive(x, step, record, *limits)
+            return _drive(x, runs, step, record, *limits)
 
         with mock.patch.object(module, "_drive", drive):
             call()
